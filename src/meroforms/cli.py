@@ -74,8 +74,11 @@ def parse_m_range(text: str) -> list[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise UsageError(f"empty m range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    else:
+        lo = hi = int(text)
+    if lo < 0:
+        raise UsageError(f"m must be >= 0, got {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _validate(precision: int, norm_bound: int, ms: list[int]) -> None:

@@ -14,6 +14,12 @@ on its omitted tail, using the per-norm ideal count bound d(N) <= 2
 sqrt(N) (a circle-packing count for pair sums), which keeps the bound
 finite on the whole validity range k >= j + 2 of the F-series exponent.
 
+Every sum goes through the kernels of ``lattice``: ideal sums through
+``row_cosine`` (the cosine of ``c_kernel``), pair sums through
+``b_kernel``.  The terms are added exactly and the total is rounded
+once, by ``mpmath.fsum`` or, for the long ideal sums, by its exact adder
+``mpf_sum`` fed term by term.
+
 At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
 rising factorial (w)_j,
@@ -33,9 +39,10 @@ from math import comb, factorial, gcd
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import mpf_sum, round_nearest
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, EllipticPoint, closed_value, eisenstein_jet
-from .lattice import Field, complete_unimodular, ideal_sum_data, kernel_vanishes
+from .lattice import Field, b_kernel, ideal_sum_data, kernel_vanishes, row_cosine
 from .solver import BasisRepresentation
 
 
@@ -61,8 +68,7 @@ class TruncatedSum:
 class RaisingTerm:
     j: int
     coefficient: int  # (2k+n-1)!/(2k+n-1-j)! * C(n, j)
-    power_exponent: int  # exponent of (-2i)
-    derivative_order: int  # = n - j
+    derivative_order: int  # = n - j, also the exponent of (-2i)
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ def raising_expansion(k: int, n: int) -> RaisingExpansion:
     terms = []
     for j in range(n + 1):
         coeff = factorial(2 * k + n - 1) // factorial(2 * k + n - 1 - j) * comb(n, j)
-        terms.append(RaisingTerm(j, coeff, n - j, n - j))
+        terms.append(RaisingTerm(j, coeff, n - j))
     return RaisingExpansion(k, n, tuple(terms))
 
 
@@ -98,7 +104,7 @@ def raising_expansion_stepped(expansion: RaisingExpansion) -> RaisingExpansion:
         # (2K - j) branch moves j -> j+1
         acc[t.j + 1] = acc.get(t.j + 1, 0) + t.coefficient * (two_K - t.j)
     n1 = n + 1
-    terms = tuple(RaisingTerm(j, acc[j], n1 - j, n1 - j) for j in sorted(acc))
+    terms = tuple(RaisingTerm(j, acc[j], n1 - j) for j in sorted(acc))
     return RaisingExpansion(k, n1, terms)
 
 
@@ -121,6 +127,23 @@ def _ideal_tail_bound(k_half_minus_j, B, four_pi_m_r, v0_pow_j) -> mpf:
     # e^{2 pi m v0/N} <= e^{1/2} once B >= 4 pi m v0
     s = k_half_minus_j - mpf(3) / 2
     return 2 * mpmath.exp(mpf(1) / 2) * four_pi_m_r / v0_pow_j * mpf(B) ** (-s) / s
+
+
+def _ideal_sum(point: EllipticPoint, k: int, exponent: int, m: int, norm_bound: int, precision: int) -> mpf:
+    """sum*_b cos(pi m P_b/N_b + k theta_b) N_b^exponent e^(2 pi m v0/N_b) over
+    the primitive ideals of norm <= norm_bound, the cosine from
+    ``row_cosine``, rounded once to the caller's working precision.
+
+    ``mpf_sum`` is the exact adder inside ``mpmath.fsum``; fed one term at
+    a time it does not hold the list of all terms that ``mpmath.fsum``
+    builds first (about 16 MB at norm bound 2e5)."""
+    rows = ideal_sum_data(_field_of(point), norm_bound, precision)
+    two_pi_m_v0 = 2 * mp.pi * m * point.v0(precision)
+    terms = (
+        (row_cosine(k, m, row) * mpf(row[0]) ** exponent * (mpmath.exp(two_pi_m_v0 / row[0]) if m else 1))._mpf_
+        for row in rows
+    )
+    return mpf(mpf_sum(terms, mp.prec, round_nearest))
 
 
 @lru_cache(maxsize=8192)
@@ -153,20 +176,7 @@ def f_series_coeff(
         _check_norm_bound(norm_bound, m, v0)
         if (m == 0 and r >= 1) or kernel_vanishes(field, k):
             return TruncatedSum(mpc(0), mpf(0), norm_bound)
-        rows = ideal_sum_data(field, norm_bound, precision)
-        exponent = j - k // 2
-        total = mpf(0)
-        comp = mpf(0)  # Kahan compensation
-        two_pi_m_v0 = 2 * mp.pi * m * v0
-        for norm, theta, phase_num in rows:
-            cosine = mpmath.cos(mp.pi * m * phase_num / norm + k * theta)
-            term = cosine * mpf(norm) ** exponent
-            if m:
-                term *= mpmath.exp(two_pi_m_v0 / norm)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
+        total = _ideal_sum(point, k, j - k // 2, m, norm_bound, precision)
         four_pi_m_r = (4 * mp.pi * m) ** r if r else mpf(1)
         v0_pow_j = v0**j
         value = total * four_pi_m_r / v0_pow_j
@@ -243,6 +253,22 @@ def _lattice_min_distance(tau: mpc) -> mpf:
     return best
 
 
+def _coprime_pairs(tau: mpc, height_bound: int):
+    """(c, d, |c tau + d|^2) for the coprime pairs with |c tau + d|^2 <= height_bound."""
+    u, v = tau.real, tau.imag
+    cmax = int(mpmath.floor(mpmath.sqrt(height_bound) / v)) + 1
+    for c in range(-cmax, cmax + 1):
+        rad_sq = mpf(height_bound) - c * c * v * v
+        if rad_sq < 0:
+            continue
+        rad = mpmath.sqrt(rad_sq)
+        for d in range(int(mpmath.floor(-c * u - rad)), int(mpmath.ceil(-c * u + rad)) + 1):
+            if gcd(c, d) == 1:
+                wsq = abs(c * tau + d) ** 2
+                if wsq <= height_bound:
+                    yield c, d, wsq
+
+
 def general_coeff_sum(
     k_w: int,
     point: EllipticPoint,
@@ -267,37 +293,14 @@ def general_coeff_sum(
         return TruncatedSum(mpc(0), mpf(0), height_bound)
     with workprec(precision + GUARD_BITS):
         tau = point.tau(precision)
-        u, v0 = tau.real, tau.imag
+        v0 = tau.imag
         _check_norm_bound(height_bound, m, v0)
-        usq = u * u + v0 * v0
-        two_pi = 2 * mp.pi
-        total = mpc(0)
-        comp = mpc(0)
-        cmax = int(mpmath.floor(mpmath.sqrt(height_bound) / v0)) + 1
-        for c in range(-cmax, cmax + 1):
-            rad_sq = mpf(height_bound) - c * c * v0 * v0
-            if rad_sq < 0:
-                continue
-            rad = mpmath.sqrt(rad_sq)
-            dlo = int(mpmath.floor(-c * u - rad))
-            dhi = int(mpmath.ceil(-c * u + rad))
-            for d in range(dlo, dhi + 1):
-                if gcd(c, d) != 1:
-                    continue
-                w = c * tau + d
-                wsq = abs(w) ** 2
-                if wsq > height_bound:
-                    continue
-                a, b = complete_unimodular(c, d)
-                term = w ** (-k_w) * (wsq / v0) ** j
-                if m:
-                    phase = (a * c * usq + b * d + u * (a * d + b * c)) / wsq
-                    term *= mpmath.exp(two_pi * m * v0 / wsq)
-                    term *= mpmath.exp(-1j * two_pi * m * phase)
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
+        total = mpc(
+            mpmath.fsum(
+                b_kernel(k_w, c, d, tau, m, precision) * (wsq / v0) ** j
+                for c, d, wsq in _coprime_pairs(tau, height_bound)
+            )
+        )
         if r:
             total *= (mpc(0, 2 * mp.pi * m)) ** r
         # packing tail: points per dyadic shell <= 4^(t+1)(sqrt(H)/r0 + 1)^2
@@ -307,7 +310,7 @@ def general_coeff_sum(
         tail = (
             4
             * mpmath.exp(mpf(1) / 2)
-            * (two_pi * m) ** r
+            * (2 * mp.pi * m) ** r
             / v0**j
             * (mpmath.sqrt(height_bound) / r0 + 1) ** 2
             * mpf(height_bound) ** decay
@@ -349,8 +352,8 @@ def assemble_coefficient(
                 minus_two_i = mpc(0, -2)
                 for rt in expansion.terms:
                     g = general_coeff_sum(2 * k + 2 * n, point, rt.j, rt.derivative_order, m, norm_bound, precision)
-                    part += rt.coefficient * minus_two_i**rt.power_exponent * g.value
-                    part_tail += rt.coefficient * mpf(2) ** rt.power_exponent * g.tail_bound
+                    part += rt.coefficient * minus_two_i**rt.derivative_order * g.value
+                    part_tail += rt.coefficient * mpf(2) ** rt.derivative_order * g.tail_bound
                 part /= 2
                 part_tail /= 2
             total += a * part
@@ -375,15 +378,8 @@ def identity_check_m0(
     """
     with workprec(precision + GUARD_BITS):
         e4i = closed_value(4, POINT_I, precision)
-        rows = ideal_sum_data(Field.GAUSSIAN, norm_bound, precision)
-        lhs = mpf(0)
-        comp = mpf(0)
-        four_pi_sq_e4 = 4 * mp.pi**2 * e4i
-        for norm, theta, _ in rows:
-            term = (mpmath.cos(32 * theta) * 9 - four_pi_sq_e4 * mpmath.cos(28 * theta)) / mpf(norm) ** 13
-            y = term - comp
-            t = lhs + y
-            comp = (t - lhs) - y
-            lhs = t
+        cos32 = _ideal_sum(POINT_I, 32, -13, 0, norm_bound, precision)
+        cos28 = _ideal_sum(POINT_I, 28, -13, 0, norm_bound, precision)
+        lhs = 9 * cos32 - 4 * mp.pi**2 * e4i * cos28
         rhs = 27 * mp.pi**3 * e4i**8 / 182
         return lhs, rhs, abs(lhs - rhs)

@@ -259,6 +259,8 @@ def laurent_at(
 
     ``depth`` defaults to pole order + 6 nonnegative orders.
     """
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be >= 0")
     if isinstance(expr, str):
         expr = parse_form(expr)
     v_root = _valuation(expr, point)
@@ -317,19 +319,7 @@ def principal_part(
         expr = parse_form(expr)
     if _valuation(expr, point) >= 0:
         return PrincipalPart(point, {}, frozenset(), precision)
-    series = laurent_at(expr, point, precision)
-    tol = mpf(2) ** (-(precision // 2))
-    scale = series.scale()
-    coeffs = {}
-    flagged = set()
-    for order in range(series.lowest_order, 0):
-        c = series.coefficient(order)
-        if abs(c) <= tol * scale:
-            coeffs[-order] = mpc(0)
-            flagged.add(-order)
-        else:
-            coeffs[-order] = c
-    return PrincipalPart(point, coeffs, frozenset(flagged), precision)
+    return principal_part_from_laurent(laurent_at(expr, point, precision))
 
 
 def principal_part_from_laurent(series: LaurentSeries) -> PrincipalPart:

@@ -159,6 +159,19 @@ def _phase_numerator(field: Field, ideal: PrimitiveIdeal) -> int:
     return 2 * a * c + 2 * b * d + a * d + b * c
 
 
+def ideal_row(field: Field, ideal: PrimitiveIdeal, precision: int) -> tuple[int, mpf, int]:
+    """(norm N, angle theta, phase numerator P) of an ideal: the data the
+    cosine kernel reads."""
+    return ideal.norm, _angle(field, ideal.c, ideal.d, precision), _phase_numerator(field, ideal)
+
+
+def row_cosine(weight: int, m: int, row: tuple[int, mpf, int]) -> mpf:
+    """cos(pi m P/N + weight theta) of an ``ideal_row``, at the caller's
+    working precision; the divisibility class is the caller's to check."""
+    norm, theta, phase_num = row
+    return mpmath.cos(mp.pi * m * phase_num / norm + weight * theta)
+
+
 def kernel_vanishes(field: Field, weight: int) -> bool:
     if weight % 2:
         raise ValueError("kernel weight must be even")
@@ -176,9 +189,7 @@ def c_kernel(
     if kernel_vanishes(field, weight):
         return mpf(0)
     with workprec(precision + GUARD_BITS):
-        theta = _angle(field, ideal.c, ideal.d, precision)
-        phase = mp.pi * m * _phase_numerator(field, ideal) / ideal.norm + weight * theta
-        return mpmath.cos(phase)
+        return row_cosine(weight, m, ideal_row(field, ideal, precision))
 
 
 def b_kernel_with_completion(
@@ -218,8 +229,5 @@ def b_kernel(
 
 @lru_cache(maxsize=16)
 def ideal_sum_data(field: Field, norm_bound: int, precision: int) -> tuple:
-    """Per-ideal (norm, angle, phase numerator) rows for fast summation."""
-    rows = []
-    for ideal in enumerate_primitive(field, norm_bound):
-        rows.append((ideal.norm, _angle(field, ideal.c, ideal.d, precision), _phase_numerator(field, ideal)))
-    return tuple(rows)
+    """``ideal_row`` of every primitive ideal of norm <= norm_bound."""
+    return tuple(ideal_row(field, ideal, precision) for ideal in enumerate_primitive(field, norm_bound))

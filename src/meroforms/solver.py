@@ -176,16 +176,8 @@ def simple_pole_rep(
     if weight >= 0 or weight % 2:
         raise ValueError(f"expression weight {weight} is not a negative even integer")
     k = (2 - weight) // 2
-    terms = []
-    for point in points:
-        pp = principal_part(expr, point, precision)
-        if pp.is_empty():
-            continue
+    pps = [principal_part(expr, point, precision) for point in points]
+    for pp in pps:
         if pp.max_order > 1:
-            raise ValueError(f"pole at {point} has order {pp.max_order}; not simple")
-        eps = epsilon_tilde(2 * k, point, precision)
-        if eps.is_zero:
-            raise BasisCongruenceError(f"no simple-pole basis element at {point} for k = {k}")
-        with workprec(precision + GUARD_BITS):
-            terms.append(BasisTerm(point, 0, pp.coefficient(1) / eps.value))
-    return BasisRepresentation(k, tuple(terms))
+            raise ValueError(f"pole at {pp.point} has order {pp.max_order}; not simple")
+    return solve_basis(pps, k, precision)

@@ -155,6 +155,18 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+def test_out_of_range_input_is_usage_error(capsys):
+    # a negative m would index the coefficient tuple from its end, and a
+    # negative depth leaves nothing to expand
+    for m in ("-2..1", "-1"):
+        code, out, err = run(capsys, "oracle", "--form", "1/E6", f"--m={m}")
+        assert code == 1 and out == ""
+        assert "m must be >= 0" in err
+    code, out, err = run(capsys, "expand", "--form", "1/E10", "--point", "i", "--depth", "-3")
+    assert code == 1 and out == ""
+    assert "depth must be >= 0" in err
+
+
 def test_deterministic_output(capsys):
     args = ("coeffs", "--form", "1/E4", "--m", "0..1", "--norm-bound", "400", "--precision", "128")
     code1, out1, _ = run(capsys, *args)

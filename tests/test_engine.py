@@ -1,5 +1,5 @@
 import random
-from math import comb
+from math import comb, gcd
 
 import mpmath
 import pytest
@@ -21,7 +21,7 @@ from meroforms import (
 import meroforms.engine as engine
 from meroforms.constants import generic_point
 from meroforms.engine import NonconvergentParameters, raising_expansion_stepped
-from meroforms.lattice import c_kernel, enumerate_primitive
+from meroforms.lattice import b_kernel, c_kernel, enumerate_primitive
 from meroforms.qseries import oracle_coeffs
 from meroforms.solver import BasisRepresentation, BasisTerm
 from meroforms.quasi import quasi_expansion, simple_pole_quasi_coeff
@@ -79,13 +79,25 @@ def test_f_series_parameter_validation(prec):
         f_series_coeff(12, 0, 0, generic_point(mpc(0, 2)), 0, 100, prec)
 
 
-def test_f_series_leading_term(prec):
-    # at m = 0 the unit ideal contributes exactly 1 to the weight-12 sum
-    small = f_series_coeff(12, 0, 0, POINT_I, 0, 16, prec)
+@pytest.mark.parametrize(
+    "point,field,m",
+    [
+        (POINT_I, Field.GAUSSIAN, 0),
+        (POINT_I, Field.GAUSSIAN, 1),
+        (POINT_RHO, Field.EISENSTEIN, 0),
+        (POINT_RHO, Field.EISENSTEIN, 1),
+    ],
+    ids=["i-0", "i-1", "rho-0", "rho-1"],
+)
+def test_f_series_leading_term(prec, point, field, m):
+    # the production ideal sum is the sum of the tested cosine kernel; at
+    # m = 0 the unit ideal contributes exactly 1 to the weight-12 sum
+    small = f_series_coeff(12, 0, 0, point, m, 16, prec)
     with workprec(prec + 32):
+        two_pi_m_v0 = 2 * mp.pi * m * point.v0(prec + 32)
         total = mpf(0)
-        for b in enumerate_primitive(Field.GAUSSIAN, 16):
-            total += c_kernel(Field.GAUSSIAN, 12, b, 0, prec) / mpf(b.norm) ** 6
+        for b in enumerate_primitive(field, 16):
+            total += c_kernel(field, 12, b, m, prec) / mpf(b.norm) ** 6 * mpmath.exp(two_pi_m_v0 / b.norm)
     assert rel_err(small.value, total) < mpf(2) ** (-prec + 32)
 
 
@@ -116,6 +128,24 @@ def test_general_sum_groups_into_ideal_sum(prec):
             f = f_series_coeff(12, j, r, POINT_I, m, 400, prec)
             lhs = mpc(0, -2) ** r * g.value
             assert abs(lhs - 4 * f.value) < g.tail_bound + f.tail_bound + mpf(2) ** (-prec + 48)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("m", [0, 2])
+def test_general_sum_is_b_kernel_sum(prec, j, m):
+    # the pair sum at a generic point against a brute-force sum of the
+    # tested complex kernel over a box of coprime (c, d) that covers the
+    # disc |c tau + d|^2 <= H
+    tau = mpc(mpf(1) / 4, mpf(11) / 10)
+    got = general_coeff_sum(16, generic_point(tau), j, 0, m, 60, prec)
+    with workprec(prec + 32):
+        want = mpc(0)
+        for c in range(-8, 9):
+            for d in range(-12, 13):
+                wsq = abs(c * tau + d) ** 2
+                if gcd(c, d) == 1 and wsq <= 60:
+                    want += b_kernel(16, c, d, tau, m, prec) * (wsq / tau.imag) ** j
+    assert rel_err(got.value, want) < mpf(2) ** (-prec + 32)
 
 
 def test_general_sum_m0_r_positive_zero(prec):
