@@ -45,6 +45,12 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 
+# Enumeration is pure Python and its cache keeps every ideal, so the bound
+# caps time and memory: at 10^8 enumeration alone would run for about
+# 10 min, with no progress report, and hold about 48M ideals.
+MAX_NORM_BOUND = 10**6
+
+
 class UsageError(ValueError):
     pass
 
@@ -86,8 +92,14 @@ def _validate(precision: int, norm_bound: int, ms: list[int]) -> None:
         raise UsageError("precision must be >= 64 bits")
     if norm_bound < 16:
         raise UsageError("norm-bound must be >= 16")
+    _check_max_norm_bound(norm_bound)
     if not ms:
         raise UsageError("m range is empty")
+
+
+def _check_max_norm_bound(norm_bound: int) -> None:
+    if norm_bound > MAX_NORM_BOUND:
+        raise UsageError(f"norm-bound must be <= {MAX_NORM_BOUND}, got {norm_bound}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -219,6 +231,7 @@ def cmd_verify(args) -> int:
 def cmd_identity(args) -> int:
     if args.norm_bound < 100:
         raise UsageError("identity check needs norm-bound >= 100")
+    _check_max_norm_bound(args.norm_bound)
     lhs, rhs, err = identity_check_m0(args.norm_bound, args.precision)
     payload = {
         "norm_bound": args.norm_bound,

@@ -14,11 +14,12 @@ on its omitted tail, using the per-norm ideal count bound d(N) <= 2
 sqrt(N) (a circle-packing count for pair sums), which keeps the bound
 finite on the whole validity range k >= j + 2 of the F-series exponent.
 
-Every sum goes through the kernels of ``lattice``: ideal sums through
-``row_cosine`` (the cosine of ``c_kernel``), pair sums through
-``b_kernel``.  The terms are added exactly and the total is rounded
-once, by ``mpmath.fsum`` or, for the long ideal sums, by its exact adder
-``mpf_sum`` fed term by term.
+Every sum goes through the kernels of ``lattice``.  Ideal sums use the
+helpers of ``c_kernel``: each term is Re[g^k Z^m] / N^(k-j) with the
+exact power g^k of the ideal's generator and its fixed-point phasor Z,
+floored to ``lattice.sum_width`` bits and added exactly as Python ints;
+the total is rounded once (``_ideal_sum``).  Pair sums go through
+``b_kernel`` and ``mpmath.fsum``, which adds exactly and rounds once.
 
 At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
@@ -39,10 +40,21 @@ from math import comb, factorial, gcd
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import mpf_sum, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, EllipticPoint, closed_value, eisenstein_jet
-from .lattice import Field, b_kernel, ideal_sum_data, kernel_vanishes, row_cosine
+from .lattice import (
+    Field,
+    b_kernel,
+    ideal_sum_data,
+    kernel_vanishes,
+    mu_trace,
+    phasor_powers,
+    ring_mul,
+    ring_power,
+    sum_width,
+    twice_real,
+)
 from .solver import BasisRepresentation
 
 
@@ -129,21 +141,32 @@ def _ideal_tail_bound(k_half_minus_j, B, four_pi_m_r, v0_pow_j) -> mpf:
     return 2 * mpmath.exp(mpf(1) / 2) * four_pi_m_r / v0_pow_j * mpf(B) ** (-s) / s
 
 
-def _ideal_sum(point: EllipticPoint, k: int, exponent: int, m: int, norm_bound: int, precision: int) -> mpf:
-    """sum*_b cos(pi m P_b/N_b + k theta_b) N_b^exponent e^(2 pi m v0/N_b) over
-    the primitive ideals of norm <= norm_bound, the cosine from
-    ``row_cosine``, rounded once to the caller's working precision.
+@lru_cache(maxsize=8192)
+def _ideal_sum(point: EllipticPoint, k: int, j: int, m: int, norm_bound: int, precision: int) -> mpf:
+    """sum*_b cos(pi m P_b/N_b + k theta_b) N_b^(j-k/2) e^(2 pi m v0/N_b) over
+    the primitive ideals of norm <= norm_bound, rounded once to
+    precision + GUARD_BITS bits.
 
-    ``mpf_sum`` is the exact adder inside ``mpmath.fsum``; fed one term at
-    a time it does not hold the list of all terms that ``mpmath.fsum``
-    builds first (about 16 MB at norm bound 2e5)."""
-    rows = ideal_sum_data(_field_of(point), norm_bound, precision)
-    two_pi_m_v0 = 2 * mp.pi * m * point.v0(precision)
-    terms = (
-        (row_cosine(k, m, row) * mpf(row[0]) ** exponent * (mpmath.exp(two_pi_m_v0 / row[0]) if m else 1))._mpf_
-        for row in rows
-    )
-    return mpf(mpf_sum(terms, mp.prec, round_nearest))
+    Each term is Re[g_b^k Z_b^m] / N_b^(k-j) with the exact power g_b^k of
+    the generator and the phasor power Z_b^m of ``lattice.phasor_powers``
+    (m >= 1 only; at m = 0 the sum is integer arithmetic).  Z_b^m and every term
+    are floored to ``sum_width`` fractional bits and added exactly as
+    Python ints.  With m < norm_bound (``_check_norm_bound``) the rounding
+    stays below 2^-(precision+GUARD_BITS) of the sum of |term|, which the
+    unit ideal's term (at least 1) dominates.  The cache holds one value
+    per sum, not per (4 pi m)^r scaling of it."""
+    field = _field_of(point)
+    e = mu_trace(field)
+    rows = ideal_sum_data(field, norm_bound, precision)
+    width = sum_width(norm_bound, precision)
+    total = 0
+    if m == 0:
+        for norm, x, y, _ in rows:
+            total += (twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j))
+    else:
+        for (norm, x, y, _), w in zip(rows, phasor_powers(field, norm_bound, precision, m)):
+            total += twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j))
+    return mpf(from_man_exp(total, -width, precision + GUARD_BITS, round_nearest))
 
 
 @lru_cache(maxsize=8192)
@@ -176,7 +199,7 @@ def f_series_coeff(
         _check_norm_bound(norm_bound, m, v0)
         if (m == 0 and r >= 1) or kernel_vanishes(field, k):
             return TruncatedSum(mpc(0), mpf(0), norm_bound)
-        total = _ideal_sum(point, k, j - k // 2, m, norm_bound, precision)
+        total = _ideal_sum(point, k, j, m, norm_bound, precision)
         four_pi_m_r = (4 * mp.pi * m) ** r if r else mpf(1)
         v0_pow_j = v0**j
         value = total * four_pi_m_r / v0_pow_j
@@ -378,8 +401,9 @@ def identity_check_m0(
     """
     with workprec(precision + GUARD_BITS):
         e4i = closed_value(4, POINT_I, precision)
-        cos32 = _ideal_sum(POINT_I, 32, -13, 0, norm_bound, precision)
-        cos28 = _ideal_sum(POINT_I, 28, -13, 0, norm_bound, precision)
+        # N^-13 = N^(j-k/2) with j = 3 for k = 32 and j = 1 for k = 28
+        cos32 = _ideal_sum(POINT_I, 32, 3, 0, norm_bound, precision)
+        cos28 = _ideal_sum(POINT_I, 28, 1, 0, norm_bound, precision)
         lhs = 9 * cos32 - 4 * mp.pi**2 * e4i * cos28
         rhs = 27 * mp.pi**3 * e4i**8 / 182
         return lhs, rhs, abs(lhs - rhs)

@@ -18,6 +18,17 @@ and 0 when 4 (resp. 6) does not divide s.  Both are what the complex
 kernel B_{s,c,d} collapses to after grouping a unit orbit, so they are
 invariant under the unit action and under (a, b) -> (a + tc, b + td);
 the invariance is asserted in the test suite rather than assumed.
+
+Evaluation.  The generator g = d + c mu has |g|^2 = N and arg g = theta,
+so with P the phase numerator above
+
+    C_s(b, m) = Re[g^s e^(i pi m P/N)] / N^(s/2).
+
+g^s is an exact power in Z[mu] (``ring_power``) and the phasor a pair of
+fixed-point ints (``fixed_phasor``); no angle is ever formed.  Ideal sums
+use the same helpers with Z_b = e^(i pi P/N) e^(2 pi v0/N) from
+``phasor_row`` in place of the phasor, so that a term of weight k, index
+m and norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, round_nearest, to_fixed
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS
 
@@ -142,34 +154,64 @@ def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, 
 
 # --------------------------------------------------------------------------
 # Kernels.
+#
+# An element x + y mu of Z[mu] is the pair (x, y).  mu^2 = e mu - 1 with
+# trace e = 0 at i and e = 1 at rho, so 2 Re(x + y mu) = 2x + e y.
 
 
-def _angle(field: Field, c: int, d: int, precision: int) -> mpf:
-    with workprec(precision + GUARD_BITS):
-        if field is Field.GAUSSIAN:
-            return mpmath.atan2(mpf(c), mpf(d))
-        return mpmath.atan2(c * mpmath.sqrt(3), mpf(c + 2 * d))
+def mu_trace(field: Field) -> int:
+    """e = mu + conj(mu), so mu^2 = e mu - 1: 0 for mu = i, 1 for mu = rho."""
+    return 0 if field is Field.GAUSSIAN else 1
 
 
-def _phase_numerator(field: Field, ideal: PrimitiveIdeal) -> int:
+def ring_mul(e: int, p: tuple[int, int], q: tuple[int, int], shift: int = 0) -> tuple[int, int]:
+    """p q in Z[mu]; with shift > 0 both factors are fixed point with
+    ``shift`` fractional bits and the product is floored to that width."""
+    (x1, y1), (x2, y2) = p, q
+    yy = y1 * y2
+    return (x1 * x2 - yy) >> shift, (x1 * y2 + x2 * y1 + e * yy) >> shift
+
+
+def ring_power(e: int, p: tuple[int, int], k: int, shift: int = 0) -> tuple[int, int]:
+    """p^k by binary powering: exact for shift 0, else in fixed point as
+    ``ring_mul``.  A floor moves a fixed-point value by less than
+    2 * 2^-shift, so for |p| >= 1 the relative error of p^k is at most
+    k (eps_p + 5 * 2^-shift) to first order, eps_p that of p."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else ring_mul(e, result, p, shift)
+        k >>= 1
+        if not k:
+            return (1 << shift, 0) if result is None else result
+        p = ring_mul(e, p, p, shift)
+
+
+def twice_real(e: int, p: tuple[int, int]) -> int:
+    return 2 * p[0] + e * p[1]
+
+
+def fixed_phasor(field: Field, num: int, den: int, width: int, growth: mpf | None = None) -> tuple[int, int]:
+    """growth * e^(i pi num/den) in mu-coordinates, each floored to
+    ``width`` fractional bits; growth defaults to 1.  The turn num/den is
+    reduced exactly modulo 2 before one ``cospi``/``sinpi`` evaluation."""
+    prec = width + 16
+    cos, sin = (mpf(v) for v in mpf_cos_sin_pi(from_rational(num % (2 * den), den, prec, round_nearest), prec))
+    with workprec(prec):
+        if growth is not None:
+            cos, sin = cos * growth, sin * growth
+        if field is Field.EISENSTEIN:  # u + iv = (u - v/sqrt3) + (2v/sqrt3) rho
+            sin /= mpmath.sqrt(3)
+            cos, sin = cos - sin, 2 * sin
+        return to_fixed(cos._mpf_, width), to_fixed(sin._mpf_, width)
+
+
+def phase_numerator(field: Field, ideal: PrimitiveIdeal) -> int:
     """Integer P with m-dependent phase pi*m*P/N inside the cosine."""
     a, b, c, d = ideal.a, ideal.b, ideal.c, ideal.d
     if field is Field.GAUSSIAN:
         return 2 * (a * c + b * d)
     return 2 * a * c + 2 * b * d + a * d + b * c
-
-
-def ideal_row(field: Field, ideal: PrimitiveIdeal, precision: int) -> tuple[int, mpf, int]:
-    """(norm N, angle theta, phase numerator P) of an ideal: the data the
-    cosine kernel reads."""
-    return ideal.norm, _angle(field, ideal.c, ideal.d, precision), _phase_numerator(field, ideal)
-
-
-def row_cosine(weight: int, m: int, row: tuple[int, mpf, int]) -> mpf:
-    """cos(pi m P/N + weight theta) of an ``ideal_row``, at the caller's
-    working precision; the divisibility class is the caller's to check."""
-    norm, theta, phase_num = row
-    return mpmath.cos(mp.pi * m * phase_num / norm + weight * theta)
 
 
 def kernel_vanishes(field: Field, weight: int) -> bool:
@@ -185,11 +227,17 @@ def c_kernel(
     m: int,
     precision: int = DEFAULT_PRECISION,
 ) -> mpf:
-    """Cosine kernel C_weight(ideal, m); exact 0 off the divisibility class."""
+    """Cosine kernel C_weight(ideal, m) = Re[g^weight e^(i pi m P/N)] / N^(weight/2)
+    with g = d + c mu, rounded to precision + GUARD_BITS; exact 0 off the
+    divisibility class."""
     if kernel_vanishes(field, weight):
         return mpf(0)
-    with workprec(precision + GUARD_BITS):
-        return row_cosine(weight, m, ideal_row(field, ideal, precision))
+    e = mu_trace(field)
+    width = precision + GUARD_BITS
+    power = ring_power(e, (ideal.d, ideal.c), weight)
+    phase = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
+    scaled = twice_real(e, ring_mul(e, power, phase)) // (2 * ideal.norm ** (weight // 2))
+    return mpf(from_man_exp(scaled, -width, width, round_nearest))
 
 
 def b_kernel_with_completion(
@@ -227,7 +275,42 @@ def b_kernel(
     return b_kernel_with_completion(weight, c, d, a, b, z, n, precision)
 
 
+def sum_width(norm_bound: int, precision: int) -> int:
+    """Fractional bits of the fixed-point ideal sums at this norm bound: room
+    for one floor per ideal (fewer than norm_bound of them) and for the
+    phasor powers Z^m, m < norm_bound, on top of precision + GUARD_BITS."""
+    return precision + GUARD_BITS + 2 * norm_bound.bit_length() + 4
+
+
 @lru_cache(maxsize=16)
-def ideal_sum_data(field: Field, norm_bound: int, precision: int) -> tuple:
-    """``ideal_row`` of every primitive ideal of norm <= norm_bound."""
-    return tuple(ideal_row(field, ideal, precision) for ideal in enumerate_primitive(field, norm_bound))
+def ideal_sum_data(field: Field, norm_bound: int, precision: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(N, x, y, P) of every primitive ideal of norm <= norm_bound: its norm,
+    its generator g = x + y mu = d + c mu and its phase numerator."""
+    return tuple(
+        (ideal.norm, ideal.d, ideal.c, phase_numerator(field, ideal))
+        for ideal in enumerate_primitive(field, norm_bound)
+    )
+
+
+@lru_cache(maxsize=16)
+def phasor_row(field: Field, norm_bound: int, precision: int) -> tuple[tuple[int, int], ...]:
+    """Z_b = e^(i pi P/N) e^(2 pi Im(mu)/N) of every ``ideal_sum_data`` row, in
+    mu-coordinates floored to ``sum_width`` bits: one ``exp`` and one
+    ``cospi``/``sinpi`` per ideal.  Im(mu) = v0 of the elliptic point mu, so
+    Re[g^k Z^m] / N^k = cos(pi m P/N + k theta) N^(-k/2) e^(2 pi m v0/N)."""
+    width = sum_width(norm_bound, precision)
+    with workprec(width + 16):
+        two_pi_v0 = 2 * mp.pi * (1 if field is Field.GAUSSIAN else mpmath.sqrt(3) / 2)
+        return tuple(
+            fixed_phasor(field, phase_num, norm, width, mpmath.exp(two_pi_v0 / norm))
+            for norm, _, _, phase_num in ideal_sum_data(field, norm_bound, precision)
+        )
+
+
+@lru_cache(maxsize=2)
+def phasor_powers(field: Field, norm_bound: int, precision: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Z_b^m of every ``phasor_row`` entry by fixed-point ``ring_power``.
+    Callers ask for one m at a time across many (k, j), so two rows are kept."""
+    width = sum_width(norm_bound, precision)
+    e = mu_trace(field)
+    return tuple(ring_power(e, z, m, width) for z in phasor_row(field, norm_bound, precision))

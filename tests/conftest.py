@@ -1,5 +1,6 @@
+import mpmath
 import pytest
-from mpmath import mpf, mpc, workprec
+from mpmath import mp, mpf, mpc, workprec
 
 PREC = 256
 
@@ -37,3 +38,24 @@ def e6rho(prec):
     from meroforms import POINT_RHO, closed_value
 
     return closed_value(6, POINT_RHO, prec)
+
+
+def reference_angle_row(ideal, bits):
+    """(N, theta, phase numerator P, v0) of an ideal, straight from the kernel
+    conventions in the meroforms.lattice docstring: theta = arg(c mu + d)
+    by atan2 at ``bits`` bits.  Independent of the library's kernels."""
+    from meroforms import Field
+
+    a, b, c, d = ideal.a, ideal.b, ideal.c, ideal.d
+    with workprec(bits):
+        if ideal.field is Field.GAUSSIAN:
+            return ideal.norm, mpmath.atan2(c, d), 2 * (a * c + b * d), mpf(1)
+        sqrt3 = mpmath.sqrt(3)
+        return ideal.norm, mpmath.atan2(c * sqrt3, c + 2 * d), 2 * a * c + 2 * b * d + a * d + b * c, sqrt3 / 2
+
+
+def reference_cosine(row, weight, m, bits):
+    """cos(pi m P/N + weight theta) of a ``reference_angle_row``."""
+    norm, theta, phase_num, _ = row
+    with workprec(bits):
+        return mpmath.cos(mp.pi * m * phase_num / norm + weight * theta)

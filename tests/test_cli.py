@@ -167,6 +167,16 @@ def test_out_of_range_input_is_usage_error(capsys):
     assert "depth must be >= 0" in err
 
 
+def test_norm_bound_above_limit_is_usage_error(capsys):
+    # 10^8 would enumerate for minutes and cache about 48M ideals
+    code, out, err = run(capsys, "verify", "--form", "1/E10", "--m", "0", "--tol", "1e-8", "--norm-bound", "100000000")
+    assert code == 1 and out == ""
+    assert "norm-bound must be <= 1000000" in err
+    code, out, err = run(capsys, "identity", "--norm-bound", "1000001")
+    assert code == 1 and out == ""
+    assert "norm-bound must be <= 1000000" in err
+
+
 def test_deterministic_output(capsys):
     args = ("coeffs", "--form", "1/E4", "--m", "0..1", "--norm-bound", "400", "--precision", "128")
     code1, out1, _ = run(capsys, *args)

@@ -26,7 +26,7 @@ from meroforms.qseries import oracle_coeffs
 from meroforms.solver import BasisRepresentation, BasisTerm
 from meroforms.quasi import quasi_expansion, simple_pole_quasi_coeff
 
-from conftest import rel_err
+from conftest import reference_angle_row, reference_cosine, rel_err
 
 
 def test_raising_expansion_base():
@@ -99,6 +99,44 @@ def test_f_series_leading_term(prec, point, field, m):
         for b in enumerate_primitive(field, 16):
             total += c_kernel(field, 12, b, m, prec) / mpf(b.norm) ** 6 * mpmath.exp(two_pi_m_v0 / b.norm)
     assert rel_err(small.value, total) < mpf(2) ** (-prec + 32)
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+@pytest.mark.parametrize("point,field", [(POINT_I, Field.GAUSSIAN), (POINT_RHO, Field.EISENSTEIN)], ids=["i", "rho"])
+def test_f_series_matches_angle_reference(point, field, precision):
+    # v0^-j (4 pi m)^r sum*_b cos(pi m P/N + k theta) N^(j-k/2) e^(2 pi m v0/N)
+    # term by term with atan2, cos and exp at 64 extra bits, on-class k <= 42
+    bits = precision + 64
+    tol = mpf(2) ** -(precision - 8)
+    step = 4 if field is Field.GAUSSIAN else 6
+    for bound in (16, 300):
+        rows = [reference_angle_row(ideal, bits) for ideal in enumerate_primitive(field, bound)]
+        v0 = rows[0][3]
+        for m in (0, 1, 5, 10):
+            if 4 * mp.pi * m * v0 > bound:
+                continue  # below the norm bound f_series_coeff accepts
+            for k in range(step, 43, step):
+                cosines = [reference_cosine(row, k, m, bits) for row in rows]
+                for j in sorted({0, 1, k // 2 - 2} & set(range(k // 2 - 1))):
+                    with workprec(bits):
+                        total = mpf(0)
+                        for (norm, _, _, _), cosine in zip(rows, cosines):
+                            total += cosine * mpf(norm) ** (j - mpf(k) / 2) * mpmath.exp(2 * mp.pi * m * v0 / norm)
+                    for r in (0, 1) if m else (0,):
+                        with workprec(bits):
+                            ref = total * (4 * mp.pi * m) ** r / v0**j
+                        got = f_series_coeff(k, j, r, point, m, bound, precision).value
+                        assert rel_err(got, ref) <= tol, (k, j, r, m, bound)
+
+
+def test_lattice_sum_shared_across_r(prec):
+    # (4 pi m)^r only scales the lattice sum, so r = 1 and r = 2 share one pass
+    misses = engine._ideal_sum.cache_info().misses
+    one = f_series_coeff(28, 0, 1, POINT_I, 3, 777, prec)
+    two = f_series_coeff(28, 0, 2, POINT_I, 3, 777, prec)
+    assert engine._ideal_sum.cache_info().misses == misses + 1
+    with workprec(prec + 32):
+        assert rel_err(two.value, one.value * 12 * mp.pi) < mpf(2) ** -prec
 
 
 def test_f_series_doubling_within_tail(prec):

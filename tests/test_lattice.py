@@ -20,7 +20,7 @@ from meroforms.lattice import (
     unit_orbit,
 )
 
-from conftest import rel_err
+from conftest import reference_angle_row, reference_cosine, rel_err
 
 
 def test_enumerate_examples():
@@ -140,6 +140,22 @@ def test_c_kernel_completion_shift_invariance(prec):
                     field, base.c, base.d, base.norm, base.a + t * base.c, base.b + t * base.d
                 )
                 assert abs(c_kernel(field, step * 3, shifted, 4, prec) - ref) < tol
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+def test_c_kernel_matches_angle_reference(precision):
+    # c_kernel never forms an angle; the reference evaluates the cosine of
+    # the docstring with atan2 at 64 extra bits
+    tol = mpf(2) ** -(precision - 8)
+    for field in Field:
+        step = 4 if field is Field.GAUSSIAN else 6
+        for ideal in enumerate_primitive(field, 300):
+            row = reference_angle_row(ideal, precision + 64)
+            for weight in range(step, 43, step):
+                for m in (0, 1, 5, 10):
+                    ref = reference_cosine(row, weight, m, precision + 64)
+                    with workprec(precision + 64):
+                        assert abs(c_kernel(field, weight, ideal, m, precision) - ref) <= tol
 
 
 def test_b_kernel_identities(prec):
