@@ -44,12 +44,12 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, EllipticPoint, closed_value, eisenstein_jet
 from .lattice import (
-    Field,
     b_kernel,
+    field_of,
     ideal_sum_data,
     kernel_vanishes,
     mu_trace,
-    phasor_powers,
+    phasor_row,
     ring_mul,
     ring_power,
     sum_width,
@@ -120,14 +120,6 @@ def raising_expansion_stepped(expansion: RaisingExpansion) -> RaisingExpansion:
     return RaisingExpansion(k, n1, terms)
 
 
-def _field_of(point: EllipticPoint) -> Field:
-    if point.tag == "i":
-        return Field.GAUSSIAN
-    if point.tag == "rho":
-        return Field.EISENSTEIN
-    raise ValueError(f"ideal sums need an elliptic point, got {point}")
-
-
 def _check_norm_bound(norm_bound: int, m: int, v0: float) -> None:
     floor = max(16, int(mpmath.ceil(4 * mp.pi * m * v0)))
     if norm_bound < floor:
@@ -148,25 +140,26 @@ def _ideal_sum(point: EllipticPoint, k: int, j: int, m: int, norm_bound: int, pr
     precision + GUARD_BITS bits.
 
     Each term is Re[g_b^k Z_b^m] / N_b^(k-j) with the exact power g_b^k of
-    the generator and the phasor power Z_b^m of ``lattice.phasor_powers``
+    the generator and the power Z_b^m of its ``lattice.phasor_row`` entry
     (m >= 1 only; at m = 0 the sum is integer arithmetic).  Z_b^m and every term
     are floored to ``sum_width`` fractional bits and added exactly as
     Python ints.  With m < norm_bound (``_check_norm_bound``) the rounding
     stays below 2^-(precision+GUARD_BITS) of the sum of |term|, which the
     unit ideal's term (at least 1) dominates.  The cache holds one value
     per sum, not per (4 pi m)^r scaling of it."""
-    field = _field_of(point)
+    field = field_of(point)
     e = mu_trace(field)
-    rows = ideal_sum_data(field, norm_bound, precision)
+    rows = ideal_sum_data(field, norm_bound)
     width = sum_width(norm_bound, precision)
     total = 0
     if m == 0:
         for norm, x, y, _ in rows:
             total += (twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j))
     else:
-        for (norm, x, y, _), w in zip(rows, phasor_powers(field, norm_bound, precision, m)):
+        for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision)):
+            w = ring_power(e, z, m, width)
             total += twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j))
-    return mpf(from_man_exp(total, -width, precision + GUARD_BITS, round_nearest))
+    return mp.make_mpf(from_man_exp(total, -width, precision + GUARD_BITS, round_nearest))
 
 
 @lru_cache(maxsize=8192)
@@ -193,7 +186,7 @@ def f_series_coeff(
         raise ValueError("j, r, m must be nonnegative")
     if k // 2 < j + 2:
         raise NonconvergentParameters("nonconvergent parameter regime: need k/2 >= j + 2")
-    field = _field_of(point)
+    field = field_of(point)
     with workprec(precision + GUARD_BITS):
         v0 = point.v0(precision)
         _check_norm_bound(norm_bound, m, v0)
@@ -211,7 +204,7 @@ def f_series_coeff(
 def _block_closed_form(k: int, j: int, point: EllipticPoint, precision: int) -> mpf:
     """Re[R^j E_w(tau0)] / (omega (w)_j) with w = k - 2j >= 4; exact 0
     off the kernel's divisibility class."""
-    if kernel_vanishes(_field_of(point), k):
+    if kernel_vanishes(field_of(point), k):
         return mpf(0)
     w = k - 2 * j
     jet = eisenstein_jet(w, point, j, precision)

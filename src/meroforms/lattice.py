@@ -26,9 +26,9 @@ so with P the phase numerator above
 
 g^s is an exact power in Z[mu] (``ring_power``) and the phasor a pair of
 fixed-point ints (``fixed_phasor``); no angle is ever formed.  Ideal sums
-use the same helpers with Z_b = e^(i pi P/N) e^(2 pi v0/N) from
-``phasor_row`` in place of the phasor, so that a term of weight k, index
-m and norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).
+use the same helpers with Z_b = e^(i pi P/N) e^(2 pi v0/N) (v0 = Im mu)
+from ``phasor_row`` in place of the phasor, so that a term of weight k,
+index m and norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import mpmath
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, round_nearest, to_fixed
 
-from .constants import DEFAULT_PRECISION, GUARD_BITS
+from .constants import DEFAULT_PRECISION, GUARD_BITS, EllipticPoint
 
 
 class Field(enum.Enum):
@@ -51,6 +51,15 @@ class Field(enum.Enum):
 
 
 UNIT_COUNT = {Field.GAUSSIAN: 4, Field.EISENSTEIN: 6}
+
+
+def field_of(point: EllipticPoint) -> Field:
+    """Z[i] at i, Z[rho] at rho; ideal sums exist only at these two points."""
+    if point.tag == "i":
+        return Field.GAUSSIAN
+    if point.tag == "rho":
+        return Field.EISENSTEIN
+    raise ValueError(f"ideal sums need an elliptic point, got {point}")
 
 
 def norm_form(field: Field, c: int, d: int) -> int:
@@ -196,8 +205,9 @@ def fixed_phasor(field: Field, num: int, den: int, width: int, growth: mpf | Non
     ``width`` fractional bits; growth defaults to 1.  The turn num/den is
     reduced exactly modulo 2 before one ``cospi``/``sinpi`` evaluation."""
     prec = width + 16
-    cos, sin = (mpf(v) for v in mpf_cos_sin_pi(from_rational(num % (2 * den), den, prec, round_nearest), prec))
     with workprec(prec):
+        turn = from_rational(num % (2 * den), den, prec, round_nearest)
+        cos, sin = (mp.make_mpf(v) for v in mpf_cos_sin_pi(turn, prec))
         if growth is not None:
             cos, sin = cos * growth, sin * growth
         if field is Field.EISENSTEIN:  # u + iv = (u - v/sqrt3) + (2v/sqrt3) rho
@@ -237,7 +247,7 @@ def c_kernel(
     power = ring_power(e, (ideal.d, ideal.c), weight)
     phase = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
     scaled = twice_real(e, ring_mul(e, power, phase)) // (2 * ideal.norm ** (weight // 2))
-    return mpf(from_man_exp(scaled, -width, width, round_nearest))
+    return mp.make_mpf(from_man_exp(scaled, -width, width, round_nearest))
 
 
 def b_kernel_with_completion(
@@ -283,9 +293,10 @@ def sum_width(norm_bound: int, precision: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def ideal_sum_data(field: Field, norm_bound: int, precision: int) -> tuple[tuple[int, int, int, int], ...]:
+def ideal_sum_data(field: Field, norm_bound: int) -> tuple[tuple[int, int, int, int], ...]:
     """(N, x, y, P) of every primitive ideal of norm <= norm_bound: its norm,
-    its generator g = x + y mu = d + c mu and its phase numerator."""
+    its generator g = x + y mu = d + c mu and its phase numerator.  Exact
+    ints, shared by every precision."""
     return tuple(
         (ideal.norm, ideal.d, ideal.c, phase_numerator(field, ideal))
         for ideal in enumerate_primitive(field, norm_bound)
@@ -293,24 +304,16 @@ def ideal_sum_data(field: Field, norm_bound: int, precision: int) -> tuple[tuple
 
 
 @lru_cache(maxsize=16)
-def phasor_row(field: Field, norm_bound: int, precision: int) -> tuple[tuple[int, int], ...]:
-    """Z_b = e^(i pi P/N) e^(2 pi Im(mu)/N) of every ``ideal_sum_data`` row, in
-    mu-coordinates floored to ``sum_width`` bits: one ``exp`` and one
-    ``cospi``/``sinpi`` per ideal.  Im(mu) = v0 of the elliptic point mu, so
+def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[tuple[int, int], ...]:
+    """Z_b = e^(i pi P/N) e^(2 pi v0/N) of every ``ideal_sum_data`` row of the
+    point's field (v0 = Im point), in mu-coordinates floored to
+    ``sum_width`` bits: one ``exp`` and one ``cospi``/``sinpi`` per ideal, so
     Re[g^k Z^m] / N^k = cos(pi m P/N + k theta) N^(-k/2) e^(2 pi m v0/N)."""
+    field = field_of(point)
     width = sum_width(norm_bound, precision)
     with workprec(width + 16):
-        two_pi_v0 = 2 * mp.pi * (1 if field is Field.GAUSSIAN else mpmath.sqrt(3) / 2)
+        two_pi_v0 = 2 * mp.pi * point.v0(width)
         return tuple(
             fixed_phasor(field, phase_num, norm, width, mpmath.exp(two_pi_v0 / norm))
-            for norm, _, _, phase_num in ideal_sum_data(field, norm_bound, precision)
+            for norm, _, _, phase_num in ideal_sum_data(field, norm_bound)
         )
-
-
-@lru_cache(maxsize=2)
-def phasor_powers(field: Field, norm_bound: int, precision: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Z_b^m of every ``phasor_row`` entry by fixed-point ``ring_power``.
-    Callers ask for one m at a time across many (k, j), so two rows are kept."""
-    width = sum_width(norm_bound, precision)
-    e = mu_trace(field)
-    return tuple(ring_power(e, z, m, width) for z in phasor_row(field, norm_bound, precision))

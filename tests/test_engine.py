@@ -139,6 +139,16 @@ def test_lattice_sum_shared_across_r(prec):
         assert rel_err(two.value, one.value * 12 * mp.pi) < mpf(2) ** -prec
 
 
+def test_ideal_sum_keeps_its_precision(prec):
+    # the uncached sum, run at the ambient 53 bits, matches the value
+    # f_series_coeff gets inside its own working precision
+    assert mp.prec == 53
+    bare = engine._ideal_sum.__wrapped__(POINT_RHO, 18, 1, 2, 300, prec)
+    with workprec(prec + 32):
+        want = f_series_coeff(18, 1, 0, POINT_RHO, 2, 300, prec).value * POINT_RHO.v0(prec)
+    assert rel_err(bare, want) < mpf(2) ** -prec
+
+
 def test_f_series_doubling_within_tail(prec):
     rng = random.Random(31)
     checked = 0

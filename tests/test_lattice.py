@@ -154,8 +154,11 @@ def test_c_kernel_matches_angle_reference(precision):
             for weight in range(step, 43, step):
                 for m in (0, 1, 5, 10):
                     ref = reference_cosine(row, weight, m, precision + 64)
+                    # called at the ambient precision: the kernel must carry
+                    # its own precision + GUARD_BITS bits
+                    got = c_kernel(field, weight, ideal, m, precision)
                     with workprec(precision + 64):
-                        assert abs(c_kernel(field, weight, ideal, m, precision) - ref) <= tol
+                        assert abs(got - ref) <= tol
 
 
 def test_b_kernel_identities(prec):
