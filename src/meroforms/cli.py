@@ -18,19 +18,23 @@ import io
 import json
 import os
 import sys
+from decimal import Decimal
+from fractions import Fraction
+
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
 
 from . import __version__
 from .constants import (
     DEFAULT_PRECISION,
+    GUARD_BITS,
     POINT_I,
     POINT_RHO,
     derivative_jet,
     e10_jet,
     point_from_tag,
 )
-from .engine import ClosedFormMismatch, identity_check_m0
+from .engine import ClosedFormMismatch, check_norm_bound, identity_check_m0
 from .expansion import ExpansionError, PrincipalPart, laurent_at
 from .lattice import Field, enumerate_primitive
 from .qseries import FormParseError, contains_dee, oracle_coeffs, parse_form, split_e2_power
@@ -49,6 +53,13 @@ EXIT_VERIFY = 3
 # caps time and memory: at 10^8 enumeration alone would run for about
 # 10 min, with no progress report, and hold about 48M ideals.
 MAX_NORM_BOUND = 10**6
+
+# The exact oracle's cost grows about as order^3 (order^2 products of
+# coefficients whose size grows linearly).  On a 2-core x86-64 VM,
+# `oracle --form "E2^4 * (1/E6^4)" --order 2000` takes 11 s and 41 MB in a
+# fresh process; in-process the oracle takes 0.3 s at order 600, 9.6 s at
+# 2000 and 31 s at 3000.
+MAX_ORACLE_ORDER = 2000
 
 
 class UsageError(ValueError):
@@ -95,11 +106,25 @@ def _validate(precision: int, norm_bound: int, ms: list[int]) -> None:
     _check_max_norm_bound(norm_bound)
     if not ms:
         raise UsageError("m range is empty")
+    _check_oracle_order(max(ms))
 
 
 def _check_max_norm_bound(norm_bound: int) -> None:
     if norm_bound > MAX_NORM_BOUND:
         raise UsageError(f"norm-bound must be <= {MAX_NORM_BOUND}, got {norm_bound}")
+
+
+def _check_oracle_order(order: int) -> None:
+    if order > MAX_ORACLE_ORDER:
+        raise UsageError(f"oracle order must be <= {MAX_ORACLE_ORDER}, got {order}")
+
+
+def _exact_str(value: Fraction) -> str:
+    """``str(value)`` for a rational of any size.  ``str`` of an int refuses
+    more than ``sys.get_int_max_str_digits()`` digits, while ``Decimal``
+    converts an int exactly and is not limited."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -139,21 +164,32 @@ class _FormulaEngine:
         return self.expansion.coefficient(m, norm_bound)
 
 
+def _engine_and_oracle(args) -> tuple[list[int], _FormulaEngine, tuple[Fraction, ...]]:
+    """Validated m range, formula engine and oracle coefficients for
+    ``coeffs`` and ``verify``.  The norm bound is checked at every pole of
+    the form for the largest m before the oracle or any sum runs."""
+    ms = parse_m_range(args.m)
+    _validate(args.precision, args.norm_bound, ms)
+    engine = _FormulaEngine(args.form, args.precision)
+    with workprec(args.precision + GUARD_BITS):
+        for point in engine.expansion.pole_points:
+            check_norm_bound(args.norm_bound, max(ms), point.v0(args.precision))
+    return ms, engine, oracle_coeffs(engine.full, max(ms))
+
+
 def cmd_oracle(args) -> int:
     expr = parse_form(args.form)
     ms = parse_m_range(args.m)
     order = max(args.order, max(ms))
+    _check_oracle_order(order)
     coeffs = oracle_coeffs(expr, order)
-    rows = [{"m": m, "coefficient": str(coeffs[m])} for m in ms]
+    rows = [{"m": m, "coefficient": _exact_str(coeffs[m])} for m in ms]
     _emit(json.dumps({"form": str(expr), "coefficients": rows}, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_coeffs(args) -> int:
-    ms = parse_m_range(args.m)
-    _validate(args.precision, args.norm_bound, ms)
-    engine = _FormulaEngine(args.form, args.precision)
-    oracle = oracle_coeffs(engine.full, max(ms))
+    ms, engine, oracle = _engine_and_oracle(args)
     rows = []
     with workprec(args.precision):
         for m in ms:
@@ -169,7 +205,7 @@ def cmd_coeffs(args) -> int:
                     "value_re": fmt_real(res.value.real, args.precision),
                     "value_im": fmt_real(res.value.imag, args.precision),
                     "tail_bound": fmt_real(res.tail_bound, 64),
-                    "oracle": str(exact),
+                    "oracle": _exact_str(exact),
                     "rel_err": rel_err,
                 }
             )
@@ -191,10 +227,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ms = parse_m_range(args.m)
-    _validate(args.precision, args.norm_bound, ms)
-    engine = _FormulaEngine(args.form, args.precision)
-    oracle = oracle_coeffs(engine.full, max(ms))
+    ms, engine, oracle = _engine_and_oracle(args)
     tol = mpf(args.tol)
     failures = 0
     rows = []
@@ -211,7 +244,7 @@ def cmd_verify(args) -> int:
                 {
                     "m": m,
                     "formula_re": fmt_real(res.value.real, args.precision),
-                    "oracle": str(exact),
+                    "oracle": _exact_str(exact),
                     "rel_err": fmt_real(err, 64),
                     "status": "pass" if ok else "fail",
                 }

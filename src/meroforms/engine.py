@@ -120,7 +120,9 @@ def raising_expansion_stepped(expansion: RaisingExpansion) -> RaisingExpansion:
     return RaisingExpansion(k, n1, terms)
 
 
-def _check_norm_bound(norm_bound: int, m: int, v0: float) -> None:
+def check_norm_bound(norm_bound: int, m: int, v0: float) -> None:
+    """Refuse a norm bound below max(16, ceil(4 pi m v0)), the floor that
+    the tail bounds and the fixed-point sums of the m-th coefficient assume."""
     floor = max(16, int(mpmath.ceil(4 * mp.pi * m * v0)))
     if norm_bound < floor:
         raise ValueError(f"norm_bound {norm_bound} below required {floor}")
@@ -143,7 +145,7 @@ def _ideal_sum(point: EllipticPoint, k: int, j: int, m: int, norm_bound: int, pr
     the generator and the power Z_b^m of its ``lattice.phasor_row`` entry
     (m >= 1 only; at m = 0 the sum is integer arithmetic).  Z_b^m and every term
     are floored to ``sum_width`` fractional bits and added exactly as
-    Python ints.  With m < norm_bound (``_check_norm_bound``) the rounding
+    Python ints.  With m < norm_bound (``check_norm_bound``) the rounding
     stays below 2^-(precision+GUARD_BITS) of the sum of |term|, which the
     unit ideal's term (at least 1) dominates.  The cache holds one value
     per sum, not per (4 pi m)^r scaling of it."""
@@ -189,7 +191,7 @@ def f_series_coeff(
     field = field_of(point)
     with workprec(precision + GUARD_BITS):
         v0 = point.v0(precision)
-        _check_norm_bound(norm_bound, m, v0)
+        check_norm_bound(norm_bound, m, v0)
         if (m == 0 and r >= 1) or kernel_vanishes(field, k):
             return TruncatedSum(mpc(0), mpf(0), norm_bound)
         total = _ideal_sum(point, k, j, m, norm_bound, precision)
@@ -310,7 +312,7 @@ def general_coeff_sum(
     with workprec(precision + GUARD_BITS):
         tau = point.tau(precision)
         v0 = tau.imag
-        _check_norm_bound(height_bound, m, v0)
+        check_norm_bound(height_bound, m, v0)
         total = mpc(
             mpmath.fsum(
                 b_kernel(k_w, c, d, tau, m, precision) * (wsq / v0) ** j

@@ -1,9 +1,10 @@
 """Exact truncated q-series arithmetic over the rationals.
 
 This module is the ground-truth side of the library: Eisenstein series
-q-expansions and the expression trees built from them are evaluated with
-``fractions.Fraction`` coefficients, so every coefficient it reports is
-exact.  All floating-point machinery elsewhere is validated against it.
+q-expansions and the expression trees built from them are evaluated on
+integer numerators over one denominator, exact, with no rounding, and
+every coefficient is reported as a ``fractions.Fraction``.  All
+floating-point machinery elsewhere is validated against it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, isqrt
+from functools import lru_cache, reduce
+from math import comb, gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -51,26 +53,50 @@ def sigma(n: int, power: int) -> int:
 class RationalQSeries:
     """Truncated formal power series in q with exact rational coefficients.
 
-    ``coeffs[n]`` is the coefficient of q^n; the truncation order is
+    The coefficients are held as Python-int ``numerators`` over one positive
+    common ``denominator``, reduced so that no integer > 1 divides the
+    denominator and every numerator; that form is unique, so arithmetic
+    touches only ints and reduces once per operation.  ``coeffs[n]`` is the
+    coefficient of q^n as a ``Fraction``; the truncation order is
     ``len(coeffs) - 1``.  Instances are immutable; arithmetic truncates to
     the minimum order of the operands.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[RationalLike]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if not cs:
             raise ValueError("series needs at least the constant term")
-        object.__setattr__(self, "coeffs", cs)
+        den = lcm(*(c.denominator for c in cs))
+        self.numerators = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.denominator = den
+
+    @classmethod
+    def _of(cls, numerators: Sequence[int], denominator: int) -> "RationalQSeries":
+        """The series numerators / denominator (denominator nonzero, of
+        either sign), brought to the reduced form."""
+        g = gcd(denominator, *numerators)
+        if denominator < 0:
+            g = -g
+        out = object.__new__(cls)
+        out.numerators = tuple(x // g for x in numerators) if g != 1 else tuple(numerators)
+        out.denominator = denominator // g
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(x, d) for x in self.numerators)
 
     @property
     def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @classmethod
     def constant(cls, value: RationalLike, truncation_order: int) -> "RationalQSeries":
-        return cls((Fraction(value),) + (Fraction(0),) * truncation_order)
+        c = Fraction(value)
+        return cls._of((c.numerator,) + (0,) * truncation_order, c.denominator)
 
     @classmethod
     def one(cls, truncation_order: int) -> "RationalQSeries":
@@ -78,11 +104,15 @@ class RationalQSeries:
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:5])
-        tail = ", ..." if len(self.coeffs) > 5 else ""
+        tail = ", ..." if len(self.numerators) > 5 else ""
         return f"RationalQSeries([{head}{tail}], order={self.truncation_order})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalQSeries) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, RationalQSeries)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -94,15 +124,14 @@ class RationalQSeries:
 
     def __add__(self, other) -> "RationalQSeries":
         o = self._coerce(other)
-        order = min(self.truncation_order, o.truncation_order)
-        return RationalQSeries(
-            a + b for a, b in zip(self.coeffs[: order + 1], o.coeffs[: order + 1])
-        )
+        den = lcm(self.denominator, o.denominator)
+        sa, sb = den // self.denominator, den // o.denominator
+        return RationalQSeries._of([x * sa + y * sb for x, y in zip(self.numerators, o.numerators)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalQSeries":
-        return RationalQSeries(-c for c in self.coeffs)
+        return RationalQSeries._of([-x for x in self.numerators], self.denominator)
 
     def __sub__(self, other) -> "RationalQSeries":
         return self + (-self._coerce(other))
@@ -112,18 +141,15 @@ class RationalQSeries:
 
     def __mul__(self, other) -> "RationalQSeries":
         if isinstance(other, (int, Fraction)):
-            return RationalQSeries(c * other for c in self.coeffs)
+            c = Fraction(other)
+            return RationalQSeries._of([x * c.numerator for x in self.numerators], self.denominator * c.denominator)
         o = self._coerce(other)
         order = min(self.truncation_order, o.truncation_order)
-        a, b = self.coeffs, o.coeffs
-        out = [Fraction(0)] * (order + 1)
-        for i in range(min(len(a), order + 1)):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b), order + 1 - i)):
-                out[i + j] += ai * b[j]
-        return RationalQSeries(out)
+        a = self.numerators[: order + 1]
+        rb = o.numerators[order::-1]  # rb[order - j] is b_j
+        # coefficient k is sum_i a_i b_(k-i), one C-level dot product each
+        out = [sum(map(mul, a[: k + 1], rb[order - k :])) for k in range(order + 1)]
+        return RationalQSeries._of(out, self.denominator * o.denominator)
 
     __rmul__ = __mul__
 
@@ -132,35 +158,47 @@ class RationalQSeries:
             raise TypeError("only integer powers are supported")
         if exponent < 0:
             return self.reciprocal() ** (-exponent)
-        result = RationalQSeries.one(self.truncation_order)
+        if exponent == 0:
+            return RationalQSeries.one(self.truncation_order)
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def reciprocal(self) -> "RationalQSeries":
-        """Multiplicative inverse up to the truncation order."""
-        a = self.coeffs
-        if a[0] == 0:
+        """Multiplicative inverse up to the truncation order.
+
+        With numerators A and constant term c = A_0, 1/A has coefficients
+        C_k / c^(k+1), where C_0 = 1 and C_k = -sum_(i>=1) A_i c^(i-1)
+        C_(k-i) are integers; over the common denominator c^(n+1) the
+        numerators of denominator/A are denominator C_k c^(n-k).
+        """
+        a = self.numerators
+        c = a[0]
+        if c == 0:
             raise ZeroDivisionError("not invertible as q-series")
         n = self.truncation_order
-        b = [Fraction(0)] * (n + 1)
-        b[0] = 1 / a[0]
+        scaled = [0] * (n + 1)  # scaled[i] = A_i c^(i-1) for i >= 1
+        power = 1
+        for i in range(1, n + 1):
+            scaled[i] = a[i] * power
+            power *= c
+        rs = scaled[::-1]  # rs[n - i] is scaled[i]
+        cs = [1]
         for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, min(k, len(a) - 1) + 1):
-                acc += a[i] * b[k - i]
-            b[k] = -acc / a[0]
-        return RationalQSeries(b)
+            cs.append(-sum(map(mul, cs, rs[n - k : n])))
+        d = self.denominator
+        return RationalQSeries._of([d * x * c ** (n - k) for k, x in enumerate(cs)], c ** (n + 1))
 
     def dee(self) -> "RationalQSeries":
         """The operator q d/dq: coefficient n maps to n times itself."""
-        return RationalQSeries(n * c for n, c in enumerate(self.coeffs))
+        return RationalQSeries._of([n * x for n, x in enumerate(self.numerators)], self.denominator)
 
     def to_json_list(self) -> list[str]:
         """Coefficients as canonical 'p/q' decimal strings."""
@@ -179,7 +217,10 @@ def eisenstein_qseries(weight: int, truncation_order: int) -> RationalQSeries:
     if truncation_order < 0:
         raise ValueError("truncation_order must be >= 0")
     c = -2 * weight / bernoulli(weight)
-    return RationalQSeries([1] + [c * sigma(n, weight - 1) for n in range(1, truncation_order + 1)])
+    return RationalQSeries._of(
+        [c.denominator] + [c.numerator * sigma(n, weight - 1) for n in range(1, truncation_order + 1)],
+        c.denominator,
+    )
 
 
 def make_eisenstein(weight: int, truncation_order: int) -> RationalQSeries:
@@ -272,10 +313,7 @@ class Product(FormExpression):
         return sum(f.weight for f in self.factors)
 
     def qseries(self, truncation_order: int) -> RationalQSeries:
-        out = RationalQSeries.one(truncation_order)
-        for f in self.factors:
-            out = out * f.qseries(truncation_order)
-        return out
+        return reduce(mul, (f.qseries(truncation_order) for f in self.factors))
 
     def has_reciprocal(self) -> bool:
         return any(f.has_reciprocal() for f in self.factors)

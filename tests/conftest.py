@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp, mpf, mpc, workprec
@@ -59,3 +61,28 @@ def reference_cosine(row, weight, m, bits):
     norm, theta, phase_num, _ = row
     with workprec(bits):
         return mpmath.cos(mp.pi * m * phase_num / norm + weight * theta)
+
+
+def reference_mul(a, b):
+    """Product of two coefficient sequences by the plain ``Fraction``
+    convolution, truncated to the shorter operand's order."""
+    order = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += Fraction(a[i]) * b[j]
+    return tuple(out)
+
+
+def reference_reciprocal(a):
+    """Inverse of a coefficient sequence by the ``Fraction`` recurrence
+    b_0 = 1/a_0, b_k = -sum_(i>=1) a_i b_(k-i) / a_0."""
+    n = len(a) - 1
+    b = [Fraction(0)] * (n + 1)
+    b[0] = 1 / Fraction(a[0])
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += a[i] * b[k - i]
+        b[k] = -acc / a[0]
+    return tuple(b)

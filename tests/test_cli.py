@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+import meroforms.cli as cli
 import meroforms.engine as engine
-from meroforms.cli import main, parse_m_range
+from meroforms.cli import MAX_ORACLE_ORDER, main, parse_m_range
 from meroforms.engine import TruncatedSum
 
 
@@ -190,3 +192,40 @@ def test_precision_env_default(monkeypatch, capsys):
     code, out, _ = run(capsys, "constants", "--depth", "0")
     assert code == 0
     assert json.loads(out)["precision"] == 96
+
+
+def test_coefficients_beyond_int_str_limit_print_exactly(monkeypatch, capsys):
+    # str() of an int refuses more than 4300 digits; E2^4/E6^4 passes that
+    # from about m = 1570
+    big = Fraction(-(10**4300 + 7), 3)
+    digits = "-" + "1" + "0" * 4299 + "7/3"
+    monkeypatch.setattr(cli, "oracle_coeffs", lambda expr, n: (big, Fraction(0)))
+    code, out, err = run(capsys, "oracle", "--form", "1/E10", "--m", "0..1", "--order", "1")
+    assert code == 0, err
+    assert [row["coefficient"] for row in json.loads(out)["coefficients"]] == [digits, "0"]
+    code, out, _ = run(
+        capsys, "verify", "--form", "1/E10", "--m", "0", "--tol", "1e-8", "--norm-bound", "200", "--precision", "128"
+    )
+    assert code == 3
+    assert json.loads(out)["rows"][0]["oracle"] == digits
+
+
+def test_oracle_order_above_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "--form", "1/E6", "--m", "0", "--order", str(MAX_ORACLE_ORDER + 1))
+    assert code == 1 and out == ""
+    assert f"oracle order must be <= {MAX_ORACLE_ORDER}" in err
+    for command in (("coeffs",), ("verify", "--tol", "1e-8")):
+        code, out, err = run(capsys, *command, "--form", "1/E10", "--m", f"0..{MAX_ORACLE_ORDER + 1}")
+        assert code == 1 and out == ""
+        assert f"oracle order must be <= {MAX_ORACLE_ORDER}" in err
+
+
+def test_norm_bound_checked_before_oracle(monkeypatch, capsys):
+    def oracle_must_not_run(expr, n):
+        raise AssertionError("oracle ran before the norm-bound check")
+
+    monkeypatch.setattr(cli, "oracle_coeffs", oracle_must_not_run)
+    for command in (("coeffs",), ("verify", "--tol", "1e-8")):
+        code, out, err = run(capsys, *command, "--form", "1/E6^4", "--m", "400", "--norm-bound", "100")
+        assert code == 1 and out == ""
+        assert "norm_bound 100 below required 5027" in err

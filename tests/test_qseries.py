@@ -1,10 +1,19 @@
+import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
+from conftest import reference_mul, reference_reciprocal
 from meroforms.qseries import (
     Constant,
+    Dee,
     FormParseError,
+    Generator,
+    Power,
+    Product,
+    Reciprocal,
     EISENSTEIN_COEFF,
     RationalQSeries,
     bernoulli,
@@ -158,3 +167,106 @@ def test_power_and_constants():
     assert e4**-1 == e4.reciprocal()
     assert parse_form("2 * E4").qseries(2).coeffs == F(2, 480, 4320)
     assert isinstance(parse_form("1"), Constant)
+
+
+def _random_coeffs(rng, length):
+    """Mixed integer and non-integer coefficients, about a third of them 0."""
+    return [
+        Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 3, 7, 691))) if rng.random() < 0.7 else Fraction(0)
+        for _ in range(length)
+    ]
+
+
+def _property_series(seed):
+    rng = random.Random(seed)
+    fixed = [
+        [Fraction(2), Fraction(3), Fraction(1, 5)],  # non-unit constant term
+        [Fraction(-3, 4), Fraction(1), Fraction(0), Fraction(5, 6), Fraction(-2)],
+        [Fraction(0), Fraction(0), Fraction(3), Fraction(1, 2)],  # zero leading coefficients
+        [Fraction(0)] * 4,
+        [Fraction(1)],
+    ]
+    drawn = [_random_coeffs(rng, rng.randint(1, 9)) for _ in range(12)]
+    return fixed + drawn
+
+
+def _assert_matches(series, reference):
+    """The series equals the Fraction reference in every public view, and
+    its numerators over one positive denominator are reduced."""
+    reference = tuple(Fraction(c) for c in reference)
+    assert series.coeffs == reference
+    assert all(type(c) is Fraction for c in series.coeffs)
+    assert series == RationalQSeries(reference)
+    assert hash(series) == hash(reference)
+    assert series.to_json_list() == [str(c) for c in reference]
+    assert all(type(x) is int for x in series.numerators)
+    assert series.denominator > 0 and gcd(series.denominator, *series.numerators) == 1
+
+
+def _reference_power(a, e):
+    if e < 0:
+        return _reference_power(reference_reciprocal(a), -e)
+    return reduce(reference_mul, [a] * e, (Fraction(1),) + (Fraction(0),) * (len(a) - 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_operations_match_fraction_reference(seed):
+    rng = random.Random(100 + seed)
+    pool = _property_series(seed)
+    for a in pool:
+        sa = RationalQSeries(a)
+        _assert_matches(sa, a)
+        _assert_matches(-sa, [-x for x in a])
+        _assert_matches(sa.dee(), [n * x for n, x in enumerate(a)])
+        for scalar in (3, Fraction(-5, 7), 0):
+            _assert_matches(sa * scalar, [x * scalar for x in a])
+            _assert_matches(scalar * sa, [x * scalar for x in a])
+        for e in (0, 1, 2, 3):
+            _assert_matches(sa**e, _reference_power(a, e))
+        if a[0] != 0:
+            _assert_matches(sa.reciprocal(), reference_reciprocal(a))
+            _assert_matches(sa**-2, _reference_power(a, -2))
+        else:
+            with pytest.raises(ZeroDivisionError, match="not invertible"):
+                sa.reciprocal()
+        # a second operand of another truncation order
+        b = rng.choice(pool)
+        sb = RationalQSeries(b)
+        n = min(len(a), len(b))
+        _assert_matches(sa * sb, reference_mul(a, b))
+        _assert_matches(sa + sb, [x + y for x, y in zip(a[:n], b[:n])])
+        _assert_matches(sa - sb, [x - y for x, y in zip(a[:n], b[:n])])
+        _assert_matches(sa + Fraction(1, 3), [a[0] + Fraction(1, 3)] + a[1:])
+        _assert_matches(2 - sa, [2 - a[0]] + [-x for x in a[1:]])
+
+
+def _reference_oracle(expr, order):
+    """Coefficients of an expression tree from the Fraction reference loops."""
+    if isinstance(expr, Generator):
+        c = -2 * expr.weight / bernoulli(expr.weight)
+        return (Fraction(1),) + tuple(c * sigma(n, expr.weight - 1) for n in range(1, order + 1))
+    if isinstance(expr, Constant):
+        return (Fraction(expr.value),) + (Fraction(0),) * order
+    if isinstance(expr, Product):
+        return reduce(reference_mul, (_reference_oracle(f, order) for f in expr.factors))
+    if isinstance(expr, Power):
+        return _reference_power(_reference_oracle(expr.base, order), expr.exponent)
+    if isinstance(expr, Reciprocal):
+        return reference_reciprocal(_reference_oracle(expr.operand, order))
+    if isinstance(expr, Dee):
+        return tuple(n * c for n, c in enumerate(_reference_oracle(expr.operand, order)))
+    raise TypeError(expr)
+
+
+@pytest.mark.parametrize("form", ["E4/3", "1/(2*E4)", "D(1/E10)", "E2^4 * (1/E6^4)"])
+def test_oracle_matches_fraction_reference(form):
+    got = oracle_coeffs(form, 60)
+    assert got == _reference_oracle(parse_form(form), 60)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_eisenstein_691_denominators():
+    e12 = eisenstein_qseries(12, 30)
+    want = [Fraction(1)] + [Fraction(65520, 691) * sigma(n, 11) for n in range(1, 31)]
+    _assert_matches(e12, want)
+    assert e12.denominator == 691
