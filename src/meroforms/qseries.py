@@ -172,12 +172,12 @@ class RationalQSeries:
             base = base * base
 
     def reciprocal(self) -> "RationalQSeries":
-        """Multiplicative inverse up to the truncation order.
+        """Multiplicative inverse up to the truncation order n.
 
-        With numerators A and constant term c = A_0, 1/A has coefficients
-        C_k / c^(k+1), where C_0 = 1 and C_k = -sum_(i>=1) A_i c^(i-1)
-        C_(k-i) are integers; over the common denominator c^(n+1) the
-        numerators of denominator/A are denominator C_k c^(n-k).
+        With self = A/d and c = A_0, 1/A has coefficients C_k / c^(k+1),
+        where C_0 = 1 and the integers C_k = -sum_(i>=1) A_i c^(i-1) C_(k-i);
+        over the common denominator c^(n+1), 1/self has the numerators
+        d C_k c^(n-k).
         """
         a = self.numerators
         c = a[0]
