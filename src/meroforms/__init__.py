@@ -54,7 +54,6 @@ from .qseries import (  # noqa: F401
 )
 from .quasi import (  # noqa: F401
     QuasiExpansion,
-    quasi_coeff_general,
     quasi_expansion,
     simple_pole_quasi_coeff,
 )

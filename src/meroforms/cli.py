@@ -3,7 +3,9 @@
 Subcommands: coeffs (formula path with oracle column), oracle (exact
 rationals), verify (side-by-side comparison against the oracle),
 identity (the quartic-reciprocal constant-term identity), enumerate,
-expand, basis, constants.  Numbers are emitted as decimal strings so
+expand, basis, constants.  ``coeffs`` and ``verify`` only validate their
+arguments and format ``QuasiExpansion.coefficient``, which picks the
+route, next to the oracle.  Numbers are emitted as decimal strings so
 output precision is not limited by binary doubles.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
@@ -18,11 +20,11 @@ import io
 import json
 import os
 import sys
-from decimal import Decimal
+from collections.abc import Iterator
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mpc, mpf, workprec
 
 from . import __version__
 from .constants import (
@@ -34,11 +36,11 @@ from .constants import (
     e10_jet,
     point_from_tag,
 )
-from .engine import ClosedFormMismatch, check_norm_bound, identity_check_m0
+from .engine import ClosedFormMismatch, TruncatedSum, check_norm_bound, identity_check_m0
 from .expansion import ExpansionError, PrincipalPart, laurent_at
 from .lattice import Field, enumerate_primitive
-from .qseries import FormParseError, contains_dee, oracle_coeffs, parse_form, split_e2_power
-from .quasi import quasi_expansion, simple_pole_quasi_coeff
+from .qseries import FormParseError, contains_dee, exact_str, oracle_coeffs, parse_form, split_e2_power
+from .quasi import quasi_expansion
 from .solver import BasisCongruenceError, BasisResidualError, solve_basis
 
 ENV_PRECISION = "MEROFORMS_PRECISION"
@@ -119,14 +121,6 @@ def _check_oracle_order(order: int) -> None:
         raise UsageError(f"oracle order must be <= {MAX_ORACLE_ORDER}, got {order}")
 
 
-def _exact_str(value: Fraction) -> str:
-    """``str(value)`` for a rational of any size.  ``str`` of an int refuses
-    more than ``sys.get_int_max_str_digits()`` digits, while ``Decimal``
-    converts an int exactly and is not limited."""
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -139,42 +133,34 @@ def _json_error(exc: Exception, kind: str) -> None:
     sys.stderr.write(json.dumps({"error": {"kind": kind, "message": str(exc)}}) + "\n")
 
 
-class _FormulaEngine:
-    """Shared coefficient path for ``coeffs`` and ``verify``."""
-
-    def __init__(self, form: str, precision: int):
-        expr = parse_form(form)
-        if contains_dee(expr):
-            raise UsageError("D(...) is not modular; only the oracle can expand it")
-        self.e2_power, self.remainder = split_e2_power(expr)
-        self.full = expr
-        self.precision = precision
-        self.expansion = quasi_expansion(self.remainder, self.e2_power, precision)
-        rep = self.expansion.f_rep
-        self.simple_route = (
-            self.e2_power < rep.k - 1
-            and all(t.n == 0 and t.point.tag in ("i", "rho") for t in rep.terms)
-        )
-
-    def coefficient(self, m: int, norm_bound: int):
-        if self.e2_power and self.simple_route:
-            return simple_pole_quasi_coeff(
-                self.expansion.f_rep, self.e2_power, m, norm_bound, self.precision
-            )
-        return self.expansion.coefficient(m, norm_bound)
-
-
-def _engine_and_oracle(args) -> tuple[list[int], _FormulaEngine, tuple[Fraction, ...]]:
-    """Validated m range, formula engine and oracle coefficients for
-    ``coeffs`` and ``verify``.  The norm bound is checked at every pole of
-    the form for the largest m before the oracle or any sum runs."""
+def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
+    """Validate ``coeffs``/``verify`` arguments, build the expansion and the
+    oracle, then iterate ``(m, result, exact, rel_err)`` over the m range at
+    the working precision; ``rel_err`` is absolute where the oracle is 0.
+    The norm bound is checked at every pole of the form for the largest m
+    before the oracle or any sum runs."""
     ms = parse_m_range(args.m)
     _validate(args.precision, args.norm_bound, ms)
-    engine = _FormulaEngine(args.form, args.precision)
+    expr = parse_form(args.form)
+    if contains_dee(expr):
+        raise UsageError("D(...) is not modular; only the oracle can expand it")
+    e2_power, remainder = split_e2_power(expr)
+    expansion = quasi_expansion(remainder, e2_power, args.precision)
     with workprec(args.precision + GUARD_BITS):
-        for point in engine.expansion.pole_points:
+        for point in expansion.pole_points:
             check_norm_bound(args.norm_bound, max(ms), point.v0(args.precision))
-    return ms, engine, oracle_coeffs(engine.full, max(ms))
+    oracle = oracle_coeffs(expr, max(ms))
+
+    def rows():
+        with workprec(args.precision):
+            for m in ms:
+                res = expansion.coefficient(m, args.norm_bound)
+                exact = oracle[m]
+                exact_mp = mpf(exact.numerator) / exact.denominator
+                denom = abs(exact_mp) if exact != 0 else mpf(1)
+                yield m, res, exact, abs(res.value - exact_mp) / denom
+
+    return rows()
 
 
 def cmd_oracle(args) -> int:
@@ -183,32 +169,23 @@ def cmd_oracle(args) -> int:
     order = max(args.order, max(ms))
     _check_oracle_order(order)
     coeffs = oracle_coeffs(expr, order)
-    rows = [{"m": m, "coefficient": _exact_str(coeffs[m])} for m in ms]
+    rows = [{"m": m, "coefficient": exact_str(coeffs[m])} for m in ms]
     _emit(json.dumps({"form": str(expr), "coefficients": rows}, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_coeffs(args) -> int:
-    ms, engine, oracle = _engine_and_oracle(args)
-    rows = []
-    with workprec(args.precision):
-        for m in ms:
-            res = engine.coefficient(m, args.norm_bound)
-            exact = oracle[m]
-            rel_err = ""
-            if exact != 0:
-                exact_mp = mpf(exact.numerator) / exact.denominator
-                rel_err = fmt_real(abs(res.value - exact_mp) / abs(exact_mp), 64)
-            rows.append(
-                {
-                    "m": m,
-                    "value_re": fmt_real(res.value.real, args.precision),
-                    "value_im": fmt_real(res.value.imag, args.precision),
-                    "tail_bound": fmt_real(res.tail_bound, 64),
-                    "oracle": _exact_str(exact),
-                    "rel_err": rel_err,
-                }
-            )
+    rows = [
+        {
+            "m": m,
+            "value_re": fmt_real(res.value.real, args.precision),
+            "value_im": fmt_real(res.value.imag, args.precision),
+            "tail_bound": fmt_real(res.tail_bound, 64),
+            "oracle": exact_str(exact),
+            "rel_err": fmt_real(err, 64) if exact != 0 else "",
+        }
+        for m, res, exact, err in _coefficients(args)
+    ]
     if args.output == "json":
         payload = {
             "form": args.form,
@@ -227,35 +204,26 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ms, engine, oracle = _engine_and_oracle(args)
+    results = _coefficients(args)
     tol = mpf(args.tol)
-    failures = 0
-    rows = []
-    with workprec(args.precision):
-        for m in ms:
-            res = engine.coefficient(m, args.norm_bound)
-            exact = oracle[m]
-            exact_mp = mpf(exact.numerator) / exact.denominator
-            denom = abs(exact_mp) if exact != 0 else mpf(1)
-            err = abs(res.value - exact_mp) / denom
-            ok = err <= tol
-            failures += 0 if ok else 1
-            rows.append(
-                {
-                    "m": m,
-                    "formula_re": fmt_real(res.value.real, args.precision),
-                    "oracle": _exact_str(exact),
-                    "rel_err": fmt_real(err, 64),
-                    "status": "pass" if ok else "fail",
-                }
-            )
+    rows = [
+        {
+            "m": m,
+            "formula_re": fmt_real(res.value.real, args.precision),
+            "oracle": exact_str(exact),
+            "rel_err": fmt_real(err, 64),
+            "status": "pass" if err <= tol else "fail",
+        }
+        for m, res, exact, err in results
+    ]
+    failures = sum(row["status"] == "fail" for row in rows)
     payload = {
         "form": args.form,
         "tol": args.tol,
         "norm_bound": args.norm_bound,
         "precision": args.precision,
         "rows": rows,
-        "verdict": "pass" if failures == 0 else f"fail ({failures} of {len(ms)})",
+        "verdict": "pass" if failures == 0 else f"fail ({failures} of {len(rows)})",
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK if failures == 0 else EXIT_VERIFY

@@ -159,15 +159,6 @@ _DERIV_RULES = {
 }
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for (a1, b1, c1), u in p.items():
-        for (a2, b2, c2), v in q.items():
-            key = (a1 + a2, b1 + b2, c1 + c2)
-            out[key] = out.get(key, Fraction(0)) + u * v
-    return {k: v for k, v in out.items() if v}
-
-
 def _poly_dz(p: Poly) -> Poly:
     """Formal derivative under the system, with one (pi i) factored out."""
     out: Poly = {}

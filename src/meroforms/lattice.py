@@ -50,9 +50,6 @@ class Field(enum.Enum):
     EISENSTEIN = "eisenstein"
 
 
-UNIT_COUNT = {Field.GAUSSIAN: 4, Field.EISENSTEIN: 6}
-
-
 def field_of(point: EllipticPoint) -> Field:
     """Z[i] at i, Z[rho] at rho; ideal sums exist only at these two points."""
     if point.tag == "i":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, isqrt, lcm
@@ -48,6 +49,14 @@ def sigma(n: int, power: int) -> int:
             if e != d:
                 total += e**power
     return total
+
+
+def exact_str(value: Fraction) -> str:
+    """``str(value)`` for a rational of any size.  ``str`` of an int refuses
+    more than ``sys.get_int_max_str_digits()`` digits, while ``Decimal``
+    converts an int exactly and is not limited."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 class RationalQSeries:
@@ -103,7 +112,7 @@ class RationalQSeries:
         return cls.constant(1, truncation_order)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:5])
+        head = ", ".join(exact_str(c) for c in self.coeffs[:5])
         tail = ", ..." if len(self.numerators) > 5 else ""
         return f"RationalQSeries([{head}{tail}], order={self.truncation_order})"
 
@@ -202,11 +211,21 @@ class RationalQSeries:
 
     def to_json_list(self) -> list[str]:
         """Coefficients as canonical 'p/q' decimal strings."""
-        return [str(c) for c in self.coeffs]
+        return [exact_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json_list(cls, items: Sequence[str]) -> "RationalQSeries":
-        return cls(Fraction(s) for s in items)
+        """Inverse of ``to_json_list`` for strings of any length: each side
+        of the '/' is read through ``Decimal``, which is exact and not
+        limited like ``int(str)``."""
+        fractions = []
+        for s in items:
+            num, _, den = s.partition("/")
+            try:
+                fractions.append(Fraction(Decimal(num)) / Fraction(Decimal(den or 1)))
+            except (InvalidOperation, OverflowError):
+                raise ValueError(f"not a rational: {s!r}") from None
+        return cls(fractions)
 
 
 def eisenstein_qseries(weight: int, truncation_order: int) -> RationalQSeries:

@@ -1,6 +1,7 @@
 """Fourier coefficients of E_2^n times a meromorphic cusp form.
 
-Two routes are implemented and cross-checked:
+Two routes are implemented and cross-checked, and
+``QuasiExpansion.coefficient`` picks one (``simple_route_error``):
 
 * simple poles: for f = sum a H_{2k}(tau_m, .) the product E_2^j f has
   m-th coefficient (3/pi)^j sum_m a_m omega sum*_b C_{2k}(b, m)
@@ -22,7 +23,7 @@ Two routes are implemented and cross-checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -43,8 +44,6 @@ from .expansion import (
 from .qseries import FormExpression, Generator, parse_form
 from .solver import BasisRepresentation, solve_basis
 
-DEFAULT_POINTS = (POINT_I, POINT_RHO)
-
 
 def ckl(k: int, l: int, j: int) -> Fraction:
     """Exact c_{k,l,j} = (2k-l-j-2)! (2k-2l-1)/(2k-l-1)!."""
@@ -57,6 +56,18 @@ def f_combination_coeff(k: int, n: int, l: int) -> Fraction:
     return Fraction((-1) ** l * comb(n, l) * factorial(2 * k - 2 * n - 1), factorial(2 * k - 2 * n - 1 + l))
 
 
+def simple_route_error(f_rep: BasisRepresentation, j: int) -> str | None:
+    """Why the simple-pole route cannot give E_2^j f, or None when it can."""
+    if j < 0 or j >= f_rep.k - 1:
+        return "outside validity range: need 0 <= j < k - 1"
+    for t in f_rep.terms:
+        if t.n != 0:
+            return "representation must contain only simple poles (n = 0)"
+        if t.point.tag not in ("i", "rho"):
+            return "simple-pole route needs poles at i or rho"
+    return None
+
+
 def simple_pole_quasi_coeff(
     f_rep: BasisRepresentation,
     j: int,
@@ -66,14 +77,10 @@ def simple_pole_quasi_coeff(
 ) -> TruncatedSum:
     """m-th coefficient of E_2^j f for f given by a simple-pole
     representation at elliptic points."""
+    reason = simple_route_error(f_rep, j)
+    if reason:
+        raise ValueError(reason)
     k = f_rep.k
-    if j < 0 or j >= k - 1:
-        raise ValueError("outside validity range: need 0 <= j < k - 1")
-    for t in f_rep.terms:
-        if t.n != 0:
-            raise ValueError("representation must contain only simple poles (n = 0)")
-        if t.point.tag not in ("i", "rho"):
-            raise ValueError("simple-pole route needs poles at i or rho")
     with workprec(precision + GUARD_BITS):
         scale = (3 / mp.pi) ** j
         total = mpc(0)
@@ -85,7 +92,7 @@ def simple_pole_quasi_coeff(
         return TruncatedSum(scale * total, scale * tail, norm_bound)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuasiExpansion:
     """Coefficient machine for E_2^n f with all pole data precomputed.
 
@@ -102,48 +109,41 @@ class QuasiExpansion:
     aux_reps: dict
     pole_points: tuple
     precision: int
-    _memo: dict = field(default_factory=dict)
 
     def coefficient(self, m: int, norm_bound: int) -> TruncatedSum:
-        value, tail = self._coeff(self.n, m, norm_bound)
-        return TruncatedSum(value, tail, norm_bound)
+        """m-th coefficient of E_2^n f: the simple-pole route when n >= 1
+        and f qualifies, the auxiliary-form recursion otherwise."""
+        if self.n and simple_route_error(self.f_rep, self.n) is None:
+            return simple_pole_quasi_coeff(self.f_rep, self.n, m, norm_bound, self.precision)
+        return self.coefficient_of_power(self.n, m, norm_bound)
 
     def coefficient_of_power(self, j: int, m: int, norm_bound: int) -> TruncatedSum:
-        """m-th coefficient of E_2^j f for any intermediate power j <= n."""
+        """m-th coefficient of E_2^j f for any power j <= n by the
+        auxiliary-form recursion, from the powers 0..j bottom-up."""
         if not 0 <= j <= self.n:
             raise ValueError(f"power {j} outside 0..{self.n}")
-        value, tail = self._coeff(j, m, norm_bound)
-        return TruncatedSum(value, tail, norm_bound)
-
-    def _coeff(self, j: int, m: int, norm_bound: int):
-        key = (j, m, norm_bound)
-        if key in self._memo:
-            return self._memo[key]
         with workprec(self.precision + GUARD_BITS):
-            if j == 0:
-                agg = assemble_coefficient(self.f_rep, m, norm_bound, self.precision)
-                out = (agg.value, agg.tail_bound)
-            else:
-                agg = assemble_coefficient(self.aux_reps[j], m, norm_bound, self.precision)
-                scale = (3 / mp.pi) ** j
+            agg = assemble_coefficient(self.f_rep, m, norm_bound, self.precision)
+            values, tails = [agg.value], [agg.tail_bound]
+            for i in range(1, j + 1):
+                agg = assemble_coefficient(self.aux_reps[i], m, norm_bound, self.precision)
+                scale = (3 / mp.pi) ** i
                 value = scale * agg.value
                 tail = scale * agg.tail_bound
-                for l in range(1, j + 1):
-                    coeff = f_combination_coeff(self.k, j, l)
+                for l in range(1, i + 1):
+                    coeff = f_combination_coeff(self.k, i, l)
                     factor = mpf(coeff.numerator) / coeff.denominator * mpf(-12 * m) ** l
-                    sub_v, sub_t = self._coeff(j - l, m, norm_bound)
-                    value -= factor * sub_v
-                    tail += abs(factor) * sub_t
-                out = (value, tail)
-        self._memo[key] = out
-        return out
+                    value -= factor * values[i - l]
+                    tail += abs(factor) * tails[i - l]
+                values.append(value)
+                tails.append(tail)
+        return TruncatedSum(values[j], tails[j], norm_bound)
 
 
 def quasi_expansion(
     expr: FormExpression | str,
     n: int,
     precision: int = DEFAULT_PRECISION,
-    points: tuple = DEFAULT_POINTS,
 ) -> QuasiExpansion:
     """Build the quasi-coefficient machine for E_2^n times the expression."""
     if isinstance(expr, str):
@@ -156,7 +156,7 @@ def quasi_expansion(
         raise ValueError(f"weight 2-2k+2n = {2 - 2 * k + 2 * n} must stay negative")
 
     laurents = {}
-    for point in points:
+    for point in (POINT_I, POINT_RHO):
         series = laurent_at(expr, point, precision, depth=n + 6)
         if series.lowest_order < 0:
             laurents[point] = series
@@ -192,15 +192,3 @@ def quasi_expansion(
                 pps.append(principal_part_from_laurent(combo))
             aux_reps[j] = solve_basis(pps, k - j, precision)
     return QuasiExpansion(expr, k, n, f_rep, aux_reps, tuple(laurents), precision)
-
-
-def quasi_coeff_general(
-    expr: FormExpression | str,
-    n: int,
-    m: int,
-    norm_bound: int,
-    precision: int = DEFAULT_PRECISION,
-    points: tuple = DEFAULT_POINTS,
-) -> TruncatedSum:
-    """One-shot m-th coefficient of E_2^n times the expression."""
-    return quasi_expansion(expr, n, precision, points).coefficient(m, norm_bound)

@@ -17,7 +17,7 @@ ones, which makes the solve self-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -37,29 +37,18 @@ class BasisResidualError(ArithmeticError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class EpsilonTilde:
-    weight: int
-    point: EllipticPoint
-    value: mpc
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
 def epsilon_is_zero(weight: int, point: EllipticPoint) -> bool:
     if weight % 2:
         raise ValueError("weight must be even")
     return (weight // 2) % point.omega != 0
 
 
-def epsilon_tilde(weight: int, point: EllipticPoint, precision: int = DEFAULT_PRECISION) -> EpsilonTilde:
+def epsilon_tilde(weight: int, point: EllipticPoint, precision: int = DEFAULT_PRECISION) -> mpc:
     """Residue constant of H_weight at the point: i omega/(2 pi) or 0."""
     if epsilon_is_zero(weight, point):
-        return EpsilonTilde(weight, point, mpc(0))
+        return mpc(0)
     with workprec(precision + GUARD_BITS):
-        return EpsilonTilde(weight, point, mpc(0, point.omega) / (2 * mp.pi))
+        return mpc(0, point.omega) / (2 * mp.pi)
 
 
 @dataclass(frozen=True)
@@ -83,9 +72,6 @@ class BasisRepresentation:
                     f"inadmissible term: k+n = {self.k + t.n} not 0 mod {t.point.omega} at {t.point}"
                 )
 
-    def at_point(self, point: EllipticPoint) -> list[BasisTerm]:
-        return [t for t in self.terms if t.point == point]
-
 
 def basis_principal_part(
     k: int,
@@ -97,12 +83,11 @@ def basis_principal_part(
     residue constant vanishes."""
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    eps = epsilon_tilde(2 * k + 2 * n, point, precision)
-    if eps.is_zero:
+    if epsilon_is_zero(2 * k + 2 * n, point):
         return PrincipalPart(point, {}, frozenset(), precision)
     with workprec(precision + GUARD_BITS):
         v0 = point.v0(precision)
-        pref = eps.value * factorial(n)
+        pref = epsilon_tilde(2 * k + 2 * n, point, precision) * factorial(n)
         two_i = mpc(0, 2)
         coeffs = {}
         for j in range(n + 1):

@@ -161,6 +161,17 @@ def test_json_round_trip():
     assert RationalQSeries.from_json_list(strings) == s
 
 
+def test_json_round_trip_beyond_int_str_limit():
+    # str() and int() of an int refuse more than 4300 digits by default
+    s = RationalQSeries([1, Fraction(10**4300 + 1, 3)])
+    digits = "1" + "0" * 4299 + "1/3"
+    assert s.to_json_list() == ["1", digits]
+    assert RationalQSeries.from_json_list(["1", digits]) == s
+    assert digits in repr(s)
+    with pytest.raises(ValueError, match="not a rational"):
+        RationalQSeries.from_json_list(["1/x"])
+
+
 def test_power_and_constants():
     e4 = make_eisenstein(4, 6)
     assert e4**0 == RationalQSeries.one(6)

@@ -5,7 +5,6 @@ from mpmath import mp, mpf, workprec
 
 from meroforms import (
     assemble_coefficient,
-    quasi_coeff_general,
     quasi_expansion,
     simple_pole_quasi_coeff,
 )
@@ -47,6 +46,23 @@ def test_power_zero_equals_assembly(prec):
     a = simple_pole_quasi_coeff(rep, 0, 2, 800, prec)
     b = assemble_coefficient(rep, 2, 800, prec)
     assert a.value == b.value
+
+
+@pytest.mark.parametrize(
+    "form, n, norm_bound, route",
+    [("1/E10", 2, 900, "simple"), ("1/E6^4", 1, 1200, "recursion"), ("1/E10", 0, 800, "assembly")],
+)
+def test_coefficient_picks_route(prec, form, n, norm_bound, route):
+    qe = quasi_expansion(form, n, prec)
+    for m in (0, 1, 3):
+        got = qe.coefficient(m, norm_bound)
+        if route == "simple":
+            want = simple_pole_quasi_coeff(qe.f_rep, n, m, norm_bound, prec)
+        elif route == "recursion":
+            want = qe.coefficient_of_power(n, m, norm_bound)
+        else:
+            want = assemble_coefficient(qe.f_rep, m, norm_bound, prec)
+        assert (got.value, got.tail_bound) == (want.value, want.tail_bound), m
 
 
 def test_simple_route_validity_window(prec):
@@ -125,6 +141,6 @@ def test_no_poles_rejected(prec):
 
 
 def test_one_shot_wrapper(prec):
-    got = quasi_coeff_general("1/E10", 1, 1, 900, prec)
+    got = quasi_expansion("1/E10", 1, prec).coefficient(1, 900)
     want = oracle_value("E2 * (1/E10)", 1)
     assert rel_err(got.value, want) < mpf(10) ** -8
