@@ -254,7 +254,7 @@ def elliptic_block_coeff(
                 f"{norm_bound} is {mpmath.nstr(diff, 6)} from the closed form, beyond "
                 f"its tail bound {mpmath.nstr(partial.tail_bound, 6)}"
             )
-    return TruncatedSum(mpc(closed), mpf(0), norm_bound)
+        return TruncatedSum(mpc(closed), mpf(0), norm_bound)
 
 
 def _lattice_min_distance(tau: mpc) -> mpf:

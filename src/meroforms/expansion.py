@@ -17,8 +17,8 @@ from .constants import (
     DEFAULT_PRECISION,
     GUARD_BITS,
     EllipticPoint,
+    cauchy,
     derivative_jet,
-    e10_jet,
 )
 from .qseries import (
     Constant,
@@ -70,14 +70,7 @@ class LaurentSeries:
 
 
 def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    n = min(len(a), len(b))
-    out = [mpc(0)] * n
-    for i in range(n):
-        ai = a.coeffs[i]
-        if ai == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * b.coeffs[j]
+    out = [cauchy(a.coeffs, b.coeffs, r) for r in range(min(len(a), len(b)))]
     return LaurentSeries(a.point, a.lowest_order + b.lowest_order, out, a.precision)
 
 
@@ -189,19 +182,12 @@ class _Evaluator:
         self.n_terms = n_terms
         self.precision = precision
         self.tol = mpf(2) ** (-(precision // 2))
-        depth = n_terms - 1
-        self.jet = derivative_jet(point, depth, precision)
-        self.jet10 = e10_jet(point, depth, precision)
+        self.jet = derivative_jet(point, n_terms - 1, precision)
 
     def _generator_series(self, name: str) -> LaurentSeries:
-        jet = self.jet10 if name == "E10" else self.jet
-        w = {"E2": 2, "E4": 4, "E6": 6, "E10": 10}[name]
-        fact = 1
-        coeffs = []
-        for r in range(self.n_terms):
-            if r > 0:
-                fact *= r
-            coeffs.append(jet.value(w, r) / fact)
+        if name == "E10":
+            return _mul(self._generator_series("E4"), self._generator_series("E6"))
+        coeffs = self.jet.table[{"E2": 2, "E4": 4, "E6": 6}[name]]
         return LaurentSeries(self.point, 0, coeffs, self.precision)
 
     def eval(self, expr: FormExpression) -> LaurentSeries:

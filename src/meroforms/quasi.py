@@ -167,6 +167,10 @@ def quasi_expansion(
         [principal_part_from_laurent(s) for s in laurents.values()], k, precision
     )
 
+    e2s = {
+        point: taylor_at(Generator("E2"), point, -lf.lowest_order + n + 6, precision)
+        for point, lf in laurents.items()
+    }
     aux_reps = {}
     with workprec(precision + GUARD_BITS):
         pi_third = mp.pi / 3
@@ -174,7 +178,7 @@ def quasi_expansion(
         for j in range(1, n + 1):
             pps = []
             for point, lf in laurents.items():
-                e2 = taylor_at(Generator("E2"), point, -lf.lowest_order + n + 6, precision)
+                e2 = e2s[point]
                 combo = None
                 for l in range(j + 1):
                     coeff = f_combination_coeff(k, j, l)

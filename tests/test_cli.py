@@ -167,6 +167,11 @@ def test_out_of_range_input_is_usage_error(capsys):
     code, out, err = run(capsys, "expand", "--form", "1/E10", "--point", "i", "--depth", "-3")
     assert code == 1 and out == ""
     assert "depth must be >= 0" in err
+    # jets cost about depth^2 products, so the depth is capped
+    for command in (("expand", "--form", "1/E10", "--point", "i"), ("constants",)):
+        code, out, err = run(capsys, *command, "--depth", "201")
+        assert code == 1 and out == ""
+        assert "depth must be <= 200" in err
 
 
 def test_norm_bound_above_limit_is_usage_error(capsys):

@@ -1,3 +1,5 @@
+from math import factorial
+
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, workprec
@@ -142,13 +144,35 @@ def test_eisenstein_polynomial_exact():
 
 def test_eisenstein_jet_against_qseries(prec):
     # value and z-derivatives d^r/dz^r sum a_n q^n = sum a_n (2 pi i n)^r q^n;
-    # weight 10 goes through the production entry point e10_jet
-    with workprec(prec + 32):
-        for point in (POINT_I, POINT_RHO):
+    # weights 2, 4, 6 come from derivative_jet and weight 10 through the
+    # production entry point e10_jet.  The values are read at the ambient
+    # precision: value() must keep the jet's own working bits
+    for point in (POINT_I, POINT_RHO):
+        jet = derivative_jet(point, 12, prec)
+        jets = {2: jet, 4: jet, 6: jet, 10: e10_jet(point, 12, prec)}
+        for w in (8, 12, 26):
+            jets[w] = eisenstein_jet(w, point, 12, prec)
+        got = {(w, r): source.value(w, r) for w, source in jets.items() for r in range(13)}
+        with workprec(prec + 32):
             q = mpmath.exp(2j * mp.pi * point.tau(prec))
-            for w in (8, 10, 12, 26):
-                jet = e10_jet(point, 3, prec) if w == 10 else eisenstein_jet(w, point, 3, prec)
+            for w in jets:
                 coeffs = eisenstein_qseries(w, 100).coeffs
-                for r in range(4):
+                for r in range(13):
                     want = sum(mpf(c.numerator) / c.denominator * (2j * mp.pi * n) ** r * q**n for n, c in enumerate(coeffs))
-                    assert abs(jet.value(w, r) - want) < mpf(2) ** (-prec + 24) * max(abs(want), 1)
+                    assert abs(got[(w, r)] - want) < mpf(2) ** (-prec + 24) * max(abs(want), 1), (point.tag, w, r)
+
+
+@pytest.mark.parametrize("precision", (64, 128, 256))
+def test_jet_keeps_guard_bits(precision):
+    # the base values carry the guard bits, so a jet of depth 40 matches a
+    # 400-bit-wider one far below 2^-P; derivatives that nearly vanish are
+    # measured against r!/1000, the size of their neighbours
+    for point in (POINT_I, POINT_RHO, generic_point(mpc("0.3", "1.1"))):
+        got = derivative_jet(point, 40, precision)
+        want = derivative_jet(point, 40, precision + 400)
+        with workprec(precision + 450):
+            for w in (2, 4, 6):
+                for r in range(41):
+                    v = want.value(w, r)
+                    scale = max(abs(v), mpf(factorial(r)) / 1000)
+                    assert abs(got.value(w, r) - v) <= mpf(2) ** -(precision + 16) * scale, (point.tag, w, r)

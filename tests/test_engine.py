@@ -302,6 +302,28 @@ def test_block_closed_form_reference_values(prec):
     assert 1e-7 < abs(lattice - at_i) < 2e-7
 
 
+LOW_PRECISION_CASES = [
+    (POINT_RHO, 42, 13),
+    (POINT_RHO, 42, 10),
+    (POINT_RHO, 36, 12),
+    (POINT_I, 40, 14),
+    (POINT_I, 44, 15),
+]
+
+
+@pytest.mark.parametrize("point,k,j", LOW_PRECISION_CASES, ids=str)
+def test_block_closed_form_full_precision(point, k, j):
+    # the closed form keeps the jet's guard bits, so even at 64 bits it
+    # is correct to 2^-P, not only within the check's 2^-(P/2) slack; the
+    # values under test are read at the ambient precision, so each must
+    # carry its own working bits
+    with workprec(432):
+        want = elliptic_block_coeff(k, j, 0, point, 0, 2000, 400).value
+    for precision in (64, 128):
+        got = elliptic_block_coeff(k, j, 0, point, 0, 2000, precision).value
+        assert rel_err(got, want) <= mpf(2) ** -precision, precision
+
+
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 def test_block_lattice_sum_at_large_bound(prec, point):
     # the slow N^-2 block behind E2^4/E10 at m = 0: its lattice partial sum
