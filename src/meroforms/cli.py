@@ -32,8 +32,9 @@ from .constants import (
     GUARD_BITS,
     POINT_I,
     POINT_RHO,
+    DerivativeJet,
+    cauchy,
     derivative_jet,
-    e10_jet,
     point_from_tag,
 )
 from .engine import ClosedFormMismatch, TruncatedSum, check_norm_bound, identity_check_m0
@@ -69,19 +70,29 @@ MAX_ORACLE_ORDER = 2000
 # --depth 200` takes 2.5 s; `constants --depth 500` takes 19 s.
 MAX_DEPTH = 200
 
+# Run time grows faster than linearly in the precision.  On a 2-core
+# x86-64 VM, in a fresh process at 4096 bits, `verify --form "1/E10"
+# --m 0..3 --tol 1e-8` takes 29.6 s, `constants --depth 200` 19.0 s and
+# `constants --depth 3` 11.0 s; at 1024 bits the first two take 2.5 s
+# and 2.6 s.
+MAX_PRECISION = 4096
+
 
 class UsageError(ValueError):
     pass
 
 
-def _default_precision() -> int:
-    raw = os.environ.get(ENV_PRECISION)
-    if raw is None:
-        return DEFAULT_PRECISION
+def _check_precision(flag: int | None) -> int:
+    """The --precision flag, else MEROFORMS_PRECISION, else the default,
+    checked to lie in 64..MAX_PRECISION bits."""
+    source, raw = ("--precision", flag) if flag is not None else (ENV_PRECISION, os.environ.get(ENV_PRECISION))
     try:
-        return int(raw)
+        precision = DEFAULT_PRECISION if raw is None else int(raw)
     except ValueError:
         raise UsageError(f"bad {ENV_PRECISION} value {raw!r}")
+    if not 64 <= precision <= MAX_PRECISION:
+        raise UsageError(f"{source}: precision must be in 64..{MAX_PRECISION} bits, got {precision}")
+    return precision
 
 
 def _digits(precision: int) -> int:
@@ -106,9 +117,7 @@ def parse_m_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _validate(precision: int, norm_bound: int, ms: list[int]) -> None:
-    if precision < 64:
-        raise UsageError("precision must be >= 64 bits")
+def _validate(norm_bound: int, ms: list[int]) -> None:
     if norm_bound < 16:
         raise UsageError("norm-bound must be >= 16")
     _check_max_norm_bound(norm_bound)
@@ -151,7 +160,7 @@ def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
     The norm bound is checked at every pole of the form for the largest m
     before the oracle or any sum runs."""
     ms = parse_m_range(args.m)
-    _validate(args.precision, args.norm_bound, ms)
+    _validate(args.norm_bound, ms)
     expr = parse_form(args.form)
     if contains_dee(expr):
         raise UsageError("D(...) is not modular; only the oracle can expand it")
@@ -323,15 +332,17 @@ def cmd_constants(args) -> int:
     table = {}
     for tag, point in (("i", POINT_I), ("rho", POINT_RHO)):
         jet = derivative_jet(point, args.depth, args.precision)
-        jet10 = e10_jet(point, args.depth, args.precision)
+        with workprec(args.precision + GUARD_BITS):
+            # E_10 = E_4 E_6, as a Cauchy product of the two Taylor series
+            e10 = [cauchy(jet.table[4], jet.table[6], r) for r in range(args.depth + 1)]
+        jet = DerivativeJet(point, args.depth, args.precision, {**jet.table, 10: e10})
         rows = {}
         for w in (2, 4, 6, 10):
-            source = jet10 if w == 10 else jet
             rows[f"E{w}"] = [
                 {
                     "r": r,
-                    "re": fmt_real(source.value(w, r).real, args.precision),
-                    "im": fmt_real(source.value(w, r).imag, args.precision),
+                    "re": fmt_real(jet.value(w, r).real, args.precision),
+                    "im": fmt_real(jet.value(w, r).imag, args.precision),
                 }
                 for r in range(args.depth + 1)
             ]
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, norm_bound=True):
-        p.add_argument("--precision", type=int, default=_default_precision(), help="working precision in bits")
+        p.add_argument("--precision", type=int, help=f"working precision in bits, 64..{MAX_PRECISION}")
         if norm_bound:
             p.add_argument("--norm-bound", type=int, default=5000, help="ideal-norm truncation bound")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -414,6 +425,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage problems
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if "precision" in args:
+            args.precision = _check_precision(args.precision)
         return args.func(args)
     except (BasisCongruenceError, BasisResidualError, ClosedFormMismatch, ExpansionError, ZeroDivisionError) as exc:
         _json_error(exc, "numerical")

@@ -337,6 +337,27 @@ def general_coeff_sum(
         return TruncatedSum(total, tail, height_bound)
 
 
+def linear_combination(terms, norm_bound: int) -> TruncatedSum:
+    """sum c S over (c, S) pairs, with tail bound sum |c| S.tail_bound,
+    since tail(sum c S) <= sum |c| tail(S).  Runs at the caller's working
+    precision; all-zero tails give an exact 0."""
+    value, tail = mpc(0), mpf(0)
+    for c, s in terms:
+        value += c * s.value
+        tail += abs(c) * s.tail_bound
+    return TruncatedSum(value, tail, norm_bound)
+
+
+def _raised_blocks(k: int, n: int, point: EllipticPoint, m: int, norm_bound: int, precision: int):
+    """(weight, block) pairs whose combination is the m-th coefficient of R^n[H_{2k}]."""
+    for rt in raising_expansion(k, n).terms:
+        w, j, r = 2 * k + 2 * n, rt.j, rt.derivative_order
+        if point.tag in ("i", "rho"):
+            yield point.omega * rt.coefficient, elliptic_block_coeff(w, j, r, point, m, norm_bound, precision)
+        else:
+            yield rt.coefficient * mpc(0, -2) ** r / 2, general_coeff_sum(w, point, j, r, m, norm_bound, precision)
+
+
 def assemble_coefficient(
     rep: BasisRepresentation,
     m: int,
@@ -350,33 +371,15 @@ def assemble_coefficient(
     this prefactor (the raw pair sum counts each ideal 2 omega times and
     the basis normalization absorbs the remaining factor 2).
     """
-    k = rep.k
     with workprec(precision + GUARD_BITS):
-        total = mpc(0)
-        tail = mpf(0)
-        for term in rep.terms:
-            point, n, a = term.point, term.n, term.a
-            expansion = raising_expansion(k, n)
-            part = mpc(0)
-            part_tail = mpf(0)
-            if point.tag in ("i", "rho"):
-                for rt in expansion.terms:
-                    f = elliptic_block_coeff(2 * k + 2 * n, rt.j, rt.derivative_order, point, m, norm_bound, precision)
-                    part += rt.coefficient * f.value
-                    part_tail += rt.coefficient * f.tail_bound
-                part *= point.omega
-                part_tail *= point.omega
-            else:
-                minus_two_i = mpc(0, -2)
-                for rt in expansion.terms:
-                    g = general_coeff_sum(2 * k + 2 * n, point, rt.j, rt.derivative_order, m, norm_bound, precision)
-                    part += rt.coefficient * minus_two_i**rt.derivative_order * g.value
-                    part_tail += rt.coefficient * mpf(2) ** rt.derivative_order * g.tail_bound
-                part /= 2
-                part_tail /= 2
-            total += a * part
-            tail += abs(a) * part_tail
-        return TruncatedSum(total, tail, norm_bound)
+        return linear_combination(
+            (
+                (t.a * c, block)
+                for t in rep.terms
+                for c, block in _raised_blocks(rep.k, t.n, t.point, m, norm_bound, precision)
+            ),
+            norm_bound,
+        )
 
 
 def identity_check_m0(

@@ -94,25 +94,9 @@ def complete_unimodular(c: int, d: int) -> tuple[int, int]:
     if d == 0:
         # c = +-1 and a d - b c = -b c = 1
         return 0, -c
-    # extended gcd: x d + y c = 1, then a = x, b = -y
-    x0, y0 = _ext_gcd(d, c)
-    a0, b0 = x0, -y0
-    b = b0 % abs(d)
-    a = (1 + b * c) // d
-    return a, b
-
-
-def _ext_gcd(u: int, v: int) -> tuple[int, int]:
-    """(x, y) with x u + y v = gcd(u, v) = 1."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while v:
-        q, r = divmod(u, v)
-        u, v = v, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if u == -1:
-        x0, y0 = -x0, -y0
-    return x0, y0
+    # a d - b c = 1 makes b = -c^-1 mod |d|
+    b = -pow(c, -1, abs(d)) % abs(d)
+    return (1 + b * c) // d, b
 
 
 @dataclass(frozen=True)

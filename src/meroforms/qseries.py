@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -267,11 +267,22 @@ class FormExpression:
     def qseries(self, truncation_order: int) -> RationalQSeries:
         raise NotImplementedError
 
+    def nodes(self) -> Iterator[FormExpression]:
+        """This node and every node below it, depth first; a node's
+        children are its FormExpression fields, alone or in a tuple."""
+        yield self
+        for value in vars(self).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, FormExpression):
+                    yield from child.nodes()
+
     def has_reciprocal(self) -> bool:
-        raise NotImplementedError
+        return any(
+            isinstance(node, Reciprocal) or (isinstance(node, Power) and node.exponent < 0) for node in self.nodes()
+        )
 
     def contains_generator(self, name: str) -> bool:
-        raise NotImplementedError
+        return any(isinstance(node, Generator) and node.name == name for node in self.nodes())
 
     def __str__(self) -> str:
         raise NotImplementedError
@@ -292,12 +303,6 @@ class Generator(FormExpression):
     def qseries(self, truncation_order: int) -> RationalQSeries:
         return make_eisenstein(GENERATOR_WEIGHTS[self.name], truncation_order)
 
-    def has_reciprocal(self) -> bool:
-        return False
-
-    def contains_generator(self, name: str) -> bool:
-        return self.name == name
-
     def __str__(self) -> str:
         return self.name
 
@@ -312,12 +317,6 @@ class Constant(FormExpression):
 
     def qseries(self, truncation_order: int) -> RationalQSeries:
         return RationalQSeries.constant(self.value, truncation_order)
-
-    def has_reciprocal(self) -> bool:
-        return False
-
-    def contains_generator(self, name: str) -> bool:
-        return False
 
     def __str__(self) -> str:
         return str(self.value)
@@ -334,12 +333,6 @@ class Product(FormExpression):
     def qseries(self, truncation_order: int) -> RationalQSeries:
         return reduce(mul, (f.qseries(truncation_order) for f in self.factors))
 
-    def has_reciprocal(self) -> bool:
-        return any(f.has_reciprocal() for f in self.factors)
-
-    def contains_generator(self, name: str) -> bool:
-        return any(f.contains_generator(name) for f in self.factors)
-
     def __str__(self) -> str:
         return " * ".join(str(f) for f in self.factors)
 
@@ -355,12 +348,6 @@ class Power(FormExpression):
 
     def qseries(self, truncation_order: int) -> RationalQSeries:
         return self.base.qseries(truncation_order) ** self.exponent
-
-    def has_reciprocal(self) -> bool:
-        return self.exponent < 0 or self.base.has_reciprocal()
-
-    def contains_generator(self, name: str) -> bool:
-        return self.base.contains_generator(name)
 
     def __str__(self) -> str:
         return f"{self._base_str()}^{self.exponent}"
@@ -381,12 +368,6 @@ class Reciprocal(FormExpression):
     def qseries(self, truncation_order: int) -> RationalQSeries:
         return self.operand.qseries(truncation_order).reciprocal()
 
-    def has_reciprocal(self) -> bool:
-        return True
-
-    def contains_generator(self, name: str) -> bool:
-        return self.operand.contains_generator(name)
-
     def __str__(self) -> str:
         return f"1/({self.operand})"
 
@@ -403,12 +384,6 @@ class Dee(FormExpression):
 
     def qseries(self, truncation_order: int) -> RationalQSeries:
         return self.operand.qseries(truncation_order).dee()
-
-    def has_reciprocal(self) -> bool:
-        return self.operand.has_reciprocal()
-
-    def contains_generator(self, name: str) -> bool:
-        return self.operand.contains_generator(name)
 
     def __str__(self) -> str:
         return f"D({self.operand})"
@@ -540,15 +515,7 @@ def split_e2_power(expr: FormExpression) -> tuple[int, FormExpression]:
 
 
 def contains_dee(expr: FormExpression) -> bool:
-    if isinstance(expr, Dee):
-        return True
-    if isinstance(expr, Product):
-        return any(contains_dee(f) for f in expr.factors)
-    if isinstance(expr, Power):
-        return contains_dee(expr.base)
-    if isinstance(expr, Reciprocal):
-        return contains_dee(expr.operand)
-    return False
+    return any(isinstance(node, Dee) for node in expr.nodes())
 
 
 def oracle_coeffs(expr: FormExpression | str, n_max: int) -> tuple[Fraction, ...]:

@@ -30,7 +30,7 @@ from math import comb, factorial
 from mpmath import mp, mpc, mpf, workprec
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, POINT_RHO
-from .engine import TruncatedSum, assemble_coefficient, elliptic_block_coeff
+from .engine import TruncatedSum, assemble_coefficient, elliptic_block_coeff, linear_combination
 from .expansion import (
     _add,
     _dz,
@@ -80,16 +80,10 @@ def simple_pole_quasi_coeff(
     reason = simple_route_error(f_rep, j)
     if reason:
         raise ValueError(reason)
-    k = f_rep.k
     with workprec(precision + GUARD_BITS):
         scale = (3 / mp.pi) ** j
-        total = mpc(0)
-        tail = mpf(0)
-        for t in f_rep.terms:
-            f = elliptic_block_coeff(2 * k, j, 0, t.point, m, norm_bound, precision)
-            total += t.a * t.point.omega * f.value
-            tail += abs(t.a) * t.point.omega * f.tail_bound
-        return TruncatedSum(scale * total, scale * tail, norm_bound)
+        blocks = ((t, elliptic_block_coeff(2 * f_rep.k, j, 0, t.point, m, norm_bound, precision)) for t in f_rep.terms)
+        return linear_combination(((scale * t.point.omega * t.a, block) for t, block in blocks), norm_bound)
 
 
 @dataclass(frozen=True)
@@ -123,21 +117,15 @@ class QuasiExpansion:
         if not 0 <= j <= self.n:
             raise ValueError(f"power {j} outside 0..{self.n}")
         with workprec(self.precision + GUARD_BITS):
-            agg = assemble_coefficient(self.f_rep, m, norm_bound, self.precision)
-            values, tails = [agg.value], [agg.tail_bound]
+            sums = [assemble_coefficient(self.f_rep, m, norm_bound, self.precision)]
             for i in range(1, j + 1):
-                agg = assemble_coefficient(self.aux_reps[i], m, norm_bound, self.precision)
-                scale = (3 / mp.pi) ** i
-                value = scale * agg.value
-                tail = scale * agg.tail_bound
+                aux = assemble_coefficient(self.aux_reps[i], m, norm_bound, self.precision)
+                earlier = []
                 for l in range(1, i + 1):
                     coeff = f_combination_coeff(self.k, i, l)
-                    factor = mpf(coeff.numerator) / coeff.denominator * mpf(-12 * m) ** l
-                    value -= factor * values[i - l]
-                    tail += abs(factor) * tails[i - l]
-                values.append(value)
-                tails.append(tail)
-        return TruncatedSum(values[j], tails[j], norm_bound)
+                    earlier.append((-mpf(coeff.numerator) / coeff.denominator * mpf(-12 * m) ** l, sums[i - l]))
+                sums.append(linear_combination([((3 / mp.pi) ** i, aux)] + earlier, norm_bound))
+        return sums[j]
 
 
 def quasi_expansion(

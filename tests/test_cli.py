@@ -5,7 +5,7 @@ import pytest
 
 import meroforms.cli as cli
 import meroforms.engine as engine
-from meroforms.cli import MAX_ORACLE_ORDER, main, parse_m_range
+from meroforms.cli import MAX_ORACLE_ORDER, MAX_PRECISION, main, parse_m_range
 from meroforms.engine import TruncatedSum
 
 
@@ -157,7 +157,7 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
-def test_out_of_range_input_is_usage_error(capsys):
+def test_out_of_range_input_is_usage_error(capsys, monkeypatch):
     # a negative m would index the coefficient tuple from its end, and a
     # negative depth leaves nothing to expand
     for m in ("-2..1", "-1"):
@@ -172,6 +172,19 @@ def test_out_of_range_input_is_usage_error(capsys):
         code, out, err = run(capsys, *command, "--depth", "201")
         assert code == 1 and out == ""
         assert "depth must be <= 200" in err
+    # every command with a precision checks it, from the flag or from the
+    # environment, before any work; the oracle is exact and has none
+    for command in (("constants",), ("verify", "--form", "1/E10", "--m", "0", "--tol", "1e-8")):
+        for bits in ("-5", "63", str(MAX_PRECISION + 1)):
+            code, out, err = run(capsys, *command, "--precision", bits)
+            assert code == 1 and out == ""
+            assert f"--precision: precision must be in 64..{MAX_PRECISION} bits, got {bits}" in err
+    for value in ("abc", "-5"):
+        monkeypatch.setenv("MEROFORMS_PRECISION", value)
+        code, out, err = run(capsys, "constants")
+        assert code == 1 and out == "" and err.startswith("error:") and "MEROFORMS_PRECISION" in err
+        code, out, _ = run(capsys, "oracle", "--form", "1/E6", "--m", "1")
+        assert code == 0 and json.loads(out)["coefficients"][0]["coefficient"] == "504"
 
 
 def test_norm_bound_above_limit_is_usage_error(capsys):

@@ -20,7 +20,7 @@ from meroforms import (
 )
 import meroforms.engine as engine
 from meroforms.constants import generic_point
-from meroforms.engine import NonconvergentParameters, raising_expansion_stepped
+from meroforms.engine import NonconvergentParameters, linear_combination, raising_expansion_stepped
 from meroforms.lattice import b_kernel, c_kernel, enumerate_primitive
 from meroforms.qseries import oracle_coeffs
 from meroforms.solver import BasisRepresentation, BasisTerm
@@ -234,6 +234,24 @@ def test_assemble_generic_point_agrees_with_elliptic(prec):
             vi = assemble_coefficient(rep_i, m, 600, prec)
             vg = assemble_coefficient(rep_g, m, 600, prec)
             assert abs(vi.value - vg.value) <= vi.tail_bound + vg.tail_bound + mpf(2) ** (-prec + 64)
+
+
+def test_linear_combination(prec):
+    # tail(sum c S) <= sum |c| tail(S): complex and negative weights add
+    # their moduli, and zero tails stay an exact 0
+    with workprec(prec):
+        s1 = TruncatedSum(mpc(3, -1), mpf(2) ** -40, 100)
+        s2 = TruncatedSum(mpc(mpf(1) / 3), mpf(2) ** -50, 100)
+        c1, c2 = mpc(1, -2), mpf(-5) / 7
+        out = linear_combination([(c1, s1), (c2, s2)], 100)
+        assert out.value == c1 * s1.value + c2 * s2.value
+        assert out.tail_bound == abs(c1) * s1.tail_bound + abs(c2) * s2.tail_bound
+        assert out.norm_bound == 100
+        zero_tails = [(c1, TruncatedSum(mpc(2), mpf(0), 100)), (-3, TruncatedSum(mpc(1), mpf(0), 100))]
+        exact = linear_combination(zero_tails, 100)
+        assert exact.tail_bound == 0 and exact.value == 2 * c1 - 3
+        empty = linear_combination([], 100)
+        assert empty.value == 0 and empty.tail_bound == 0
 
 
 def test_identity_single_term(prec, e4i):
