@@ -36,6 +36,7 @@ from .expansion import (  # noqa: F401
     laurent_at,
     principal_part,
     taylor_at,
+    valuation,
 )
 from .lattice import (  # noqa: F401
     Field,

@@ -179,7 +179,8 @@ def _base_values(point: EllipticPoint, precision: int) -> dict:
 
 
 def derivative_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PRECISION) -> DerivativeJet:
-    """Jet of z-derivatives of E_2, E_4, E_6 at the point."""
+    """Jet of z-derivatives of E_2, E_4, E_6 at the point, and of
+    E_10 = E_4 E_6 as the Cauchy product of the E_4 and E_6 series."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     base = _base_values(point, precision)
@@ -191,7 +192,8 @@ def derivative_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PR
             a.append(pi_i / 6 * (cauchy(a, a, r) - b[r]) / (r + 1))
             b.append(2 * pi_i / 3 * (cauchy(a, b, r) - c[r]) / (r + 1))
             c.append(pi_i * (cauchy(a, c, r) - cauchy(b, b, r)) / (r + 1))
-    return DerivativeJet(point, depth, precision, {2: a, 4: b, 6: c})
+        e10 = [cauchy(b, c, r) for r in range(depth + 1)]
+    return DerivativeJet(point, depth, precision, {2: a, 4: b, 6: c, 10: e10})
 
 
 def e10_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PRECISION) -> DerivativeJet:

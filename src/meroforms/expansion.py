@@ -1,9 +1,20 @@
 """Laurent and Taylor expansions of form expressions at points of H.
 
 Expressions are expanded in t = z - tau0 by pushing derivative jets
-through the expression tree with series arithmetic; reciprocals go
-through exact-order vanishing detection followed by unit-series
-inversion.  Principal parts extracted here feed the basis solver.
+through the expression tree with series arithmetic.  Pole and zero
+orders are exact, never read off coefficient sizes: ``valuation`` takes
+them from the tree (E_6 vanishes simply at i, E_4 at rho, E_10 at both),
+and every node's series starts at its leading coefficient, so its
+``lowest_order`` is its valuation.  Generators drop the exact zero of
+their value and D the exact-zero derivative of a constant term; a zero
+lead left under a reciprocal or at the root of ``laurent_at`` (as in
+D(1)) raises ``ExpansionError``.  To reach order ``depth``, every series
+holds depth - v + 1 terms, v the root's valuation, plus one per D node.
+
+A generic point must lie off the orbits of i and rho, where E_4 or E_6
+vanishes with no exact zero to drop; expanding there would need the
+multiplicity passed in.  Principal parts extracted here feed the basis
+solver.
 """
 
 from __future__ import annotations
@@ -106,20 +117,21 @@ def _pow(a: LaurentSeries, exponent: int) -> LaurentSeries:
 
 
 def _dz(a: LaurentSeries) -> LaurentSeries:
+    """d/dt; a series starting at order 0 drops that order's exact-zero derivative."""
     out = [(a.lowest_order + i) * c for i, c in enumerate(a.coeffs)]
+    if a.lowest_order == 0:
+        return LaurentSeries(a.point, 0, out[1:], a.precision)
     return LaurentSeries(a.point, a.lowest_order - 1, out, a.precision)
 
 
-def _reciprocal(a: LaurentSeries, tol: mpf) -> LaurentSeries:
-    scale = a.scale()
-    v = None
-    for i, c in enumerate(a.coeffs):
-        if abs(c) > tol * scale:
-            v = i
-            break
-    if v is None:
+def _check_lead(a: LaurentSeries) -> None:
+    if a.coeffs[0] == 0:
         raise ExpansionError("cannot determine vanishing order")
-    unit = a.coeffs[v:]
+
+
+def _reciprocal(a: LaurentSeries) -> LaurentSeries:
+    _check_lead(a)
+    unit = a.coeffs
     n = len(unit)
     inv = [mpc(0)] * n
     inv[0] = 1 / unit[0]
@@ -128,71 +140,53 @@ def _reciprocal(a: LaurentSeries, tol: mpf) -> LaurentSeries:
         for i in range(1, k + 1):
             acc += unit[i] * inv[k - i]
         inv[k] = -acc / unit[0]
-    return LaurentSeries(a.point, -(a.lowest_order + v), inv, a.precision)
+    return LaurentSeries(a.point, -a.lowest_order, inv, a.precision)
 
 
 # --------------------------------------------------------------------------
 # Expression evaluation.
 
 
-def _generator_valuation(name: str, point: EllipticPoint) -> int:
-    if point.tag == "i" and name in ("E6", "E10"):
-        return 1
-    if point.tag == "rho" and name in ("E4", "E10"):
-        return 1
-    return 0
+# the generators with a (simple) zero at each point; none vanishes elsewhere
+_ZEROS = {"i": ("E6", "E10"), "rho": ("E4", "E10")}
 
 
-def _valuation(expr: FormExpression, point: EllipticPoint) -> int:
-    """Exact t-adic valuation (negative for poles) for budget sizing."""
+def valuation(expr: FormExpression, point: EllipticPoint) -> int:
+    """Exact t-adic valuation of the expression at the point (negative for
+    poles): the order of its leading coefficient."""
     if isinstance(expr, Generator):
-        return _generator_valuation(expr.name, point)
+        return int(expr.name in _ZEROS.get(point.tag, ()))
     if isinstance(expr, Constant):
         return 0
     if isinstance(expr, Product):
-        return sum(_valuation(f, point) for f in expr.factors)
+        return sum(valuation(f, point) for f in expr.factors)
     if isinstance(expr, Power):
-        return expr.exponent * _valuation(expr.base, point)
+        return expr.exponent * valuation(expr.base, point)
     if isinstance(expr, Reciprocal):
-        return -_valuation(expr.operand, point)
+        return -valuation(expr.operand, point)
     if isinstance(expr, Dee):
-        v = _valuation(expr.operand, point)
+        v = valuation(expr.operand, point)
         return v - 1 if v != 0 else 0
     raise TypeError(f"unknown expression node {type(expr)!r}")
 
 
-def _terms_lost(expr: FormExpression, point: EllipticPoint) -> int:
-    """Worst-case number of window terms consumed by reciprocals."""
-    if isinstance(expr, (Generator, Constant)):
-        return 0
-    if isinstance(expr, Product):
-        return max(_terms_lost(f, point) for f in expr.factors)
-    if isinstance(expr, (Power,)):
-        return _terms_lost(expr.base, point)
-    if isinstance(expr, Reciprocal):
-        return _terms_lost(expr.operand, point) + max(0, _valuation(expr.operand, point))
-    if isinstance(expr, Dee):
-        return _terms_lost(expr.operand, point)
-    raise TypeError(f"unknown expression node {type(expr)!r}")
-
-
 class _Evaluator:
+    """Series of ``n_terms`` terms from each node's leading coefficient."""
+
     def __init__(self, point: EllipticPoint, n_terms: int, precision: int):
         self.point = point
         self.n_terms = n_terms
         self.precision = precision
-        self.tol = mpf(2) ** (-(precision // 2))
-        self.jet = derivative_jet(point, n_terms - 1, precision)
-
-    def _generator_series(self, name: str) -> LaurentSeries:
-        if name == "E10":
-            return _mul(self._generator_series("E4"), self._generator_series("E6"))
-        coeffs = self.jet.table[{"E2": 2, "E4": 4, "E6": 6}[name]]
-        return LaurentSeries(self.point, 0, coeffs, self.precision)
+        # one order more than n_terms - 1 covers a generator's dropped zero
+        self.jet = derivative_jet(point, n_terms, precision)
 
     def eval(self, expr: FormExpression) -> LaurentSeries:
         if isinstance(expr, Generator):
-            return self._generator_series(expr.name)
+            v = valuation(expr, self.point)
+            coeffs = self.jet.table[expr.weight]
+            if v and coeffs[0] != 0:
+                raise ExpansionError(f"{expr} is not exactly 0 at {self.point}")
+            return LaurentSeries(self.point, v, coeffs[v : v + self.n_terms], self.precision)
         if isinstance(expr, Constant):
             coeffs = [mpc(expr.value.numerator) / expr.value.denominator]
             coeffs += [mpc(0)] * (self.n_terms - 1)
@@ -203,20 +197,23 @@ class _Evaluator:
                 out = _mul(out, self.eval(f))
             return out
         if isinstance(expr, Power):
-            if expr.exponent < 0:
-                return _reciprocal(_pow(self.eval(expr.base), -expr.exponent), self.tol)
-            return _pow(self.eval(expr.base), expr.exponent)
+            series = _pow(self.eval(expr.base), abs(expr.exponent))
+            return _reciprocal(series) if expr.exponent < 0 else series
         if isinstance(expr, Reciprocal):
-            return _reciprocal(self.eval(expr.operand), self.tol)
+            return _reciprocal(self.eval(expr.operand))
         if isinstance(expr, Dee):
             inner = _dz(self.eval(expr.operand))
             return _scale(inner, 1 / (2j * mp.pi))
         raise TypeError(f"unknown expression node {type(expr)!r}")
 
 
-def _evaluate(expr: FormExpression, point: EllipticPoint, n_terms: int, precision: int) -> LaurentSeries:
+def _expand(expr: FormExpression, point: EllipticPoint, depth: int, precision: int) -> LaurentSeries:
+    """Orders valuation .. max(depth, valuation) of the expression."""
+    n_terms = max(depth - valuation(expr, point) + 1, 1)
+    n_dee = sum(isinstance(node, Dee) for node in expr.nodes())
     with workprec(precision + GUARD_BITS):
-        return _Evaluator(point, n_terms, precision).eval(expr)
+        series = _Evaluator(point, n_terms + n_dee, precision).eval(expr)
+    return LaurentSeries(point, series.lowest_order, series.coeffs[:n_terms], precision)
 
 
 def taylor_at(
@@ -230,7 +227,7 @@ def taylor_at(
         expr = parse_form(expr)
     if expr.has_reciprocal():
         raise ExpansionError("expression has a reciprocal; use laurent_at")
-    series = _evaluate(expr, point, depth + 2, precision)
+    series = _expand(expr, point, depth, precision)
     coeffs = [series.coefficient(n) for n in range(depth + 1)]
     return LaurentSeries(point, 0, coeffs, precision)
 
@@ -241,41 +238,25 @@ def laurent_at(
     precision: int = DEFAULT_PRECISION,
     depth: int | None = None,
 ) -> LaurentSeries:
-    """Laurent expansion with nonzero leading coefficient, up to order ``depth``.
-
-    ``depth`` defaults to pole order + 6 nonnegative orders.
-    """
+    """Laurent expansion from the exact valuation, whose coefficient must
+    be nonzero, up to order ``depth`` (default 6), or the leading term
+    alone when the valuation exceeds ``depth``."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     if isinstance(expr, str):
         expr = parse_form(expr)
-    v_root = _valuation(expr, point)
-    if depth is None:
-        depth = 6  # all pole orders plus orders 0..6
-    n_terms = max(depth - v_root + 1, 1) + _terms_lost(expr, point)
-    series = _evaluate(expr, point, n_terms, precision)
-    tol = mpf(2) ** (-(precision // 2))
-    scale = series.scale()
-    lead = None
-    for i, c in enumerate(series.coeffs):
-        if abs(c) > tol * scale:
-            lead = i
-            break
-    if lead is None:
-        raise ExpansionError("cannot determine vanishing order")
-    lo = series.lowest_order + lead
-    top = min(series.highest_order, depth)
-    coeffs = [series.coefficient(n) for n in range(lo, top + 1)]
-    return LaurentSeries(point, lo, coeffs, precision)
+    series = _expand(expr, point, 6 if depth is None else depth, precision)
+    _check_lead(series)
+    return series
 
 
 @dataclass
 class PrincipalPart:
     """Negative-order Laurent data at a point.
 
-    ``coeffs[n]`` (n >= 1) is the coefficient of (z - tau0)^-n.  Orders whose
-    computed coefficient fell below the zero threshold are kept as exact
-    zeros and listed in ``flagged_zero_orders``.
+    ``coeffs[n]`` (n >= 1) is the coefficient of (z - tau0)^-n.  Orders below
+    the top one whose computed coefficient fell below the zero threshold
+    are kept as exact zeros and listed in ``flagged_zero_orders``.
     """
 
     point: EllipticPoint
@@ -303,7 +284,7 @@ def principal_part(
     """Principal part of the expression at the point (empty when no pole)."""
     if isinstance(expr, str):
         expr = parse_form(expr)
-    if _valuation(expr, point) >= 0:
+    if valuation(expr, point) >= 0:
         return PrincipalPart(point, {}, frozenset(), precision)
     return principal_part_from_laurent(laurent_at(expr, point, precision))
 
@@ -315,7 +296,8 @@ def principal_part_from_laurent(series: LaurentSeries) -> PrincipalPart:
     flagged = set()
     for order in range(series.lowest_order, 0):
         c = series.coefficient(order)
-        if abs(c) <= tol * scale:
+        # the leading coefficient is nonzero at the exact valuation
+        if order > series.lowest_order and abs(c) <= tol * scale:
             coeffs[-order] = mpc(0)
             flagged.add(-order)
         else:

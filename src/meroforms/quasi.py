@@ -40,6 +40,7 @@ from .expansion import (
     laurent_at,
     principal_part_from_laurent,
     taylor_at,
+    valuation,
 )
 from .qseries import FormExpression, Generator, parse_form
 from .solver import BasisRepresentation, solve_basis
@@ -143,13 +144,10 @@ def quasi_expansion(
     if n < 0 or 2 - 2 * k + 2 * n >= 0:
         raise ValueError(f"weight 2-2k+2n = {2 - 2 * k + 2 * n} must stay negative")
 
-    laurents = {}
-    for point in (POINT_I, POINT_RHO):
-        series = laurent_at(expr, point, precision, depth=n + 6)
-        if series.lowest_order < 0:
-            laurents[point] = series
-    if not laurents:
+    poles = [point for point in (POINT_I, POINT_RHO) if valuation(expr, point) < 0]
+    if not poles:
         raise ValueError("no poles found at the candidate points")
+    laurents = {point: laurent_at(expr, point, precision, depth=n + 6) for point in poles}
 
     f_rep = solve_basis(
         [principal_part_from_laurent(s) for s in laurents.values()], k, precision

@@ -106,7 +106,8 @@ def solve_basis(
 
     Greedy highest-order-first elimination per point.  A top order
     violating n = 1-k (mod omega) has no basis element and is rejected;
-    lower orders without elements must be matched by higher tails to
+    any other top order gets its element, however small its coefficient.
+    Lower orders without elements must be matched by higher tails to
     within 2^(-precision/2) of the largest input coefficient.
     """
     tol = mpf(2) ** (-(precision // 2))
@@ -129,7 +130,7 @@ def solve_basis(
             for p in range(top, 0, -1):
                 n = p - 1
                 if not epsilon_is_zero(2 * k + 2 * n, point):
-                    if abs(residual[p]) <= tol * scale:
+                    if p < top and abs(residual[p]) <= tol * scale:
                         continue
                     bpp = basis_principal_part(k, n, point, precision)
                     a = residual[p] / bpp.coefficient(p)

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import meroforms.cli as cli
 import meroforms.engine as engine
-from meroforms.cli import MAX_ORACLE_ORDER, MAX_PRECISION, main, parse_m_range
+from meroforms.cli import MAX_BASIS_K, MAX_ORACLE_ORDER, MAX_POLE_ORDER, MAX_PRECISION, main, parse_m_range
 from meroforms.engine import TruncatedSum
 
 
@@ -144,6 +145,67 @@ def test_basis_congruence_failure_is_numerical(tmp_path, capsys):
     code, out, err = run(capsys, "basis", "--input", str(path), "--precision", "96")
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "numerical"
+
+
+def test_malformed_basis_request_is_usage_error(monkeypatch, capsys):
+    good = {"point": "i", "coeffs": {"1": ["0", "1"]}}
+    requests = [
+        {},
+        [1],
+        "k",
+        {"k": 6},
+        {"k": 6, "principal_parts": {"point": "i"}},
+        {"k": 6, "principal_parts": [{"coeffs": {"1": ["0", "1"]}}]},
+        {"k": 6, "principal_parts": [{"point": "i", "coeffs": [["0", "1"]]}]},
+        {"k": 6, "principal_parts": [{"point": "i", "coeffs": {"1": "01x"}}]},
+        {"k": 6, "principal_parts": [{"point": "i", "coeffs": {"1": 1}}]},
+        {"k": 6, "principal_parts": [{"point": "i", "coeffs": {"one": ["0", "1"]}}]},
+        {"k": 6, "principal_parts": [{"point": "i", "coeffs": {"1": ["nan", "1"]}}]},
+        {"k": 6, "principal_parts": [{"point": "z", "coeffs": {"1": ["0", "1"]}}]},
+        {"k": "6", "principal_parts": [good]},
+        {"k": 6.5, "principal_parts": [good]},
+        {"k": 1, "principal_parts": [good]},
+        # the solve's factorials grow with k: at pole order 39 at both
+        # points, k = 10^4 takes 35 s
+        {"k": MAX_BASIS_K + 2, "principal_parts": [good]},
+        {"k": 6, "principal_parts": [{"point": "i", "coeffs": {"0": ["0", "1"]}}]},
+        {"k": 6, "principal_parts": [{"point": "i", "coeffs": {str(MAX_POLE_ORDER + 1): ["0", "1"]}}]},
+    ]
+    for request in requests:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        code, out, err = run(capsys, "basis", "--input", "-", "--precision", "96")
+        assert code == 1 and out == "", request
+        assert err.startswith("error:"), request
+
+
+def test_pole_order_above_limit_is_usage_error(capsys):
+    # every pole order lengthens every series: expand of 1/E6^2000 ran for
+    # more than a minute, and verify of 1/E6^200 ended in a traceback
+    n = MAX_POLE_ORDER + 1
+    for point, form in (("i", f"1/E6^{n}"), ("rho", f"E6 / E4^{n}"), ("i", f"1/(E10 * E6^{n - 1})")):
+        code, out, err = run(capsys, "expand", "--form", form, "--point", point, "--depth", "3")
+        assert code == 1 and out == "", form
+        assert f"pole order must be <= {MAX_POLE_ORDER}, got {n}" in err
+    # the auxiliary form F_n of E2^n f has the poles of f raised by n
+    for form in (f"1/E6^{n}", f"E2^30 * (1/E6^{n - 30})", f"E2^{n - 20} * (1/E10^20)"):
+        for command in (("coeffs",), ("verify", "--tol", "1e-8")):
+            code, out, err = run(capsys, *command, "--form", form, "--m", "0", "--norm-bound", "100")
+            assert code == 1 and out == "", form
+            assert f"pole order plus E2 power must be <= {MAX_POLE_ORDER}, got {n}" in err
+    # 2 * 10^6 enumerated for 26 s and held 467 MB
+    code, out, err = run(capsys, "enumerate", "--field", "gaussian", "--bound", "2000000")
+    assert code == 1 and out == ""
+    assert "norm-bound must be <= 1000000" in err
+
+
+def test_verify_high_pole_order_at_low_precision(capsys):
+    # at 64 bits a coefficient-size threshold took 1/E10^5 for a pole of
+    # order 6 at i; the exact valuation gives 5
+    code, out, err = run(
+        capsys, "verify", "--form", "1/E10^5", "--m", "0..2", "--tol", "1e-8", "--precision", "64", "--norm-bound", "400"
+    )
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "pass"
 
 
 def test_usage_errors(capsys):

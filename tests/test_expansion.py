@@ -3,7 +3,8 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf, workprec
 
-from meroforms import POINT_I, POINT_RHO, laurent_at, principal_part, taylor_at
+from meroforms import POINT_I, POINT_RHO, laurent_at, principal_part, taylor_at, valuation
+from meroforms.cli import MAX_POLE_ORDER
 from meroforms.expansion import ExpansionError, _mul, congruence_defect
 from meroforms.qseries import parse_form
 
@@ -65,6 +66,43 @@ def test_laurent_zero_detection(prec):
     assert s.lowest_order == 2
     with pytest.raises(ExpansionError, match="vanishing order"):
         laurent_at("D(1)", POINT_I, prec)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_pole_orders_are_exact(bits):
+    # The pole order is the exact valuation at every precision: a threshold
+    # on coefficient sizes misread 1/E10^5 at 64 bits, 1/E6^17 at 128 and
+    # 1/E6^34 at 256, whose Taylor coefficients grow by orders of magnitude.
+    for name, point in (("E6", POINT_I), ("E4", POINT_RHO), ("E10", POINT_I), ("E10", POINT_RHO)):
+        for n in range(1, MAX_POLE_ORDER + 1):
+            form = f"1/{name}^{n}"
+            assert valuation(parse_form(form), point) == -n
+            s = laurent_at(form, point, bits, depth=1)
+            assert (s.lowest_order, s.highest_order, len(s)) == (-n, 1, n + 2), (form, point)
+
+
+def test_window_reaches_depth():
+    # E10 vanishes at rho, so the window starts at order 1 and must still
+    # reach the requested depth
+    s = laurent_at("E10/E6^4", POINT_RHO, 128, depth=4)
+    assert (s.lowest_order, s.highest_order) == (1, 4)
+    s = laurent_at("E6^2", POINT_I, 128, depth=4)
+    assert (s.lowest_order, s.highest_order) == (2, 4)
+    # D drops the exact-zero derivative of the constant term and keeps depth
+    s = laurent_at("D(E2)", POINT_I, 128, depth=3)
+    assert (s.lowest_order, s.highest_order) == (0, 3)
+    # a valuation above the depth leaves the leading term alone
+    s = laurent_at("E6^3", POINT_I, 128, depth=1)
+    assert (s.lowest_order, s.highest_order) == (3, 3)
+
+
+def test_principal_part_keeps_leading_order():
+    # the lowest coefficient of 1/E10^7 at rho is about 2^-33 of the largest
+    # in its window, below the zero threshold at 64 bits, yet it is the
+    # nonzero lead at the exact valuation
+    pp = principal_part("1/E10^7", POINT_RHO, 64)
+    assert pp.max_order == 7
+    assert 7 not in pp.flagged_zero_orders
 
 
 def test_principal_part_no_pole(prec):

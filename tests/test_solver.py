@@ -159,6 +159,20 @@ def test_round_trip_random(prec):
                 assert rel_err(got[n], a) < tol
 
 
+def test_small_top_order_is_kept(prec):
+    # the top order is the exact pole order, however small its coefficient
+    # next to the lower ones: a 1e-40 multiple of R^2[H_12] on top of H_12
+    k, small = 6, mpf(10) ** -40
+    with workprec(prec + 32):
+        total = {order: small * c for order, c in basis_principal_part(k, 2, POINT_I, prec).coeffs.items()}
+        total[1] += basis_principal_part(k, 0, POINT_I, prec).coefficient(1)
+    rep = solve_basis([PrincipalPart(POINT_I, total, frozenset(), prec)], k, prec)
+    got = {t.n: t.a for t in rep.terms}
+    assert set(got) == {0, 2}
+    assert rel_err(got[2], small) < mpf(2) ** (-prec + 32)
+    assert rel_err(got[0], 1) < mpf(2) ** (-prec + 32)
+
+
 def test_inadmissible_representation_rejected():
     with pytest.raises(ValueError, match="inadmissible"):
         BasisRepresentation(7, (BasisTerm(POINT_I, 0, mpc(1)),))
