@@ -15,8 +15,6 @@ from .constants import (  # noqa: F401
     closed_value,
     derivative_jet,
     e10_jet,
-    eisenstein_jet,
-    eisenstein_polynomial,
     generic_point,
     qseries_eval,
 )

@@ -15,22 +15,22 @@ c, where (x.y)_r is the Cauchy product.  Each order costs O(r) products.
 The differences in the recurrence do not cancel harmfully: at depth 40,
 at i, rho and 0.3+1.1i, the 256-bit jets agree to 5.3e-85 relative (about
 2^-280) with exact symbolic differentiation of the system evaluated at
-656 bits.  The base values are taken with the guard bits, so every jet,
-and every m = 0 closed form built on one, keeps them.
+656 bits.  The base values are taken with the guard bits, so every jet
+keeps them.  The m = 0 closed forms take E_w of any even weight and its
+derivatives straight from the q-series (``eisenstein_derivatives``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import ceil, factorial, log2
 from typing import Optional
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
 
-from .qseries import EISENSTEIN_COEFF, eisenstein_qseries, make_eisenstein, sigma
+from .qseries import EISENSTEIN_COEFF, bernoulli, sigma
 
 #: extra working bits used inside every numeric routine
 GUARD_BITS = 32
@@ -116,35 +116,66 @@ def closed_value(weight: int, point: EllipticPoint, precision: int = DEFAULT_PRE
     return _round_to(value, precision)
 
 
-def qseries_eval(weight: int, tau, precision: int = DEFAULT_PRECISION) -> mpc:
-    """Evaluate the q-expansion of E_weight at q = exp(2 pi i tau).
+def series_bits(weight: int, depth: int, v0, precision: int) -> int:
+    """Working bits for the derivatives r <= j = depth of E_w, w = weight,
+    at Im tau = v0: P + GUARD_BITS + ceil(w log2(1/v0))^+ + 2j + 16 with
+    P = precision.
 
-    Requires Im(tau) >= 0.5; terms are accumulated until they drop below
-    2^-(precision+8) of the running sum.
+    As |c_w| <= (2 pi)^w/(w-1)!, sigma_(w-1)(n) <= 2 n^(w-1) and
+    n^a e^(-2 pi v0 n) <= a!/(2 pi v0)^a, a = w-1+r, a term of E_w^(r) is
+    at most 4 pi (w)_r v0^-(w+r-1), so N terms of O(n) roundings each are
+    off by about 4 pi N^2 (w)_r v0^-(w+r-1) 2^-W at W bits.  In R^j E_w =
+    sum_t C_t (2i)^(j-t) v0^-t E_w^(j-t) (``engine.raising_expansion``)
+    C_t (w)_(j-t) = (w)_j binom(j, t), so Re[R^j E_w] / (w)_j is off by
+    4 pi N^2 3^j v0^(1-w) v0^-j 2^-W: at the W above, below 2^-P v0^-j,
+    the unit ideal's m = 0 term, for any N < 10^6.
     """
-    if weight not in EISENSTEIN_COEFF:
-        raise ValueError("weight not in {2, 4, 6, 10}")
-    with workprec(precision + GUARD_BITS):
+    loss = max(0, ceil(weight * log2(1 / float(v0))))
+    return precision + GUARD_BITS + loss + 2 * depth + 16
+
+
+def eisenstein_derivatives(weight: int, tau, depth: int, bits: int) -> list:
+    """d^r/dz^r E_w(tau) = [r = 0] + c_w sum sigma_(w-1)(n) (2 pi i n)^r q^n,
+    c_w = -2w/B_w, for r = 0..depth and any even weight w >= 2, summed at
+    ``bits`` bits (``series_bits``; ``tau`` should carry them).  The r-th
+    terms peak at n = (w-1+r)/(2 pi Im tau), so only terms past the last
+    peak end the sum: three in a row below 2^-bits of max(1, |sum|).
+    """
+    c = -2 * weight / bernoulli(weight)
+    with workprec(bits):
         tau = mpc(tau)
-        if tau.imag < mpf(1) / 2:
-            raise ValueError("evaluation point too low")
         q = mpmath.exp(2j * mp.pi * tau)
-        coeff = EISENSTEIN_COEFF[weight]
-        total = mpc(1)
+        c_w = mpf(c.numerator) / c.denominator
+        peak = (weight + depth) / (2 * mp.pi * tau.imag)
+        cutoff = mpf(2) ** -bits
+        totals = [mpc(1)] + [mpc(0)] * depth
         qn = mpc(1)
-        cutoff = mpf(2) ** (-(precision + 8))
         small_streak = 0
         n = 0
         while small_streak < 3:
             n += 1
             qn *= q
-            term = coeff * sigma(n, weight - 1) * qn
-            total += term
-            if abs(term) < cutoff * max(mpf(1), abs(total)):
-                small_streak += 1
-            else:
-                small_streak = 0
-    return _round_to(total, precision)
+            term = c_w * sigma(n, weight - 1) * qn
+            step = mpc(0, 2 * mp.pi * n)
+            small = n > peak
+            for r in range(depth + 1):
+                totals[r] += term
+                small = small and abs(term) < cutoff * max(1, abs(totals[r]))
+                term *= step
+            small_streak = small_streak + 1 if small else 0
+    return totals
+
+
+def qseries_eval(weight: int, tau, precision: int = DEFAULT_PRECISION) -> mpc:
+    """E_weight at q = exp(2 pi i tau), Im(tau) >= 0.5, a generator weight:
+    the r = 0 case of ``eisenstein_derivatives``, rounded to ``precision``."""
+    if weight not in EISENSTEIN_COEFF:
+        raise ValueError("weight not in {2, 4, 6, 10}")
+    v0 = mpc(tau).imag
+    if v0 < mpf(1) / 2:
+        raise ValueError("evaluation point too low")
+    bits = series_bits(weight, 0, v0, precision)
+    return _round_to(eisenstein_derivatives(weight, tau, 0, bits)[0], precision)
 
 
 def cauchy(x: list, y: list, r: int):
@@ -197,63 +228,5 @@ def derivative_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PR
 
 
 def e10_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PRECISION) -> DerivativeJet:
-    """Jet of E_10 = E_4 E_6 from the E_4, E_6 jets."""
-    return eisenstein_jet(10, point, depth, precision)
-
-
-# --------------------------------------------------------------------------
-# E_w of any even weight w >= 4 as a polynomial in E_4, E_6.
-
-
-@lru_cache(maxsize=None)
-def eisenstein_polynomial(weight: int) -> tuple:
-    """Exact E_weight = sum c E_4^a E_6^b as sorted ((a, b), c) pairs.
-
-    The monomials with 4a + 6b = weight span M_weight, and a form in
-    M_weight is fixed by its first dim M_weight q-coefficients, so the
-    coefficients solve a square rational system on those.
-    """
-    if weight % 2 or weight < 4:
-        raise ValueError("weight must be an even integer >= 4")
-    monomials = [(a, (weight - 4 * a) // 6) for a in range(weight // 4 + 1) if (weight - 4 * a) % 6 == 0]
-    order = len(monomials) - 1
-    e4, e6 = make_eisenstein(4, order), make_eisenstein(6, order)
-    columns = [(e4**a * e6**b).coeffs for a, b in monomials]
-    target = eisenstein_qseries(weight, order).coeffs
-    # Gauss-Jordan elimination on the augmented rows [M | target]
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(order + 1)]
-    for col in range(order + 1):
-        pivot = next(r for r in range(col, order + 1) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r in range(order + 1):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(sorted((mono, rows[i][-1]) for i, mono in enumerate(monomials) if rows[i][-1]))
-
-
-def eisenstein_jet(weight: int, point: EllipticPoint, depth: int, precision: int = DEFAULT_PRECISION) -> DerivativeJet:
-    """Jet of E_weight (even weight >= 4): the exact polynomial
-    ``eisenstein_polynomial`` applied to the E_4, E_6 Taylor series."""
-    poly = eisenstein_polynomial(weight)
-    jet = derivative_jet(point, depth, precision)
-    n = depth + 1
-    with workprec(precision + GUARD_BITS):
-        # pows[w][a] holds the Taylor series of E_w^a; E_w^0 = 1 is None
-        pows = {}
-        for w, pos in ((4, 0), (6, 1)):
-            base = jet.table[w]
-            pows[w] = [None, base]
-            for _ in range(max(mono[pos] for mono, _ in poly) - 1):
-                prev = pows[w][-1]
-                pows[w].append([cauchy(prev, base, r) for r in range(n)])
-        total = [mpc(0)] * n
-        for (a, b), coeff in poly:
-            f, g = pows[4][a], pows[6][b]
-            product = [cauchy(f, g, r) for r in range(n)] if f and g else f or g
-            scale = mpf(coeff.numerator) / coeff.denominator
-            for r, x in enumerate(product):
-                total[r] += scale * x
-    return DerivativeJet(point, depth, precision, {weight: total})
+    """Jet of E_10 = E_4 E_6: ``derivative_jet``, whose table[10] is their Cauchy product."""
+    return derivative_jet(point, depth, precision)

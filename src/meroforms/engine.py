@@ -42,7 +42,15 @@ import mpmath
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, EllipticPoint, closed_value, eisenstein_jet
+from .constants import (
+    DEFAULT_PRECISION,
+    GUARD_BITS,
+    POINT_I,
+    EllipticPoint,
+    closed_value,
+    eisenstein_derivatives,
+    series_bits,
+)
 from .lattice import (
     b_kernel,
     field_of,
@@ -202,27 +210,6 @@ def f_series_coeff(
         return TruncatedSum(mpc(value), tail, norm_bound)
 
 
-@lru_cache(maxsize=256)
-def _block_closed_form(k: int, j: int, point: EllipticPoint, precision: int) -> mpf:
-    """Re[R^j E_w(tau0)] / (omega (w)_j) with w = k - 2j >= 4; exact 0
-    off the kernel's divisibility class."""
-    if kernel_vanishes(field_of(point), k):
-        return mpf(0)
-    w = k - 2 * j
-    jet = eisenstein_jet(w, point, j, precision)
-    with workprec(precision + GUARD_BITS):
-        v0 = point.v0(precision)
-        two_i = mpc(0, 2)
-        # R^j f = sum_t coefficient_t v0^-t.j (2i)^r f^(r) with r = j - t.j;
-        # raising_expansion(w/2, j) holds these coefficients for weight w
-        raised = mpc(0)
-        for t in raising_expansion(w // 2, j).terms:
-            r = t.derivative_order
-            raised += t.coefficient * two_i**r * jet.value(w, r) / v0**t.j
-        rising = factorial(w + j - 1) // factorial(w - 1)
-        return raised.real / (point.omega * rising)
-
-
 def elliptic_block_coeff(
     k: int,
     j: int,
@@ -239,12 +226,25 @@ def elliptic_block_coeff(
     The lattice partial sum is still computed as a check: if it differs
     from the closed form by more than its tail bound plus
     2^-(precision/2), ``ClosedFormMismatch`` is raised.  Every other
-    case returns ``f_series_coeff`` unchanged.
+    case, and the exact 0 off the kernel's divisibility class, returns
+    ``f_series_coeff`` unchanged.  The q-series derivatives of E_w are
+    raised at ``constants.series_bits``, within 2^-precision of v0^-j.
     """
     partial = f_series_coeff(k, j, r, point, m, norm_bound, precision)
-    if m or r:
+    if m or r or kernel_vanishes(field_of(point), k):
         return partial
-    closed = _block_closed_form(k, j, point, precision)
+    w = k - 2 * j
+    bits = series_bits(w, j, point.v0(precision), precision)
+    derivatives = eisenstein_derivatives(w, point.tau(bits), j, bits)
+    with workprec(bits):
+        v0 = point.v0(bits)
+        # R^j f = sum_t coefficient_t v0^-t.j (2i)^r f^(r) with r = j - t.j;
+        # raising_expansion(w/2, j) holds these coefficients for weight w
+        raised = mpc(0)
+        for t in raising_expansion(w // 2, j).terms:
+            order = t.derivative_order
+            raised += t.coefficient * mpc(0, 2) ** order * derivatives[order] / v0**t.j
+        closed = raised.real / (point.omega * mpmath.rf(w, j))
     with workprec(precision + GUARD_BITS):
         diff = abs(partial.value - closed)
         slack = partial.tail_bound + mpf(2) ** (-(precision // 2))

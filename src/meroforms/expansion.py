@@ -75,10 +75,6 @@ class LaurentSeries:
             raise IndexError(f"order {order} beyond computed window")
         return self.coeffs[idx]
 
-    def scale(self) -> mpf:
-        mags = [abs(c) for c in self.coeffs]
-        return max(mags) if mags else mpf(1)
-
 
 def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     out = [cauchy(a.coeffs, b.coeffs, r) for r in range(min(len(a), len(b)))]
@@ -254,9 +250,9 @@ def laurent_at(
 class PrincipalPart:
     """Negative-order Laurent data at a point.
 
-    ``coeffs[n]`` (n >= 1) is the coefficient of (z - tau0)^-n.  Orders below
-    the top one whose computed coefficient fell below the zero threshold
-    are kept as exact zeros and listed in ``flagged_zero_orders``.
+    ``coeffs[n]`` (n >= 1) is the coefficient of (z - tau0)^-n.  No order
+    is zeroed for being small, so ``flagged_zero_orders`` is always empty;
+    the field stays for callers that build a principal part positionally.
     """
 
     point: EllipticPoint
@@ -290,19 +286,9 @@ def principal_part(
 
 
 def principal_part_from_laurent(series: LaurentSeries) -> PrincipalPart:
-    tol = mpf(2) ** (-(series.precision // 2))
-    scale = series.scale()
-    coeffs = {}
-    flagged = set()
-    for order in range(series.lowest_order, 0):
-        c = series.coefficient(order)
-        # the leading coefficient is nonzero at the exact valuation
-        if order > series.lowest_order and abs(c) <= tol * scale:
-            coeffs[-order] = mpc(0)
-            flagged.add(-order)
-        else:
-            coeffs[-order] = c
-    return PrincipalPart(series.point, coeffs, frozenset(flagged), series.precision)
+    """The negative orders of the series, every one as computed."""
+    coeffs = {-order: series.coefficient(order) for order in range(series.lowest_order, 0)}
+    return PrincipalPart(series.point, coeffs, frozenset(), series.precision)
 
 
 def x_coefficients(pp: PrincipalPart, k: int, precision: int | None = None) -> dict:

@@ -107,8 +107,9 @@ def solve_basis(
     Greedy highest-order-first elimination per point.  A top order
     violating n = 1-k (mod omega) has no basis element and is rejected;
     any other top order gets its element, however small its coefficient.
-    Lower orders without elements must be matched by higher tails to
-    within 2^(-precision/2) of the largest input coefficient.
+    A lower order's residual within 2^(-precision/2) of the largest term
+    that entered that order (its input coefficient or a higher element's
+    tail) counts as zero; an order without an element must reach that.
     """
     tol = mpf(2) ** (-(precision // 2))
     terms: list[BasisTerm] = []
@@ -119,7 +120,6 @@ def solve_basis(
             live = [p for p, c in pp.coeffs.items() if c != 0]
             if not live:
                 continue
-            scale = max(abs(pp.coeffs[p]) for p in live)
             top = max(live)
             if (top - (1 - k)) % omega != 0:
                 raise BasisCongruenceError(
@@ -127,17 +127,20 @@ def solve_basis(
                     f"violates order = 1-k (mod {omega})"
                 )
             residual = {p: mpc(pp.coefficient(p)) for p in range(1, top + 1)}
+            scale = {p: abs(c) for p, c in residual.items()}
             for p in range(top, 0, -1):
                 n = p - 1
                 if not epsilon_is_zero(2 * k + 2 * n, point):
-                    if p < top and abs(residual[p]) <= tol * scale:
+                    if p < top and abs(residual[p]) <= tol * scale[p]:
                         continue
                     bpp = basis_principal_part(k, n, point, precision)
                     a = residual[p] / bpp.coefficient(p)
                     for q in range(1, p + 1):
-                        residual[q] -= a * bpp.coefficient(q)
+                        tail = a * bpp.coefficient(q)
+                        residual[q] -= tail
+                        scale[q] = max(scale[q], abs(tail))
                     terms.append(BasisTerm(point, n, a))
-                elif abs(residual[p]) > tol * scale:
+                elif abs(residual[p]) > tol * scale[p]:
                     raise BasisResidualError(
                         f"principal part inconsistent with basis tails at {point}: "
                         f"order {p} residual {residual[p]}",

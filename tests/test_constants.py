@@ -10,13 +10,12 @@ from meroforms import (
     closed_value,
     derivative_jet,
     e10_jet,
-    eisenstein_jet,
-    eisenstein_polynomial,
     generic_point,
     qseries_eval,
 )
 
-from meroforms.qseries import RationalQSeries, eisenstein_qseries, make_eisenstein
+from meroforms.constants import eisenstein_derivatives, series_bits
+from meroforms.qseries import eisenstein_qseries
 
 from conftest import rel_err
 
@@ -125,43 +124,31 @@ def test_precision_doubling_doubles_agreement():
     assert b256 >= 2 * b128 - 8
 
 
-def test_eisenstein_polynomial_exact():
-    # fixed from the first dim M_w coefficients only, the polynomial must
-    # reproduce the whole q-expansion; E_12 is the classical (441, 250)/691
-    from fractions import Fraction
-
-    assert eisenstein_polynomial(12) == (((0, 2), Fraction(250, 691)), ((3, 0), Fraction(441, 691)))
-    assert eisenstein_polynomial(10) == (((1, 1), Fraction(1)),)
-    e4, e6 = make_eisenstein(4, 40), make_eisenstein(6, 40)
-    for w in range(4, 42, 2):
-        total = RationalQSeries.constant(0, 40)
-        for (a, b), c in eisenstein_polynomial(w):
-            total = total + e4**a * e6**b * c
-        assert total == eisenstein_qseries(w, 40)
-    with pytest.raises(ValueError):
-        eisenstein_polynomial(2)
-
-
 def test_eisenstein_jet_against_qseries(prec):
     # value and z-derivatives d^r/dz^r sum a_n q^n = sum a_n (2 pi i n)^r q^n;
     # weights 2, 4, 6 come from derivative_jet and weight 10 through the
-    # production entry point e10_jet.  The values are read at the ambient
+    # production entry point e10_jet; the q-series loop of the m = 0 closed
+    # forms must meet the same sums.  The values are read at the ambient
     # precision: value() must keep the jet's own working bits
     for point in (POINT_I, POINT_RHO):
         jet = derivative_jet(point, 12, prec)
         jets = {2: jet, 4: jet, 6: jet, 10: e10_jet(point, 12, prec)}
         # derivative_jet's own E10 series is the same Cauchy product, bit for bit
         assert jet.table[10] == jets[10].table[10]
-        for w in (8, 12, 26):
-            jets[w] = eisenstein_jet(w, point, 12, prec)
         got = {(w, r): source.value(w, r) for w, source in jets.items() for r in range(13)}
+        series = {}
+        for w in jets:
+            bits = series_bits(w, 12, point.v0(prec), prec)
+            series[w] = eisenstein_derivatives(w, point.tau(bits), 12, bits)
         with workprec(prec + 32):
             q = mpmath.exp(2j * mp.pi * point.tau(prec))
             for w in jets:
                 coeffs = eisenstein_qseries(w, 100).coeffs
                 for r in range(13):
                     want = sum(mpf(c.numerator) / c.denominator * (2j * mp.pi * n) ** r * q**n for n, c in enumerate(coeffs))
-                    assert abs(got[(w, r)] - want) < mpf(2) ** (-prec + 24) * max(abs(want), 1), (point.tag, w, r)
+                    tol = mpf(2) ** (-prec + 24) * max(abs(want), 1)
+                    assert abs(got[(w, r)] - want) < tol, (point.tag, w, r)
+                    assert abs(series[w][r] - want) < tol, (point.tag, w, r)
 
 
 @pytest.mark.parametrize("precision", (64, 128, 256))

@@ -326,12 +326,13 @@ LOW_PRECISION_CASES = [
     (POINT_RHO, 36, 12),
     (POINT_I, 40, 14),
     (POINT_I, 44, 15),
+    (POINT_RHO, 240, 39),
 ]
 
 
 @pytest.mark.parametrize("point,k,j", LOW_PRECISION_CASES, ids=str)
 def test_block_closed_form_full_precision(point, k, j):
-    # the closed form keeps the jet's guard bits, so even at 64 bits it
+    # the closed form keeps its guard bits, so even at 64 bits it
     # is correct to 2^-P, not only within the check's 2^-(P/2) slack; the
     # values under test are read at the ambient precision, so each must
     # carry its own working bits
