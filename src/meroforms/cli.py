@@ -51,8 +51,10 @@ EXIT_VERIFY = 3
 
 
 # Enumeration is pure Python and its cache keeps every ideal, so the bound
-# caps time and memory: at 10^8 enumeration alone would run for about
-# 10 min, with no progress report, and hold about 48M ideals.
+# caps time and memory: on a 2-core x86-64 VM, ``enumerate`` at 10^6
+# takes 3.4-4.2 s and 171 MB peak (Gaussian, 477k ideals) or 3.5-3.7 s and
+# 140 MB (Eisenstein, 368k) in a fresh process, and both grow linearly
+# in the bound.
 MAX_NORM_BOUND = 10**6
 
 # The exact oracle's cost grows about as order^3 (order^2 products of

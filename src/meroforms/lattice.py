@@ -2,9 +2,14 @@
 
 An ideal (c mu + d) with gcd(c, d) = 1 (mu = i or rho = exp(pi i/3)) is
 stored as a canonical coprime pair together with a deterministic
-unimodular completion (a, b) with ad - bc = 1.  Enumeration is a direct
-scan over the region N(c, d) <= bound followed by unit-orbit
-canonicalization, so no factorization is needed.
+unimodular completion (a, b) with ad - bc = 1.  The canonical pair of a
+unit orbit is its lexicographically smallest pair with c > 0, or c = 0
+and d > 0.  These pairs fill a sector of the (c, d) plane, so enumeration
+scans only that sector and meets each ideal exactly once, with no
+factorization and no orbit folding:
+
+  Gaussian:   (0, 1), (1, -1), and c >= 1 with |d| > c;
+  Eisenstein: (0, 1), (1, -2), and c >= 1 with d > c or d < -2c.
 
 Kernel conventions.  With theta = arg(c mu + d) and the completion
 (a, b), the weight-s cosine kernel at Fourier index m is
@@ -34,9 +39,9 @@ index m and norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
@@ -76,17 +81,6 @@ def unit_orbit(field: Field, c: int, d: int) -> list[tuple[int, int]]:
     return orbit
 
 
-def canonical_pair(field: Field, c: int, d: int) -> tuple[int, int]:
-    """Deterministic unit-orbit representative: the lexicographically
-    smallest pair with c > 0, or c = 0 and d > 0."""
-    candidates = [
-        (cc, dd)
-        for cc, dd in unit_orbit(field, c, d)
-        if cc > 0 or (cc == 0 and dd > 0)
-    ]
-    return min(candidates)
-
-
 def complete_unimodular(c: int, d: int) -> tuple[int, int]:
     """Deterministic (a, b) with ad - bc = 1; 0 <= b < |d| when d != 0."""
     if gcd(c, d) != 1:
@@ -99,8 +93,7 @@ def complete_unimodular(c: int, d: int) -> tuple[int, int]:
     return (1 + b * c) // d, b
 
 
-@dataclass(frozen=True)
-class PrimitiveIdeal:
+class PrimitiveIdeal(NamedTuple):
     """Primitive ideal as a canonical coprime pair with completion."""
 
     field: Field
@@ -111,35 +104,39 @@ class PrimitiveIdeal:
     b: int
 
 
-def _make_ideal(field: Field, c: int, d: int) -> PrimitiveIdeal:
-    a, b = complete_unimodular(c, d)
-    return PrimitiveIdeal(field, c, d, norm_form(field, c, d), a, b)
+def _sector_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int]]:
+    """(N, c, d) of every primitive ideal of norm N <= norm_bound, unsorted,
+    with (c, d) the sector representative of the module docstring."""
+    if field is Field.GAUSSIAN:
+        rows = [(1, 0, 1), (2, 1, -1)] if norm_bound >= 2 else [(1, 0, 1)]
+        c = 1
+        while 2 * c * c + 2 * c + 1 <= norm_bound:  # N(c, c + 1)
+            for d in range(c + 1, isqrt(norm_bound - c * c) + 1):
+                if gcd(c, d) == 1:
+                    norm = c * c + d * d
+                    rows.append((norm, c, d))
+                    rows.append((norm, c, -d))
+            c += 1
+        return rows
+    rows = [(1, 0, 1), (3, 1, -2)] if norm_bound >= 3 else [(1, 0, 1)]
+    c = 1
+    while 3 * c * c + 3 * c + 1 <= norm_bound:  # N(c, c + 1) = N(c, -2c - 1)
+        t = isqrt(4 * norm_bound - 3 * c * c)  # (2d + c)^2 <= 4B - 3c^2
+        for d in (*range(-((t + c) // 2), -2 * c), *range(c + 1, (t - c) // 2 + 1)):
+            if gcd(c, d) == 1:
+                rows.append((c * c + c * d + d * d, c, d))
+        c += 1
+    return rows
 
 
 @lru_cache(maxsize=32)
 def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, ...]:
-    """All primitive ideals of norm <= norm_bound, sorted by norm ascending."""
+    """All primitive ideals of norm <= norm_bound, sorted by (norm, c, d)."""
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
-    seen: set[tuple[int, int]] = set()
-    if field is Field.GAUSSIAN:
-        cmax = isqrt(norm_bound)
-        for c in range(-cmax, cmax + 1):
-            dmax = isqrt(norm_bound - c * c)
-            for d in range(-dmax, dmax + 1):
-                if gcd(c, d) == 1:
-                    seen.add(canonical_pair(field, c, d))
-    else:
-        dmax = isqrt(4 * norm_bound // 3)
-        for d in range(-dmax, dmax + 1):
-            t = isqrt(4 * norm_bound - 3 * d * d)
-            # (2c + d)^2 <= 4B - 3d^2
-            for c in range(-((t + d) // 2), (t - d) // 2 + 1):
-                if norm_form(field, c, d) <= norm_bound and gcd(c, d) == 1:
-                    seen.add(canonical_pair(field, c, d))
-    ideals = [_make_ideal(field, c, d) for c, d in seen]
-    ideals.sort(key=lambda b: (b.norm, b.c, b.d))
-    return tuple(ideals)
+    rows = _sector_rows(field, norm_bound)
+    rows.sort()
+    return tuple(PrimitiveIdeal(field, c, d, norm, *complete_unimodular(c, d)) for norm, c, d in rows)
 
 
 # --------------------------------------------------------------------------

@@ -31,3 +31,22 @@ def test_traced_caches_exist():
 
     for fn in (engine.f_series_coeff, lattice.ideal_sum_data, lattice.enumerate_primitive):
         assert callable(getattr(fn, "cache_info", None)), fn.__name__
+
+
+def test_ideal_sum_data_enumerates_through_module_attribute(monkeypatch):
+    # the traced run counts ``lattice.ideals`` from the enumerate_primitive
+    # calls it wraps at the module attribute; rows built any other way
+    # would read 0 ideals on quasi-i-B5k
+    from meroforms import lattice
+
+    calls = []
+    inner = lattice.enumerate_primitive
+
+    def counting(field, norm_bound):
+        calls.append((field, norm_bound))
+        return inner(field, norm_bound)
+
+    monkeypatch.setattr(lattice, "enumerate_primitive", counting)
+    rows = lattice.ideal_sum_data.__wrapped__(lattice.Field.GAUSSIAN, 50)
+    assert calls == [(lattice.Field.GAUSSIAN, 50)]
+    assert len(rows) == len(inner(lattice.Field.GAUSSIAN, 50))

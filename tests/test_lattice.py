@@ -15,7 +15,6 @@ from meroforms import (
 from meroforms.lattice import (
     PrimitiveIdeal,
     b_kernel_with_completion,
-    canonical_pair,
     norm_form,
     unit_orbit,
 )
@@ -27,6 +26,34 @@ def test_enumerate_examples():
     assert [b.norm for b in enumerate_primitive(Field.GAUSSIAN, 5)] == [1, 2, 5, 5]
     assert [b.norm for b in enumerate_primitive(Field.GAUSSIAN, 4)] == [1, 2]
     assert [b.norm for b in enumerate_primitive(Field.EISENSTEIN, 3)] == [1, 3]
+
+
+def canonical_pair(field: Field, c: int, d: int) -> tuple[int, int]:
+    """Unit-orbit representative by definition: the lexicographically
+    smallest pair of the orbit with c > 0, or c = 0 and d > 0."""
+    return min((cc, dd) for cc, dd in unit_orbit(field, c, d) if cc > 0 or (cc == 0 and dd > 0))
+
+
+def orbit_scan(field: Field, bound: int) -> list[tuple[int, int, int, int, int]]:
+    """Reference enumeration: every coprime pair of the disc N(c, d) <= bound
+    folded to its canonical pair, sorted by (norm, c, d), as (c, d, norm, a, b)."""
+    span = isqrt(4 * bound // 3)  # |c|, |d| <= sqrt(4N/3) in both fields
+    pairs = {
+        canonical_pair(field, c, d)
+        for c in range(-span, span + 1)
+        for d in range(-span, span + 1)
+        if gcd(c, d) == 1 and norm_form(field, c, d) <= bound
+    }
+    rows = sorted((norm_form(field, c, d), c, d) for c, d in pairs)
+    return [(c, d, norm, *complete_unimodular(c, d)) for norm, c, d in rows]
+
+
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_enumerate_matches_orbit_scan(field):
+    for bound in (1, 2, 3, 4, 7, 13, 100, 5000):
+        got = [(b.c, b.d, b.norm, b.a, b.b) for b in enumerate_primitive(field, bound)]
+        assert got == orbit_scan(field, bound), bound
+        assert all(b.field is field for b in enumerate_primitive(field, bound))
 
 
 def brute_force_orbit_count(field: Field, bound: int) -> int:
