@@ -81,9 +81,9 @@ MAX_PRECISION = 4096
 # series and a basis element to every solve, and the auxiliary forms of
 # E2^n f have the pole order of f plus n.  On a 2-core x86-64 VM, in a
 # fresh process at 256 bits: `expand --form "1/E6^40" --point i --depth
-# 200` takes 2.9 s; `verify --m 0 --tol 1e-8` takes 6.7 s on "1/E6^40",
-# 32 s on "E2^29 * (1/E6^11)" and 97 s on "E2^20 * (1/E10^20)", and
-# `verify --form "1/E6^40" --m 0..3` 95 s.
+# 200` takes 2.9 s; `verify --m 0 --tol 1e-8` takes 1.6 s on "1/E6^40",
+# 25 s on "E2^29 * (1/E6^11)" and 27 s on "E2^20 * (1/E10^20)", and
+# `verify --form "1/E6^40" --m 0..3` 4.5 s.
 MAX_POLE_ORDER = 40
 
 # The basis solve's factorials grow with k.  On the same VM, solving
@@ -123,13 +123,13 @@ def _complex_row(key: str, index: int, z, precision: int) -> dict:
 
 
 def parse_m_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise UsageError(f"empty m range {text!r}")
-    else:
-        lo = hi = int(text)
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise UsageError(f"--m: expected an index or a range lo..hi, got {text!r}") from None
+    if hi < lo:
+        raise UsageError(f"empty m range {text!r}")
     if lo < 0:
         raise UsageError(f"m must be >= 0, got {text!r}")
     return list(range(lo, hi + 1))
@@ -249,9 +249,20 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
+def _parse_tol(text: str) -> mpf:
+    try:
+        tol = mpf(text)
+        valid = mpmath.isfinite(tol) and tol > 0
+    except ValueError:
+        valid = False
+    if not valid:
+        raise UsageError(f"--tol must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def cmd_verify(args) -> int:
+    tol = _parse_tol(args.tol)
     results = _coefficients(args)
-    tol = mpf(args.tol)
     rows = [
         {
             "m": m,

@@ -18,8 +18,11 @@ Every sum goes through the kernels of ``lattice``.  Ideal sums use the
 helpers of ``c_kernel``: each term is Re[g^k Z^m] / N^(k-j) with the
 exact power g^k of the ideal's generator and its fixed-point phasor Z,
 floored to ``lattice.sum_width`` bits and added exactly as Python ints;
-the total is rounded once (``_ideal_sum``).  Pair sums go through
-``b_kernel`` and ``mpmath.fsum``, which adds exactly and rounds once.
+each total is rounded once.  Every block (k, j) that a coefficient needs
+at one pole and one m shares the same ideals and the same Z^m, so
+``ideal_sums`` fills that whole family (``block_families``) in one pass
+over the ideals.  Pair sums go through ``b_kernel`` and ``mpmath.fsum``,
+which adds exactly and rounds once.
 
 At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, gcd
 
 import mpmath
@@ -143,33 +147,53 @@ def _ideal_tail_bound(k_half_minus_j, B, four_pi_m_r, v0_pow_j) -> mpf:
     return 2 * mpmath.exp(mpf(1) / 2) * four_pi_m_r / v0_pow_j * mpf(B) ** (-s) / s
 
 
-@lru_cache(maxsize=8192)
-def _ideal_sum(point: EllipticPoint, k: int, j: int, m: int, norm_bound: int, precision: int) -> mpf:
-    """sum*_b cos(pi m P_b/N_b + k theta_b) N_b^(j-k/2) e^(2 pi m v0/N_b) over
-    the primitive ideals of norm <= norm_bound, rounded once to
-    precision + GUARD_BITS bits.
+@lru_cache(maxsize=1024)
+def ideal_sums(point: EllipticPoint, m: int, norm_bound: int, precision: int, blocks: tuple) -> dict:
+    """(k, j) -> sum*_b cos(pi m P_b/N_b + k theta_b) N_b^(j-k/2) e^(2 pi m v0/N_b)
+    over the primitive ideals of norm <= norm_bound, for every (k, j) in
+    ``blocks``, each rounded once to precision + GUARD_BITS bits.
 
-    Each term is Re[g_b^k Z_b^m] / N_b^(k-j) with the exact power g_b^k of
-    the generator and the power Z_b^m of its ``lattice.phasor_row`` entry
-    (m >= 1 only; at m = 0 the sum is integer arithmetic).  Z_b^m and every term
-    are floored to ``sum_width`` fractional bits and added exactly as
-    Python ints.  With m < norm_bound (``check_norm_bound``) the rounding
-    stays below 2^-(precision+GUARD_BITS) of the sum of |term|, which the
-    unit ideal's term (at least 1) dominates.  The cache holds one value
-    per sum, not per (4 pi m)^r scaling of it."""
+    One pass over the ideals fills every block.  Each term is
+    Re[g_b^k Z_b^m] / N_b^(k-j) with the exact power g_b^k of the generator
+    and the power Z_b^m of its ``lattice.phasor_row`` entry (m >= 1 only; at
+    m = 0 the sum is integer arithmetic).  Per ideal, Z_b^m is raised once,
+    g_b^k is stepped exactly from one k to the next, and the numerator of
+    each k is floored by 2 N^(k-j) for its largest j and then by N^(j'-j)
+    down to each smaller j; since floor(floor(x/a)/b) = floor(x/(ab)) for
+    positive integers a, b, every term is the one its block would get
+    alone.  Z_b^m and every term are floored to ``sum_width`` fractional
+    bits and added exactly as Python ints.  With m < norm_bound
+    (``check_norm_bound``) the rounding stays below
+    2^-(precision+GUARD_BITS) of the sum of |term|, which the unit ideal's
+    term (at least 1) dominates.  The cache holds one entry per pass, not
+    per (4 pi m)^r scaling of a sum."""
     field = field_of(point)
     e = mu_trace(field)
-    rows = ideal_sum_data(field, norm_bound)
     width = sum_width(norm_bound, precision)
-    total = 0
-    if m == 0:
-        for norm, x, y, _ in rows:
-            total += (twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j))
-    else:
-        for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision)):
-            w = ring_power(e, z, m, width)
-            total += twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j))
-    return mp.make_mpf(from_man_exp(total, -width, precision + GUARD_BITS, round_nearest))
+    # per k, ascending: (step from the previous k, N-exponent of the largest
+    # j, its slot, then (further N-exponent, slot) down the smaller j)
+    order, plan, last_k = [], [], 0
+    for k in sorted({k for k, _ in blocks}):
+        js = sorted({j for k2, j in blocks if k2 == k}, reverse=True)
+        first = len(order)
+        order.extend((k, j) for j in js)
+        drops = tuple((a - b, first + i) for i, (a, b) in enumerate(zip(js, js[1:]), 1))
+        plan.append((k - last_k, k - js[0], first, drops))
+        last_k = k
+    totals = [0] * len(order)
+    rows = ideal_sum_data(field, norm_bound)
+    for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision) if m else repeat(None)):
+        w = ring_power(e, z, m, width) if m else None
+        power = None
+        for step, top, slot, drops in plan:
+            power = ring_power(e, (x, y), step) if power is None else ring_mul(e, power, ring_power(e, (x, y), step))
+            q = (twice_real(e, ring_mul(e, power, w)) if m else twice_real(e, power) << width) // (2 * norm**top)
+            totals[slot] += q
+            for drop, lower in drops:
+                q //= norm**drop
+                totals[lower] += q
+    bits = precision + GUARD_BITS
+    return {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in zip(order, totals)}
 
 
 @lru_cache(maxsize=8192)
@@ -181,6 +205,7 @@ def f_series_coeff(
     m: int,
     norm_bound: int,
     precision: int = DEFAULT_PRECISION,
+    blocks: tuple | None = None,
 ) -> TruncatedSum:
     """m-th coefficient of the building-block series with parameters
     (k, j, r): v0^-j sum*_b C_k(b, m) N^(j-k/2) (4 pi m)^r e^(2 pi m v0/N).
@@ -189,6 +214,9 @@ def f_series_coeff(
     norm_bound >= max(16, ceil(4 pi m v0)).  Off the divisibility class
     of the cosine kernel (4 does not divide k at i, 6 does not at rho)
     the sum is an exact 0 with tail 0, as ``c_kernel`` has it.
+    ``blocks`` is the tuple of (k, j) whose ideal sums at this
+    point and m share one ``ideal_sums`` pass (``block_families``); it
+    must hold (k, j), and None sums (k, j) alone.
     """
     if k % 2 or k < 4:
         raise ValueError("k must be an even integer >= 4")
@@ -202,7 +230,10 @@ def f_series_coeff(
         check_norm_bound(norm_bound, m, v0)
         if (m == 0 and r >= 1) or kernel_vanishes(field, k):
             return TruncatedSum(mpc(0), mpf(0), norm_bound)
-        total = _ideal_sum(point, k, j, m, norm_bound, precision)
+        family = blocks or ((k, j),)
+        if (k, j) not in family:
+            raise ValueError(f"block ({k}, {j}) is not in its family {family}")
+        total = ideal_sums(point, m, norm_bound, precision, family)[k, j]
         four_pi_m_r = (4 * mp.pi * m) ** r if r else mpf(1)
         v0_pow_j = v0**j
         value = total * four_pi_m_r / v0_pow_j
@@ -218,6 +249,7 @@ def elliptic_block_coeff(
     m: int,
     norm_bound: int,
     precision: int = DEFAULT_PRECISION,
+    blocks: tuple | None = None,
 ) -> TruncatedSum:
     """The building block of ``f_series_coeff``, exact at m = 0.
 
@@ -229,8 +261,9 @@ def elliptic_block_coeff(
     case, and the exact 0 off the kernel's divisibility class, returns
     ``f_series_coeff`` unchanged.  The q-series derivatives of E_w are
     raised at ``constants.series_bits``, within 2^-precision of v0^-j.
+    ``blocks`` passes through to ``f_series_coeff``.
     """
-    partial = f_series_coeff(k, j, r, point, m, norm_bound, precision)
+    partial = f_series_coeff(k, j, r, point, m, norm_bound, precision, blocks=blocks)
     if m or r or kernel_vanishes(field_of(point), k):
         return partial
     w = k - 2 * j
@@ -348,12 +381,27 @@ def linear_combination(terms, norm_bound: int) -> TruncatedSum:
     return TruncatedSum(value, tail, norm_bound)
 
 
-def _raised_blocks(k: int, n: int, point: EllipticPoint, m: int, norm_bound: int, precision: int):
+def block_families(reps, m: int) -> dict:
+    """point -> the sorted (k, j) ideal sums that the m-th coefficients of the
+    representations' raised blocks read there, for one ``ideal_sums`` pass
+    per point.  At m = 0 only the r = 0 block (j = n) of each term reaches
+    a sum, and blocks off the kernel's divisibility class never do."""
+    families: dict = {}
+    for rep in reps:
+        for t in rep.terms:
+            w = 2 * rep.k + 2 * t.n
+            if t.point.tag in ("i", "rho") and not kernel_vanishes(field_of(t.point), w):
+                families.setdefault(t.point, set()).update((w, j) for j in (range(t.n + 1) if m else (t.n,)))
+    return {point: tuple(sorted(family)) for point, family in families.items()}
+
+
+def _raised_blocks(k: int, n: int, point: EllipticPoint, m: int, norm_bound: int, precision: int, blocks=None):
     """(weight, block) pairs whose combination is the m-th coefficient of R^n[H_{2k}]."""
     for rt in raising_expansion(k, n).terms:
         w, j, r = 2 * k + 2 * n, rt.j, rt.derivative_order
         if point.tag in ("i", "rho"):
-            yield point.omega * rt.coefficient, elliptic_block_coeff(w, j, r, point, m, norm_bound, precision)
+            block = elliptic_block_coeff(w, j, r, point, m, norm_bound, precision, blocks=blocks)
+            yield point.omega * rt.coefficient, block
         else:
             yield rt.coefficient * mpc(0, -2) ** r / 2, general_coeff_sum(w, point, j, r, m, norm_bound, precision)
 
@@ -363,20 +411,26 @@ def assemble_coefficient(
     m: int,
     norm_bound: int,
     precision: int = DEFAULT_PRECISION,
+    blocks: dict | None = None,
 ) -> TruncatedSum:
     """m-th Fourier coefficient of sum a R^n[H_{2k}] per the representation.
 
     Elliptic points use the grouped ideal sums with prefactor omega; the
     residue-constant convention eps = i omega/(2 pi) pairs with exactly
     this prefactor (the raw pair sum counts each ideal 2 omega times and
-    the basis normalization absorbs the remaining factor 2).
+    the basis normalization absorbs the remaining factor 2).  ``blocks``
+    maps a point to the (k, j) family its ideal sums share
+    (``block_families``); a point it omits sums each block alone.
     """
+    blocks = blocks or {}
     with workprec(precision + GUARD_BITS):
         return linear_combination(
             (
                 (t.a * c, block)
                 for t in rep.terms
-                for c, block in _raised_blocks(rep.k, t.n, t.point, m, norm_bound, precision)
+                for c, block in _raised_blocks(
+                    rep.k, t.n, t.point, m, norm_bound, precision, blocks.get(t.point)
+                )
             ),
             norm_bound,
         )
@@ -400,8 +454,8 @@ def identity_check_m0(
     with workprec(precision + GUARD_BITS):
         e4i = closed_value(4, POINT_I, precision)
         # N^-13 = N^(j-k/2) with j = 3 for k = 32 and j = 1 for k = 28
-        cos32 = _ideal_sum(POINT_I, 32, 3, 0, norm_bound, precision)
-        cos28 = _ideal_sum(POINT_I, 28, 1, 0, norm_bound, precision)
+        sums = ideal_sums(POINT_I, 0, norm_bound, precision, ((28, 1), (32, 3)))
+        cos32, cos28 = sums[32, 3], sums[28, 1]
         lhs = 9 * cos32 - 4 * mp.pi**2 * e4i * cos28
         rhs = 27 * mp.pi**3 * e4i**8 / 182
         return lhs, rhs, abs(lhs - rhs)

@@ -30,7 +30,7 @@ from math import comb, factorial
 from mpmath import mp, mpc, mpf, workprec
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, POINT_RHO
-from .engine import TruncatedSum, assemble_coefficient, elliptic_block_coeff, linear_combination
+from .engine import TruncatedSum, assemble_coefficient, block_families, elliptic_block_coeff, linear_combination
 from .expansion import (
     _add,
     _dz,
@@ -114,13 +114,16 @@ class QuasiExpansion:
 
     def coefficient_of_power(self, j: int, m: int, norm_bound: int) -> TruncatedSum:
         """m-th coefficient of E_2^j f for any power j <= n by the
-        auxiliary-form recursion, from the powers 0..j bottom-up."""
+        auxiliary-form recursion, from the powers 0..j bottom-up.  The
+        ideal sums of f and of F_1..F_j at each pole come from one pass."""
         if not 0 <= j <= self.n:
             raise ValueError(f"power {j} outside 0..{self.n}")
+        reps = [self.f_rep] + [self.aux_reps[i] for i in range(1, j + 1)]
+        blocks = block_families(reps, m)
         with workprec(self.precision + GUARD_BITS):
-            sums = [assemble_coefficient(self.f_rep, m, norm_bound, self.precision)]
+            sums = [assemble_coefficient(self.f_rep, m, norm_bound, self.precision, blocks)]
             for i in range(1, j + 1):
-                aux = assemble_coefficient(self.aux_reps[i], m, norm_bound, self.precision)
+                aux = assemble_coefficient(self.aux_reps[i], m, norm_bound, self.precision, blocks)
                 earlier = []
                 for l in range(1, i + 1):
                     coeff = f_combination_coeff(self.k, i, l)

@@ -3,16 +3,23 @@ entry point it wraps must resolve, and the cached ones must keep their
 ``cache_info``, or ``bench/run.py --trace 1`` crashes."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "bench" / "traced_cli.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench(name):
+    # registered before it runs, as dataclasses look their module up
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_traced_cli():
-    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bench("traced_cli")
 
 
 def test_layer_functions_resolve():
@@ -50,3 +57,18 @@ def test_ideal_sum_data_enumerates_through_module_attribute(monkeypatch):
     rows = lattice.ideal_sum_data.__wrapped__(lattice.Field.GAUSSIAN, 50)
     assert calls == [(lattice.Field.GAUSSIAN, 50)]
     assert len(rows) == len(inner(lattice.Field.GAUSSIAN, 50))
+
+
+def test_traced_kernel_counts(capsys):
+    # quasi-i-B5k's traced run pins the f_series_coeff misses, which the
+    # norm bound does not change; the ideals are summed in one pass per
+    # (pole, m): E2/E6^4 has its one pole at i, and m = 0..10
+    from meroforms import cli, engine
+
+    expected = _load_bench("workloads").WORKLOADS["quasi-i-B5k"].counts["engine.f_series_coeff.misses"]
+    engine.f_series_coeff.cache_clear()
+    engine.ideal_sums.cache_clear()
+    assert cli.main(["coeffs", "--form", "E2 * (1/E6^4)", "--m", "0..10", "--norm-bound", "200"]) == 0
+    capsys.readouterr()
+    assert engine.f_series_coeff.cache_info().misses == expected
+    assert engine.ideal_sums.cache_info().misses == 11

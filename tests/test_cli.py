@@ -21,6 +21,16 @@ def test_parse_m_range():
     assert parse_m_range("5") == [5]
 
 
+@pytest.mark.parametrize("text", ["x", "1..", "..3", "1..x", ""])
+def test_malformed_m_range_is_usage_error(capsys, text):
+    # int("") used to surface as "invalid literal for int() with base 10: ''"
+    with pytest.raises(cli.UsageError, match=f"--m: expected an index or a range lo..hi, got {text!r}"):
+        parse_m_range(text)
+    code, out, err = run(capsys, "oracle", "--form", "1/E6", f"--m={text}")
+    assert code == 1 and out == ""
+    assert f"got {text!r}" in err
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "--form", "1/E6^4", "--m", "0..1")
     assert code == 0
@@ -77,7 +87,7 @@ def test_verify_e2_fourth_constant_term(capsys):
 
 
 def test_closed_form_mismatch_is_numerical(monkeypatch, capsys):
-    def inconsistent(k, j, r, point, m, norm_bound, precision):
+    def inconsistent(k, j, r, point, m, norm_bound, precision, blocks=None):
         return TruncatedSum(1000, 0, norm_bound)
 
     monkeypatch.setattr(engine, "f_series_coeff", inconsistent)
@@ -312,3 +322,16 @@ def test_norm_bound_checked_before_oracle(monkeypatch, capsys):
         code, out, err = run(capsys, *command, "--form", "1/E6^4", "--m", "400", "--norm-bound", "100")
         assert code == 1 and out == ""
         assert "norm_bound 100 below required 5027" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "abc"])
+def test_tol_checked_before_any_work(monkeypatch, capsys, tol):
+    # inf passed every row, and the others built the expansion and the
+    # oracle before failing
+    def expansion_must_not_run(*args):
+        raise AssertionError("expansion built before the --tol check")
+
+    monkeypatch.setattr(cli, "quasi_expansion", expansion_must_not_run)
+    code, out, err = run(capsys, "verify", "--form", "1/E6^4", "--m", "0", f"--tol={tol}")
+    assert code == 1 and out == ""
+    assert f"--tol must be a finite number > 0, got {tol!r}" in err

@@ -4,6 +4,7 @@ from math import comb, gcd
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, round_nearest
 
 from meroforms import (
     Field,
@@ -19,9 +20,21 @@ from meroforms import (
     raising_expansion,
 )
 import meroforms.engine as engine
-from meroforms.constants import generic_point
-from meroforms.engine import NonconvergentParameters, linear_combination, raising_expansion_stepped
-from meroforms.lattice import b_kernel, c_kernel, enumerate_primitive
+from meroforms.constants import GUARD_BITS, generic_point
+from meroforms.engine import NonconvergentParameters, check_norm_bound, linear_combination, raising_expansion_stepped
+from meroforms.lattice import (
+    b_kernel,
+    c_kernel,
+    enumerate_primitive,
+    field_of,
+    ideal_sum_data,
+    mu_trace,
+    phasor_row,
+    ring_mul,
+    ring_power,
+    sum_width,
+    twice_real,
+)
 from meroforms.qseries import oracle_coeffs
 from meroforms.solver import BasisRepresentation, BasisTerm
 from meroforms.quasi import quasi_expansion, simple_pole_quasi_coeff
@@ -129,21 +142,70 @@ def test_f_series_matches_angle_reference(point, field, precision):
                         assert rel_err(got, ref) <= tol, (k, j, r, m, bound)
 
 
+def reference_ideal_sum(point, k, j, m, norm_bound, precision):
+    """The reference definition of one ideal sum: a pass over the ideals
+    for this (k, j, m) alone, rounded once to precision + GUARD_BITS."""
+    field = field_of(point)
+    e = mu_trace(field)
+    rows = ideal_sum_data(field, norm_bound)
+    width = sum_width(norm_bound, precision)
+    total = 0
+    if m == 0:
+        for norm, x, y, _ in rows:
+            total += (twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j))
+    else:
+        for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision)):
+            w = ring_power(e, z, m, width)
+            total += twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j))
+    return mp.make_mpf(from_man_exp(total, -width, precision + GUARD_BITS, round_nearest))
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_ideal_sums_match_reference_bit_for_bit(prec, point):
+    # one pass over the ideals fills a random family of on-class (k, j)
+    # with the very mpf that each block's own pass gives
+    rng = random.Random(12 if point is POINT_I else 13)
+    step = 4 if point is POINT_I else 6
+    ks = list(range(step, 43, step))
+    for bound in (16, 300, 2000):
+        for m in (0, 1, 5, 10):
+            try:
+                check_norm_bound(bound, m, point.v0(prec))
+            except ValueError:
+                continue
+            for _ in range(2):
+                family = set()
+                for k in rng.sample(ks, rng.randint(1, 3)):
+                    js = range(k // 2 - 1)
+                    family.update((k, j) for j in rng.sample(js, rng.randint(1, min(len(js), 4))))
+                family = tuple(sorted(family))
+                got = engine.ideal_sums.__wrapped__(point, m, bound, prec, family)
+                assert set(got) == set(family)
+                for k, j in family:
+                    assert got[k, j] == reference_ideal_sum(point, k, j, m, bound, prec), (k, j, m, bound)
+
+
 def test_lattice_sum_shared_across_r(prec):
-    # (4 pi m)^r only scales the lattice sum, so r = 1 and r = 2 share one pass
-    misses = engine._ideal_sum.cache_info().misses
-    one = f_series_coeff(28, 0, 1, POINT_I, 3, 777, prec)
-    two = f_series_coeff(28, 0, 2, POINT_I, 3, 777, prec)
-    assert engine._ideal_sum.cache_info().misses == misses + 1
+    # (4 pi m)^r only scales the lattice sum, and the blocks of one family
+    # come from the same pass, so r = 1, r = 2 and j = 1 share one pass
+    family = ((28, 0), (28, 1))
+    misses = engine.ideal_sums.cache_info().misses
+    one = f_series_coeff(28, 0, 1, POINT_I, 3, 777, prec, blocks=family)
+    two = f_series_coeff(28, 0, 2, POINT_I, 3, 777, prec, blocks=family)
+    other_j = f_series_coeff(28, 1, 0, POINT_I, 3, 777, prec, blocks=family)
+    assert engine.ideal_sums.cache_info().misses == misses + 1
     with workprec(prec + 32):
         assert rel_err(two.value, one.value * 12 * mp.pi) < mpf(2) ** -prec
+    assert other_j.value == f_series_coeff(28, 1, 0, POINT_I, 3, 777, prec).value
+    with pytest.raises(ValueError, match="family"):
+        f_series_coeff(28, 2, 0, POINT_I, 3, 777, prec, blocks=family)
 
 
 def test_ideal_sum_keeps_its_precision(prec):
     # the uncached sum, run at the ambient 53 bits, matches the value
     # f_series_coeff gets inside its own working precision
     assert mp.prec == 53
-    bare = engine._ideal_sum.__wrapped__(POINT_RHO, 18, 1, 2, 300, prec)
+    bare = engine.ideal_sums.__wrapped__(POINT_RHO, 2, 300, prec, ((18, 1),))[18, 1]
     with workprec(prec + 32):
         want = f_series_coeff(18, 1, 0, POINT_RHO, 2, 300, prec).value * POINT_RHO.v0(prec)
     assert rel_err(bare, want) < mpf(2) ** -prec
@@ -372,7 +434,7 @@ def test_block_closed_form_check_raises(prec, monkeypatch):
     honest = f_series_coeff(12, 4, 0, POINT_I, 0, 1000, prec)
     calls = []
 
-    def skewed(k, j, r, point, m, norm_bound, precision):
+    def skewed(k, j, r, point, m, norm_bound, precision, blocks=None):
         calls.append((k, j, r, m))
         return TruncatedSum(honest.value + 2 * honest.tail_bound + 1, honest.tail_bound, norm_bound)
 
