@@ -18,12 +18,8 @@ def _load_bench(name):
     return module
 
 
-def _load_traced_cli():
-    return _load_bench("traced_cli")
-
-
 def test_layer_functions_resolve():
-    for layer, attrs in _load_traced_cli().LAYER_FUNCTIONS.items():
+    for layer, attrs in _load_bench("traced_cli").LAYER_FUNCTIONS.items():
         module = importlib.import_module(f"meroforms.{layer}")
         for attr in attrs:
             owner = module
