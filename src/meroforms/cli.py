@@ -4,7 +4,7 @@ Subcommands: coeffs (formula path with oracle column), oracle (exact
 rationals), verify (side-by-side comparison against the oracle),
 identity (the quartic-reciprocal constant-term identity), enumerate,
 expand, basis, constants.  ``coeffs`` and ``verify`` only validate their
-arguments and format ``QuasiExpansion.coefficient``, which picks the
+arguments and format ``QuasiExpansion.coefficients``, which picks the
 route, next to the oracle.  Numbers are emitted as decimal strings so
 output precision is not limited by binary doubles.
 
@@ -81,9 +81,9 @@ MAX_PRECISION = 4096
 # series and a basis element to every solve, and the auxiliary forms of
 # E2^n f have the pole order of f plus n.  On a 2-core x86-64 VM, in a
 # fresh process at 256 bits: `expand --form "1/E6^40" --point i --depth
-# 200` takes 2.9 s; `verify --m 0 --tol 1e-8` takes 1.6 s on "1/E6^40",
-# 25 s on "E2^29 * (1/E6^11)" and 27 s on "E2^20 * (1/E10^20)", and
-# `verify --form "1/E6^40" --m 0..3` 4.5 s.
+# 200` takes 3.1 s; `verify --m 0 --tol 1e-8` takes 1.1 s on "1/E6^40",
+# 4.7 s on "E2^29 * (1/E6^11)" and 9.1 s on "E2^20 * (1/E10^20)", and
+# `verify --form "1/E6^40" --m 0..3` 2.3-2.5 s.
 MAX_POLE_ORDER = 40
 
 # The basis solve's factorials grow with k.  On the same VM, solving
@@ -199,8 +199,7 @@ def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
 
     def rows():
         with workprec(args.precision):
-            for m in ms:
-                res = expansion.coefficient(m, args.norm_bound)
+            for m, res in zip(ms, expansion.coefficients(ms, args.norm_bound)):
                 exact = oracle[m]
                 exact_mp = mpf(exact.numerator) / exact.denominator
                 denom = abs(exact_mp) if exact != 0 else mpf(1)
@@ -212,6 +211,8 @@ def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
 def cmd_oracle(args) -> int:
     expr = parse_form(args.form)
     ms = parse_m_range(args.m)
+    if args.order < 0:
+        raise UsageError(f"--order must be >= 0, got {args.order}")
     order = max(args.order, max(ms))
     _check_oracle_order(order)
     coeffs = oracle_coeffs(expr, order)

@@ -18,11 +18,15 @@ Every sum goes through the kernels of ``lattice``.  Ideal sums use the
 helpers of ``c_kernel``: each term is Re[g^k Z^m] / N^(k-j) with the
 exact power g^k of the ideal's generator and its fixed-point phasor Z,
 floored to ``lattice.sum_width`` bits and added exactly as Python ints;
-each total is rounded once.  Every block (k, j) that a coefficient needs
-at one pole and one m shares the same ideals and the same Z^m, so
-``ideal_sums`` fills that whole family (``block_families``) in one pass
-over the ideals.  Pair sums go through ``b_kernel`` and ``mpmath.fsum``,
-which adds exactly and rounds once.
+each total is rounded once.  Every block (m, k, j) that the coefficients
+of an m range need at one pole shares the same ideals, and the blocks of
+one m the same Z^m, so ``ideal_sums`` fills that whole family
+(``block_families``) in one pass over the ideals: per ideal it steps the
+exact g^k once across the k and Z^m once across the m, each Z^m from the
+previous one by one fixed-point product, within the first-order error
+bound m (eps + 5 * 2^-width) of ``lattice.ring_power``.  Pair sums go
+through ``b_kernel`` and ``mpmath.fsum``, which adds exactly and rounds
+once.
 
 At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
@@ -65,7 +69,6 @@ from .lattice import (
     ring_mul,
     ring_power,
     sum_width,
-    twice_real,
 )
 from .solver import BasisRepresentation
 
@@ -148,50 +151,101 @@ def _ideal_tail_bound(k_half_minus_j, B, four_pi_m_r, v0_pow_j) -> mpf:
 
 
 @lru_cache(maxsize=1024)
-def ideal_sums(point: EllipticPoint, m: int, norm_bound: int, precision: int, blocks: tuple) -> dict:
-    """(k, j) -> sum*_b cos(pi m P_b/N_b + k theta_b) N_b^(j-k/2) e^(2 pi m v0/N_b)
-    over the primitive ideals of norm <= norm_bound, for every (k, j) in
+def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tuple) -> dict:
+    """(m, k, j) -> sum*_b cos(pi m P_b/N_b + k theta_b) N_b^(j-k/2) e^(2 pi m v0/N_b)
+    over the primitive ideals of norm <= norm_bound, for every (m, k, j) in
     ``blocks``, each rounded once to precision + GUARD_BITS bits.
 
     One pass over the ideals fills every block.  Each term is
     Re[g_b^k Z_b^m] / N_b^(k-j) with the exact power g_b^k of the generator
-    and the power Z_b^m of its ``lattice.phasor_row`` entry (m >= 1 only; at
-    m = 0 the sum is integer arithmetic).  Per ideal, Z_b^m is raised once,
-    g_b^k is stepped exactly from one k to the next, and the numerator of
-    each k is floored by 2 N^(k-j) for its largest j and then by N^(j'-j)
-    down to each smaller j; since floor(floor(x/a)/b) = floor(x/(ab)) for
-    positive integers a, b, every term is the one its block would get
-    alone.  Z_b^m and every term are floored to ``sum_width`` fractional
-    bits and added exactly as Python ints.  With m < norm_bound
-    (``check_norm_bound``) the rounding stays below
-    2^-(precision+GUARD_BITS) of the sum of |term|, which the unit ideal's
-    term (at least 1) dominates.  The cache holds one entry per pass, not
-    per (4 pi m)^r scaling of a sum."""
+    and the power Z_b^m of its ``lattice.phasor_row`` entry (at m = 0 the
+    sum is integer arithmetic).  Per ideal, g_b^k is stepped exactly from
+    one k to the next and folded into a = 2x + e y, b = e x + (e^2 - 2) y,
+    so that 2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  Then,
+    for each m in ascending order, Z_b^m is stepped from the previous m by
+    ``ring_power``(Z_b, gap) and one floored ``ring_mul``, and the
+    numerator of each k is floored by 2 N^(k-j) for its largest j and then
+    by N^(j'-j) down to each smaller j; since floor(floor(x/a)/b) =
+    floor(x/(ab)) for positive integers a, b, every term is the one its
+    block would get alone with the same Z_b^m.  A lone m gets
+    ``ring_power``(Z_b, m), so a one-m family is bit-identical to a pass of
+    its own.  Every floored product of a product tree of m factors Z_b
+    (|Z_b| >= 1, relative error eps) adds at most 5 * 2^-width, so the
+    stepped Z_b^m is within m eps + (m - 1) 5 * 2^-width, the first-order
+    bound of ``ring_power``.  Z_b^m and every term are floored to
+    ``sum_width`` fractional bits and added exactly as Python ints.  With
+    m < norm_bound, which ``check_norm_bound`` of the largest m ensures and
+    which is checked here, the rounding stays below 2^-(precision+GUARD_BITS)
+    of the sum of |term|, which the unit ideal's term (at least 1)
+    dominates.  The cache holds one entry per pass, not per (4 pi m)^r
+    scaling of a sum."""
     field = field_of(point)
     e = mu_trace(field)
     width = sum_width(norm_bound, precision)
-    # per k, ascending: (step from the previous k, N-exponent of the largest
-    # j, its slot, then (further N-exponent, slot) down the smaller j)
-    order, plan, last_k = [], [], 0
-    for k in sorted({k for k, _ in blocks}):
-        js = sorted({j for k2, j in blocks if k2 == k}, reverse=True)
-        first = len(order)
-        order.extend((k, j) for j in js)
-        drops = tuple((a - b, first + i) for i, (a, b) in enumerate(zip(js, js[1:]), 1))
-        plan.append((k - last_k, k - js[0], first, drops))
-        last_k = k
+    ms = sorted({m for m, _, _ in blocks})
+    if ms[-1]:
+        with workprec(precision + GUARD_BITS):
+            check_norm_bound(norm_bound, ms[-1], point.v0(precision))
+    ks = sorted({k for _, k, _ in blocks})
+    js_of: dict = {}
+    for m, k, j in blocks:
+        js_of.setdefault((m, k), set()).add(j)
+    order, exponents = [], set()
+
+    def jobs(m):
+        # per k with blocks at m: (index of k, N-exponent of the largest j,
+        # its slot, then (further N-exponent, slot) down the smaller j)
+        out = []
+        for index, k in enumerate(ks):
+            js = sorted(js_of.get((m, k), ()), reverse=True)
+            if js:
+                first = len(order)
+                order.extend((m, k, j) for j in js)
+                drops = [a - b for a, b in zip(js, js[1:])]
+                exponents.update((k - js[0], *drops))
+                out.append((index, k - js[0], first, tuple(zip(drops, range(first + 1, len(order))))))
+        return out
+
+    at_zero = jobs(0)
+    # per k, ascending: the exact step from the previous k and its m = 0 jobs
+    per_k = [
+        (k - last, [job[1:] for job in at_zero if job[0] == index]) for index, (last, k) in enumerate(zip([0, *ks], ks))
+    ]
+    plan = [(m, jobs(m)) for m in ms if m]
+    exponents = tuple(exponents)  # the m >= 1 jobs raise N to these once per ideal
     totals = [0] * len(order)
+    e2 = e * e - 2
     rows = ideal_sum_data(field, norm_bound)
-    for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision) if m else repeat(None)):
-        w = ring_power(e, z, m, width) if m else None
-        power = None
-        for step, top, slot, drops in plan:
+    for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision) if plan else repeat(None)):
+        folded, power = [], None
+        for step, zero_jobs in per_k:
             power = ring_power(e, (x, y), step) if power is None else ring_mul(e, power, ring_power(e, (x, y), step))
-            q = (twice_real(e, ring_mul(e, power, w)) if m else twice_real(e, power) << width) // (2 * norm**top)
-            totals[slot] += q
-            for drop, lower in drops:
-                q //= norm**drop
-                totals[lower] += q
+            a = 2 * power[0] + e * power[1]
+            for top, slot, chain in zero_jobs:
+                # (a 2^width) // (2 N^top), with the 2 taken off the shift
+                q = (a << (width - 1)) // norm**top
+                totals[slot] += q
+                for drop, lower in chain:
+                    q //= norm**drop
+                    totals[lower] += q
+            if plan:
+                folded.append((a, e * power[0] + e2 * power[1]))
+        if not plan:
+            continue
+        powers = dict(zip(exponents, map(pow, repeat(norm), exponents)))
+        last = 0
+        for m, m_jobs in plan:
+            step = ring_power(e, z, m - last, width)
+            wx, wy = step if last == 0 else ring_mul(e, (wx, wy), step, width)
+            last = m
+            for index, top, slot, chain in m_jobs:
+                a, b = folded[index]
+                # (a wx + b wy) // (2 N^top), as floor(floor(x/c)/2) = floor(x/(2c))
+                q = (a * wx + b * wy) // powers[top] >> 1
+                totals[slot] += q
+                for drop, lower in chain:
+                    q //= powers[drop]
+                    totals[lower] += q
     bits = precision + GUARD_BITS
     return {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in zip(order, totals)}
 
@@ -214,9 +268,9 @@ def f_series_coeff(
     norm_bound >= max(16, ceil(4 pi m v0)).  Off the divisibility class
     of the cosine kernel (4 does not divide k at i, 6 does not at rho)
     the sum is an exact 0 with tail 0, as ``c_kernel`` has it.
-    ``blocks`` is the tuple of (k, j) whose ideal sums at this
-    point and m share one ``ideal_sums`` pass (``block_families``); it
-    must hold (k, j), and None sums (k, j) alone.
+    ``blocks`` is the tuple of (m, k, j) whose ideal sums at this point
+    share one ``ideal_sums`` pass (``block_families``); it must hold
+    (m, k, j), and None sums (m, k, j) alone.
     """
     if k % 2 or k < 4:
         raise ValueError("k must be an even integer >= 4")
@@ -230,15 +284,22 @@ def f_series_coeff(
         check_norm_bound(norm_bound, m, v0)
         if (m == 0 and r >= 1) or kernel_vanishes(field, k):
             return TruncatedSum(mpc(0), mpf(0), norm_bound)
-        family = blocks or ((k, j),)
-        if (k, j) not in family:
-            raise ValueError(f"block ({k}, {j}) is not in its family {family}")
-        total = ideal_sums(point, m, norm_bound, precision, family)[k, j]
+        family = blocks or ((m, k, j),)
+        if (m, k, j) not in family:
+            raise ValueError(f"block ({m}, {k}, {j}) is not in its family {family}")
+        total = ideal_sums(point, norm_bound, precision, family)[m, k, j]
         four_pi_m_r = (4 * mp.pi * m) ** r if r else mpf(1)
         v0_pow_j = v0**j
         value = total * four_pi_m_r / v0_pow_j
         tail = _ideal_tail_bound(mpf(k) / 2 - j, norm_bound, four_pi_m_r, v0_pow_j)
         return TruncatedSum(mpc(value), tail, norm_bound)
+
+
+@lru_cache(maxsize=256)
+def _eisenstein_table(w: int, point: EllipticPoint, depth: int, precision: int) -> tuple:
+    """(bits, d^r/dz^r E_w(tau0) for r = 0..depth) at the ``series_bits`` of depth."""
+    bits = series_bits(w, depth, point.v0(precision), precision)
+    return bits, tuple(eisenstein_derivatives(w, point.tau(bits), depth, bits))
 
 
 def elliptic_block_coeff(
@@ -259,16 +320,19 @@ def elliptic_block_coeff(
     from the closed form by more than its tail bound plus
     2^-(precision/2), ``ClosedFormMismatch`` is raised.  Every other
     case, and the exact 0 off the kernel's divisibility class, returns
-    ``f_series_coeff`` unchanged.  The q-series derivatives of E_w are
-    raised at ``constants.series_bits``, within 2^-precision of v0^-j.
-    ``blocks`` passes through to ``f_series_coeff``.
+    ``f_series_coeff`` unchanged.  ``blocks`` passes through to
+    ``f_series_coeff``.  The q-series derivatives of E_w come from one
+    table per (w, point) (``_eisenstein_table``), taken at the largest j of
+    an m = 0 block of weight w in ``blocks`` and raised at that j's
+    ``constants.series_bits``: the bits grow with j, so every smaller j
+    reads values within 2^-precision of v0^-j as well.
     """
     partial = f_series_coeff(k, j, r, point, m, norm_bound, precision, blocks=blocks)
     if m or r or kernel_vanishes(field_of(point), k):
         return partial
     w = k - 2 * j
-    bits = series_bits(w, j, point.v0(precision), precision)
-    derivatives = eisenstein_derivatives(w, point.tau(bits), j, bits)
+    depth = max([j2 for m2, k2, j2 in blocks or () if m2 == 0 and k2 - 2 * j2 == w] + [j])
+    bits, derivatives = _eisenstein_table(w, point, depth, precision)
     with workprec(bits):
         v0 = point.v0(bits)
         # R^j f = sum_t coefficient_t v0^-t.j (2i)^r f^(r) with r = j - t.j;
@@ -381,17 +445,20 @@ def linear_combination(terms, norm_bound: int) -> TruncatedSum:
     return TruncatedSum(value, tail, norm_bound)
 
 
-def block_families(reps, m: int) -> dict:
-    """point -> the sorted (k, j) ideal sums that the m-th coefficients of the
-    representations' raised blocks read there, for one ``ideal_sums`` pass
-    per point.  At m = 0 only the r = 0 block (j = n) of each term reaches
-    a sum, and blocks off the kernel's divisibility class never do."""
+def block_families(reps, ms) -> dict:
+    """point -> the sorted (m, k, j) ideal sums that the m-th coefficients,
+    m in ``ms``, of the representations' raised blocks read there, for one
+    ``ideal_sums`` pass per point.  At m = 0 only the r = 0 block (j = n) of
+    each term reaches a sum, and blocks off the kernel's divisibility class
+    never do."""
     families: dict = {}
     for rep in reps:
         for t in rep.terms:
             w = 2 * rep.k + 2 * t.n
             if t.point.tag in ("i", "rho") and not kernel_vanishes(field_of(t.point), w):
-                families.setdefault(t.point, set()).update((w, j) for j in (range(t.n + 1) if m else (t.n,)))
+                family = families.setdefault(t.point, set())
+                for m in ms:
+                    family.update((m, w, j) for j in (range(t.n + 1) if m else (t.n,)))
     return {point: tuple(sorted(family)) for point, family in families.items()}
 
 
@@ -419,7 +486,7 @@ def assemble_coefficient(
     residue-constant convention eps = i omega/(2 pi) pairs with exactly
     this prefactor (the raw pair sum counts each ideal 2 omega times and
     the basis normalization absorbs the remaining factor 2).  ``blocks``
-    maps a point to the (k, j) family its ideal sums share
+    maps a point to the (m, k, j) family its ideal sums share
     (``block_families``); a point it omits sums each block alone.
     """
     blocks = blocks or {}
@@ -454,8 +521,8 @@ def identity_check_m0(
     with workprec(precision + GUARD_BITS):
         e4i = closed_value(4, POINT_I, precision)
         # N^-13 = N^(j-k/2) with j = 3 for k = 32 and j = 1 for k = 28
-        sums = ideal_sums(POINT_I, 0, norm_bound, precision, ((28, 1), (32, 3)))
-        cos32, cos28 = sums[32, 3], sums[28, 1]
+        sums = ideal_sums(POINT_I, norm_bound, precision, ((0, 28, 1), (0, 32, 3)))
+        cos32, cos28 = sums[0, 32, 3], sums[0, 28, 1]
         lhs = 9 * cos32 - 4 * mp.pi**2 * e4i * cos28
         rhs = 27 * mp.pi**3 * e4i**8 / 182
         return lhs, rhs, abs(lhs - rhs)

@@ -285,13 +285,16 @@ def ideal_sum_data(field: Field, norm_bound: int) -> tuple[tuple[int, int, int, 
 def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[tuple[int, int], ...]:
     """Z_b = e^(i pi P/N) e^(2 pi v0/N) of every ``ideal_sum_data`` row of the
     point's field (v0 = Im point), in mu-coordinates floored to
-    ``sum_width`` bits: one ``exp`` and one ``cospi``/``sinpi`` per ideal, so
+    ``sum_width`` bits: one ``cospi``/``sinpi`` per ideal and one ``exp`` per
+    distinct norm (the rows are sorted by norm), so
     Re[g^k Z^m] / N^k = cos(pi m P/N + k theta) N^(-k/2) e^(2 pi m v0/N)."""
     field = field_of(point)
     width = sum_width(norm_bound, precision)
+    row, last = [], None
     with workprec(width + 16):
         two_pi_v0 = 2 * mp.pi * point.v0(width)
-        return tuple(
-            fixed_phasor(field, phase_num, norm, width, mpmath.exp(two_pi_v0 / norm))
-            for norm, _, _, phase_num in ideal_sum_data(field, norm_bound)
-        )
+        for norm, _, _, phase_num in ideal_sum_data(field, norm_bound):
+            if norm != last:
+                growth, last = mpmath.exp(two_pi_v0 / norm), norm
+            row.append(fixed_phasor(field, phase_num, norm, width, growth))
+    return tuple(row)

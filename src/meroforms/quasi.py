@@ -75,16 +75,23 @@ def simple_pole_quasi_coeff(
     m: int,
     norm_bound: int,
     precision: int = DEFAULT_PRECISION,
+    blocks: dict | None = None,
 ) -> TruncatedSum:
     """m-th coefficient of E_2^j f for f given by a simple-pole
-    representation at elliptic points."""
+    representation at elliptic points.  ``blocks`` maps a point to the
+    (m, k, j) family its ideal sums share, as in ``assemble_coefficient``;
+    a point it omits sums its block alone."""
     reason = simple_route_error(f_rep, j)
     if reason:
         raise ValueError(reason)
+    blocks = blocks or {}
     with workprec(precision + GUARD_BITS):
         scale = (3 / mp.pi) ** j
-        blocks = ((t, elliptic_block_coeff(2 * f_rep.k, j, 0, t.point, m, norm_bound, precision)) for t in f_rep.terms)
-        return linear_combination(((scale * t.point.omega * t.a, block) for t, block in blocks), norm_bound)
+        sums = (
+            (t, elliptic_block_coeff(2 * f_rep.k, j, 0, t.point, m, norm_bound, precision, blocks.get(t.point)))
+            for t in f_rep.terms
+        )
+        return linear_combination(((scale * t.point.omega * t.a, block) for t, block in sums), norm_bound)
 
 
 @dataclass(frozen=True)
@@ -105,21 +112,35 @@ class QuasiExpansion:
     pole_points: tuple
     precision: int
 
-    def coefficient(self, m: int, norm_bound: int) -> TruncatedSum:
-        """m-th coefficient of E_2^n f: the simple-pole route when n >= 1
-        and f qualifies, the auxiliary-form recursion otherwise."""
+    def coefficients(self, ms, norm_bound: int) -> list[TruncatedSum]:
+        """The m-th coefficients of E_2^n f for m in ``ms``, in that order:
+        the simple-pole route when n >= 1 and f qualifies, the
+        auxiliary-form recursion otherwise.  The ideal sums of every m at
+        each pole come from one pass over the ideals."""
         if self.n and simple_route_error(self.f_rep, self.n) is None:
-            return simple_pole_quasi_coeff(self.f_rep, self.n, m, norm_bound, self.precision)
-        return self.coefficient_of_power(self.n, m, norm_bound)
+            w = 2 * self.f_rep.k
+            blocks = {t.point: tuple((m, w, self.n) for m in sorted(set(ms))) for t in self.f_rep.terms}
+            return [simple_pole_quasi_coeff(self.f_rep, self.n, m, norm_bound, self.precision, blocks) for m in ms]
+        blocks = block_families(self._reps(self.n), ms)
+        return [self.coefficient_of_power(self.n, m, norm_bound, blocks) for m in ms]
 
-    def coefficient_of_power(self, j: int, m: int, norm_bound: int) -> TruncatedSum:
+    def coefficient(self, m: int, norm_bound: int) -> TruncatedSum:
+        """m-th coefficient of E_2^n f (``coefficients``)."""
+        return self.coefficients((m,), norm_bound)[0]
+
+    def _reps(self, j: int) -> list[BasisRepresentation]:
+        return [self.f_rep] + [self.aux_reps[i] for i in range(1, j + 1)]
+
+    def coefficient_of_power(self, j: int, m: int, norm_bound: int, blocks: dict | None = None) -> TruncatedSum:
         """m-th coefficient of E_2^j f for any power j <= n by the
         auxiliary-form recursion, from the powers 0..j bottom-up.  The
-        ideal sums of f and of F_1..F_j at each pole come from one pass."""
+        ideal sums of f and of F_1..F_j at each pole come from one pass;
+        ``blocks`` is their family (``block_families``), by default for
+        this m alone."""
         if not 0 <= j <= self.n:
             raise ValueError(f"power {j} outside 0..{self.n}")
-        reps = [self.f_rep] + [self.aux_reps[i] for i in range(1, j + 1)]
-        blocks = block_families(reps, m)
+        if blocks is None:
+            blocks = block_families(self._reps(j), (m,))
         with workprec(self.precision + GUARD_BITS):
             sums = [assemble_coefficient(self.f_rep, m, norm_bound, self.precision, blocks)]
             for i in range(1, j + 1):
@@ -161,13 +182,15 @@ def quasi_expansion(
         for point, lf in laurents.items()
     }
     aux_reps = {}
+    # E_2^d f at each pole, d = j - l, built once for every (j, l)
+    products = {point: {0: lf} for point, lf in laurents.items()}
     with workprec(precision + GUARD_BITS):
         pi_third = mp.pi / 3
         two_i = mpc(0, 2)
         for j in range(1, n + 1):
             pps = []
             for point, lf in laurents.items():
-                e2 = e2s[point]
+                e2, cache = e2s[point], products[point]
                 combo = None
                 for l in range(j + 1):
                     coeff = f_combination_coeff(k, j, l)
@@ -177,7 +200,9 @@ def quasi_expansion(
                         * pi_third ** (j - l)
                         * two_i**l
                     )
-                    term = _mul(_pow(e2, j - l), lf) if j > l else lf
+                    if j - l not in cache:
+                        cache[j - l] = _mul(_pow(e2, j - l), lf)
+                    term = cache[j - l]
                     for _ in range(l):
                         term = _dz(term)
                     piece = _scale(term, factor)

@@ -313,6 +313,13 @@ def test_oracle_order_above_limit_is_usage_error(capsys):
         assert f"oracle order must be <= {MAX_ORACLE_ORDER}" in err
 
 
+def test_oracle_negative_order_is_usage_error(capsys):
+    # a negative order was silently replaced by the largest m
+    code, out, err = run(capsys, "oracle", "--form", "1/E6", "--m", "0..5", "--order", "-3")
+    assert code == 1 and out == ""
+    assert "--order must be >= 0, got -3" in err
+
+
 def test_norm_bound_checked_before_oracle(monkeypatch, capsys):
     def oracle_must_not_run(expr, n):
         raise AssertionError("oracle ran before the norm-bound check")

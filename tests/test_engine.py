@@ -144,26 +144,38 @@ def test_f_series_matches_angle_reference(point, field, precision):
 
 def reference_ideal_sum(point, k, j, m, norm_bound, precision):
     """The reference definition of one ideal sum: a pass over the ideals
-    for this (k, j, m) alone, rounded once to precision + GUARD_BITS."""
+    for this (m, k, j) alone, with Z^m by binary powering, rounded once to
+    precision + GUARD_BITS.  Returns the sum and the sum of |term|."""
     field = field_of(point)
     e = mu_trace(field)
     rows = ideal_sum_data(field, norm_bound)
     width = sum_width(norm_bound, precision)
-    total = 0
+    terms = []
     if m == 0:
         for norm, x, y, _ in rows:
-            total += (twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j))
+            terms.append((twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j)))
     else:
         for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision)):
             w = ring_power(e, z, m, width)
-            total += twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j))
-    return mp.make_mpf(from_man_exp(total, -width, precision + GUARD_BITS, round_nearest))
+            terms.append(twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j)))
+    bits = precision + GUARD_BITS
+    total, magnitude = (from_man_exp(t, -width, bits, round_nearest) for t in (sum(terms), sum(map(abs, terms))))
+    return mp.make_mpf(total), mp.make_mpf(magnitude)
+
+
+def random_blocks(rng, ks):
+    """A random set of (k, j) with 1-3 weights k and 1-4 j each, k/2 >= j + 2."""
+    blocks = set()
+    for k in rng.sample(ks, rng.randint(1, 3)):
+        js = range(k // 2 - 1)
+        blocks.update((k, j) for j in rng.sample(js, rng.randint(1, min(len(js), 4))))
+    return blocks
 
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 def test_ideal_sums_match_reference_bit_for_bit(prec, point):
-    # one pass over the ideals fills a random family of on-class (k, j)
-    # with the very mpf that each block's own pass gives
+    # one pass over the ideals fills a random family of on-class (m, k, j)
+    # of one m with the very mpf that each block's own pass gives
     rng = random.Random(12 if point is POINT_I else 13)
     step = 4 if point is POINT_I else 6
     ks = list(range(step, 43, step))
@@ -174,21 +186,44 @@ def test_ideal_sums_match_reference_bit_for_bit(prec, point):
             except ValueError:
                 continue
             for _ in range(2):
-                family = set()
-                for k in rng.sample(ks, rng.randint(1, 3)):
-                    js = range(k // 2 - 1)
-                    family.update((k, j) for j in rng.sample(js, rng.randint(1, min(len(js), 4))))
-                family = tuple(sorted(family))
-                got = engine.ideal_sums.__wrapped__(point, m, bound, prec, family)
+                family = tuple(sorted((m, k, j) for k, j in random_blocks(rng, ks)))
+                got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
                 assert set(got) == set(family)
-                for k, j in family:
-                    assert got[k, j] == reference_ideal_sum(point, k, j, m, bound, prec), (k, j, m, bound)
+                for _, k, j in family:
+                    assert got[m, k, j] == reference_ideal_sum(point, k, j, m, bound, prec)[0], (m, k, j, bound)
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+@pytest.mark.parametrize("ms", [range(11), range(1, 8), (0, 3, 4, 10)], ids=["0..10", "1..7", "sparse"])
+def test_ideal_sums_over_m_ranges_within_rounding(prec, point, ms):
+    # one pass fills every m, stepping Z^m from the previous m; each block
+    # is within 2^-(P + GUARD_BITS) of its sum of |term| from its own pass
+    rng = random.Random(len(ms) + (0 if point is POINT_I else 100))
+    step = 4 if point is POINT_I else 6
+    ks = list(range(step, 43, step))
+    bound = 300
+    for _ in range(2):
+        blocks = random_blocks(rng, ks)
+        family = tuple(sorted((m, k, j) for m in ms for k, j in blocks))
+        got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
+        assert set(got) == set(family)
+        for m, k, j in family:
+            want, magnitude = reference_ideal_sum(point, k, j, m, bound, prec)
+            with workprec(prec + 64):
+                assert abs(got[m, k, j] - want) <= magnitude * mpf(2) ** -(prec + GUARD_BITS), (m, k, j)
+
+
+def test_ideal_sums_refuse_a_norm_bound_below_the_largest_m(prec):
+    # the fixed-point width has room for Z^m only while check_norm_bound
+    # holds for the family's largest m
+    with pytest.raises(ValueError, match="norm_bound 100 below required 126"):
+        engine.ideal_sums.__wrapped__(POINT_I, 100, prec, ((0, 12, 0), (10, 12, 0)))
 
 
 def test_lattice_sum_shared_across_r(prec):
     # (4 pi m)^r only scales the lattice sum, and the blocks of one family
     # come from the same pass, so r = 1, r = 2 and j = 1 share one pass
-    family = ((28, 0), (28, 1))
+    family = ((3, 28, 0), (3, 28, 1))
     misses = engine.ideal_sums.cache_info().misses
     one = f_series_coeff(28, 0, 1, POINT_I, 3, 777, prec, blocks=family)
     two = f_series_coeff(28, 0, 2, POINT_I, 3, 777, prec, blocks=family)
@@ -205,7 +240,7 @@ def test_ideal_sum_keeps_its_precision(prec):
     # the uncached sum, run at the ambient 53 bits, matches the value
     # f_series_coeff gets inside its own working precision
     assert mp.prec == 53
-    bare = engine.ideal_sums.__wrapped__(POINT_RHO, 2, 300, prec, ((18, 1),))[18, 1]
+    bare = engine.ideal_sums.__wrapped__(POINT_RHO, 300, prec, ((2, 18, 1),))[2, 18, 1]
     with workprec(prec + 32):
         want = f_series_coeff(18, 1, 0, POINT_RHO, 2, 300, prec).value * POINT_RHO.v0(prec)
     assert rel_err(bare, want) < mpf(2) ** -prec
@@ -403,6 +438,23 @@ def test_block_closed_form_full_precision(point, k, j):
     for precision in (64, 128):
         got = elliptic_block_coeff(k, j, 0, point, 0, 2000, precision).value
         assert rel_err(got, want) <= mpf(2) ** -precision, precision
+
+
+@pytest.mark.parametrize("point,k,j", LOW_PRECISION_CASES, ids=str)
+def test_block_closed_form_from_shared_table(point, k, j):
+    # blocks of one weight w = k - 2j read one table of E_w derivatives,
+    # taken at the family's largest j and its working bits; each block stays
+    # within 2^-P of the closed form from a table of its own
+    step = 4 if point is POINT_I else 6
+    family = ((0, k, j), (0, k + step, j + step // 2))
+    for precision in (64, 128, 256):
+        misses = engine._eisenstein_table.cache_info().misses
+        top = elliptic_block_coeff(k + step, j + step // 2, 0, point, 0, 2000, precision, blocks=family)
+        got = elliptic_block_coeff(k, j, 0, point, 0, 2000, precision, blocks=family)
+        assert engine._eisenstein_table.cache_info().misses <= misses + 1
+        assert top.tail_bound == got.tail_bound == 0
+        own = elliptic_block_coeff(k, j, 0, point, 0, 2000, precision).value
+        assert rel_err(got.value, own) <= mpf(2) ** -precision, precision
 
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)

@@ -12,10 +12,16 @@ from meroforms import (
     complete_unimodular,
     enumerate_primitive,
 )
+from meroforms.constants import POINT_I, POINT_RHO
 from meroforms.lattice import (
     PrimitiveIdeal,
     b_kernel_with_completion,
+    field_of,
+    fixed_phasor,
+    ideal_sum_data,
     norm_form,
+    phasor_row,
+    sum_width,
     unit_orbit,
 )
 
@@ -186,6 +192,20 @@ def test_c_kernel_matches_angle_reference(precision):
                     got = c_kernel(field, weight, ideal, m, precision)
                     with workprec(precision + 64):
                         assert abs(got - ref) <= tol
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_phasor_row_matches_per_ideal_construction(prec, point):
+    # one exp per distinct norm gives the very ints of one exp per ideal
+    field = field_of(point)
+    width = sum_width(600, prec)
+    with workprec(width + 16):
+        two_pi_v0 = 2 * mp.pi * point.v0(width)
+        want = tuple(
+            fixed_phasor(field, phase_num, norm, width, mpmath.exp(two_pi_v0 / norm))
+            for norm, _, _, phase_num in ideal_sum_data(field, 600)
+        )
+    assert phasor_row.__wrapped__(point, 600, prec) == want
 
 
 def test_b_kernel_identities(prec):

@@ -8,6 +8,7 @@ from meroforms import (
     quasi_expansion,
     simple_pole_quasi_coeff,
 )
+import meroforms.quasi as quasi
 from meroforms.qseries import oracle_coeffs
 from meroforms.quasi import ckl, f_combination_coeff
 
@@ -63,6 +64,37 @@ def test_coefficient_picks_route(prec, form, n, norm_bound, route):
         else:
             want = assemble_coefficient(qe.f_rep, m, norm_bound, prec)
         assert (got.value, got.tail_bound) == (want.value, want.tail_bound), m
+
+
+@pytest.mark.parametrize("form, n", [("1/E10", 2), ("1/E6^4", 1)], ids=["simple", "recursion"])
+def test_coefficients_of_a_range_match_each_m(prec, form, n):
+    # one pass over the ideals for m = 0..10 steps Z^m from m - 1; each
+    # coefficient stays within its tail plus 2^-P of the machine's own
+    # single-m coefficient
+    qe = quasi_expansion(form, n, prec)
+    together = qe.coefficients(range(11), 400)
+    assert len(together) == 11
+    for m, got in enumerate(together):
+        alone = qe.coefficient(m, 400)
+        assert got.tail_bound == alone.tail_bound, m
+        with workprec(prec + 64):
+            assert abs(got.value - alone.value) <= alone.tail_bound + mpf(2) ** -prec * abs(alone.value), m
+
+
+def test_quasi_expansion_multiplies_each_e2_power_once(prec, monkeypatch):
+    # F_1..F_n read E_2^d f for d = j - l, so each d needs one product per pole
+    products = []
+    inner = quasi._mul
+
+    def counting(a, b):
+        products.append(a.point)
+        return inner(a, b)
+
+    monkeypatch.setattr(quasi, "_mul", counting)
+    qe = quasi.quasi_expansion("1/E10^3", 6, prec)
+    assert len(qe.pole_points) == 2
+    for point in qe.pole_points:
+        assert products.count(point) <= 6
 
 
 def test_simple_route_validity_window(prec):
