@@ -52,8 +52,8 @@ EXIT_VERIFY = 3
 
 # Enumeration is pure Python and its cache keeps every ideal, so the bound
 # caps time and memory: on a 2-core x86-64 VM, ``enumerate`` at 10^6
-# takes 3.4-4.2 s and 171 MB peak (Gaussian, 477k ideals) or 3.5-3.7 s and
-# 140 MB (Eisenstein, 368k) in a fresh process, and both grow linearly
+# takes 3.5-4.3 s and 171 MB peak (Gaussian, 477k ideals) or 3.0-3.6 s and
+# 141 MB (Eisenstein, 368k) in a fresh process, and both grow linearly
 # in the bound.
 MAX_NORM_BOUND = 10**6
 
@@ -144,9 +144,9 @@ def _validate(norm_bound: int, ms: list[int]) -> None:
     _check_oracle_order(max(ms))
 
 
-def _check_max_norm_bound(norm_bound: int) -> None:
+def _check_max_norm_bound(norm_bound: int, flag: str = "norm-bound") -> None:
     if norm_bound > MAX_NORM_BOUND:
-        raise UsageError(f"norm-bound must be <= {MAX_NORM_BOUND}, got {norm_bound}")
+        raise UsageError(f"{flag} must be <= {MAX_NORM_BOUND}, got {norm_bound}")
 
 
 def _check_oracle_order(order: int) -> None:
@@ -304,7 +304,9 @@ def cmd_identity(args) -> int:
 
 def cmd_enumerate(args) -> int:
     field = Field(args.field)
-    _check_max_norm_bound(args.bound)
+    if args.bound < 1:
+        raise UsageError(f"--bound must be >= 1, got {args.bound}")
+    _check_max_norm_bound(args.bound, "--bound")
     ideals = enumerate_primitive(field, args.bound)
     buf = io.StringIO()
     writer = csv.writer(buf)

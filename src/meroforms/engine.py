@@ -21,12 +21,13 @@ floored to ``lattice.sum_width`` bits and added exactly as Python ints;
 each total is rounded once.  Every block (m, k, j) that the coefficients
 of an m range need at one pole shares the same ideals, and the blocks of
 one m the same Z^m, so ``ideal_sums`` fills that whole family
-(``block_families``) in one pass over the ideals: per ideal it steps the
-exact g^k once across the k and Z^m once across the m, each Z^m from the
-previous one by one fixed-point product, within the first-order error
-bound m (eps + 5 * 2^-width) of ``lattice.ring_power``.  Pair sums go
-through ``b_kernel`` and ``mpmath.fsum``, which adds exactly and rounds
-once.
+(``block_families``) in one pass over the ideals.  Per ideal, g^k comes
+exactly from the Lucas sequence of the trace and norm of g, in plain
+integer arithmetic, with the powers of N from one table per distinct
+norm; Z^m is stepped once across the m, each from the previous one by
+one fixed-point product, within the first-order error bound
+m (eps + 5 * 2^-width) of ``lattice.ring_power``.  Pair sums go through
+``b_kernel`` and ``mpmath.fsum``, which adds exactly and rounds once.
 
 At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
@@ -158,27 +159,34 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
 
     One pass over the ideals fills every block.  Each term is
     Re[g_b^k Z_b^m] / N_b^(k-j) with the exact power g_b^k of the generator
-    and the power Z_b^m of its ``lattice.phasor_row`` entry (at m = 0 the
-    sum is integer arithmetic).  Per ideal, g_b^k is stepped exactly from
-    one k to the next and folded into a = 2x + e y, b = e x + (e^2 - 2) y,
-    so that 2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  Then,
-    for each m in ascending order, Z_b^m is stepped from the previous m by
-    ``ring_power``(Z_b, gap) and one floored ``ring_mul``, and the
-    numerator of each k is floored by 2 N^(k-j) for its largest j and then
-    by N^(j'-j) down to each smaller j; since floor(floor(x/a)/b) =
-    floor(x/(ab)) for positive integers a, b, every term is the one its
-    block would get alone with the same Z_b^m.  A lone m gets
-    ``ring_power``(Z_b, m), so a one-m family is bit-identical to a pass of
-    its own.  Every floored product of a product tree of m factors Z_b
-    (|Z_b| >= 1, relative error eps) adds at most 5 * 2^-width, so the
-    stepped Z_b^m is within m eps + (m - 1) 5 * 2^-width, the first-order
-    bound of ``ring_power``.  Z_b^m and every term are floored to
-    ``sum_width`` fractional bits and added exactly as Python ints.  With
-    m < norm_bound, which ``check_norm_bound`` of the largest m ensures and
-    which is checked here, the rounding stays below 2^-(precision+GUARD_BITS)
-    of the sum of |term|, which the unit ideal's term (at least 1)
-    dominates.  The cache holds one entry per pass, not per (4 pi m)^r
-    scaling of a sum."""
+    g = x + y mu and the power Z_b^m of its ``lattice.phasor_row`` entry (at
+    m = 0 the sum is integer arithmetic).  With t = 2x + e y and N the trace
+    and norm of g, g^2 = t g - N, so g^k = U_k g - N U_(k-1) for the Lucas
+    sequence U_(n+1) = t U_n - N U_(n-1), U_0 = 0, U_1 = 1.  Per ideal,
+    doubling by U_2n = U_n (2 U_(n+1) - t U_n) and
+    U_(2n+1) = U_(n+1)^2 - N U_n^2 reaches the smallest k, unit steps reach
+    the larger ones, and g^k = x_k + y_k mu is folded into the integers
+    a = 2 x_k + e y_k = t U_k - 2N U_(k-1) and
+    b = e x_k + (e^2 - 2) y_k = (e x + (e^2 - 2) y) U_k - e N U_(k-1), those
+    of ``ring_power``, so that 2 Re[g^k w] = a w_x + b w_y for any
+    w = w_x + w_y mu.  The powers of N come from one table per distinct
+    norm (the rows are sorted by norm).  Then, for each m in ascending
+    order, Z_b^m is stepped from the previous m by ``ring_power``(Z_b, gap)
+    and one floored ``ring_mul``, and the numerator of each k is floored by
+    2 N^(k-j) for its largest j and then by N^(j'-j) down to each smaller j;
+    since floor(floor(x/a)/b) = floor(x/(ab)) for positive integers a, b,
+    every term is the one its block would get alone with the same Z_b^m.
+    A lone m gets ``ring_power``(Z_b, m), so a one-m family is bit-identical
+    to a pass of its own.  Every floored product of a product tree of m
+    factors Z_b (|Z_b| >= 1, relative error eps) adds at most
+    5 * 2^-width, so the stepped Z_b^m is within
+    m eps + (m - 1) 5 * 2^-width, the first-order bound of ``ring_power``.
+    Z_b^m and every term are floored to ``sum_width`` fractional bits and
+    added exactly as Python ints.  With m < norm_bound, which
+    ``check_norm_bound`` of the largest m ensures and which is checked here,
+    the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|,
+    which the unit ideal's term (at least 1) dominates.  The cache holds one
+    entry per pass, not per (4 pi m)^r scaling of a sum."""
     field = field_of(point)
     e = mu_trace(field)
     width = sum_width(norm_bound, precision)
@@ -207,32 +215,41 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
         return out
 
     at_zero = jobs(0)
-    # per k, ascending: the exact step from the previous k and its m = 0 jobs
+    # per k, ascending: the unit steps of U from the previous k and its m = 0 jobs
     per_k = [
-        (k - last, [job[1:] for job in at_zero if job[0] == index]) for index, (last, k) in enumerate(zip([0, *ks], ks))
+        (range(k - last), [job[1:] for job in at_zero if job[0] == index])
+        for index, (last, k) in enumerate(zip([ks[0], *ks], ks))
     ]
+    ladder = tuple(bit == "1" for bit in bin(ks[0] - 1)[3:])  # doubling, then a unit step if set
     plan = [(m, jobs(m)) for m in ms if m]
-    exponents = tuple(exponents)  # the m >= 1 jobs raise N to these once per ideal
+    exponents = tuple(exponents)
     totals = [0] * len(order)
     e2 = e * e - 2
     rows = ideal_sum_data(field, norm_bound)
+    row_norm = None
     for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision) if plan else repeat(None)):
-        folded, power = [], None
-        for step, zero_jobs in per_k:
-            power = ring_power(e, (x, y), step) if power is None else ring_mul(e, power, ring_power(e, (x, y), step))
-            a = 2 * power[0] + e * power[1]
+        if norm != row_norm:  # the rows are sorted by norm
+            row_norm, powers = norm, dict(zip(exponents, map(pow, repeat(norm), exponents)))
+        t = 2 * x + e * y  # (u0, u1) = (U_n, U_(n+1)), doubled from n = 1 to ks[0] - 1
+        u0, u1 = 1, t
+        for bit in ladder:
+            u0, u1 = u0 * (2 * u1 - t * u0), u1 * u1 - norm * u0 * u0
+            if bit:
+                u0, u1 = u1, t * u1 - norm * u0
+        folded = []
+        for steps, zero_jobs in per_k:
+            for _ in steps:
+                u0, u1 = u1, t * u1 - norm * u0
+            a = t * u1 - 2 * norm * u0  # = 2 x_k + e y_k
             for top, slot, chain in zero_jobs:
                 # (a 2^width) // (2 N^top), with the 2 taken off the shift
-                q = (a << (width - 1)) // norm**top
+                q = (a << (width - 1)) // powers[top]
                 totals[slot] += q
                 for drop, lower in chain:
-                    q //= norm**drop
+                    q //= powers[drop]
                     totals[lower] += q
             if plan:
-                folded.append((a, e * power[0] + e2 * power[1]))
-        if not plan:
-            continue
-        powers = dict(zip(exponents, map(pow, repeat(norm), exponents)))
+                folded.append((a, (e * x + e2 * y) * u1 - e * norm * u0))
         last = 0
         for m, m_jobs in plan:
             step = ring_power(e, z, m - last, width)

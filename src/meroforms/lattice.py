@@ -31,9 +31,10 @@ so with P the phase numerator above
 
 g^s is an exact power in Z[mu] (``ring_power``) and the phasor a pair of
 fixed-point ints (``fixed_phasor``); no angle is ever formed.  Ideal sums
-use the same helpers with Z_b = e^(i pi P/N) e^(2 pi v0/N) (v0 = Im mu)
-from ``phasor_row`` in place of the phasor, so that a term of weight k,
-index m and norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).
+take Z_b = e^(i pi P/N) e^(2 pi v0/N) (v0 = Im mu) from ``phasor_row`` in
+place of the phasor, so that a term of weight k, index m and norm power
+N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j); there g^k is the same integer pair
+from the Lucas sequence of the trace and norm of g (``engine.ideal_sums``).
 """
 
 from __future__ import annotations
@@ -136,7 +137,14 @@ def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, 
         raise ValueError("norm_bound must be >= 1")
     rows = _sector_rows(field, norm_bound)
     rows.sort()
-    return tuple(PrimitiveIdeal(field, c, d, norm, *complete_unimodular(c, d)) for norm, c, d in rows)
+    # no call per ideal: tuple.__new__ skips the NamedTuple's __new__, and
+    # complete_unimodular is inlined as b = (-c)^-1 mod |d|, a = (1 + b c)/d
+    new = tuple.__new__
+    return tuple(
+        new(PrimitiveIdeal, (field, c, d, norm, (1 + b * c) // d, b))
+        for norm, c, d in rows
+        for b in (pow(-c, -1, abs(d)),)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -273,11 +281,13 @@ def sum_width(norm_bound: int, precision: int) -> int:
 @lru_cache(maxsize=16)
 def ideal_sum_data(field: Field, norm_bound: int) -> tuple[tuple[int, int, int, int], ...]:
     """(N, x, y, P) of every primitive ideal of norm <= norm_bound: its norm,
-    its generator g = x + y mu = d + c mu and its phase numerator.  Exact
-    ints, shared by every precision."""
+    its generator g = x + y mu = d + c mu and its phase numerator
+    P = 2(ac + bd) + e(ad + bc) (``phase_numerator``, inlined).  Exact ints,
+    shared by every precision."""
+    e = mu_trace(field)
     return tuple(
-        (ideal.norm, ideal.d, ideal.c, phase_numerator(field, ideal))
-        for ideal in enumerate_primitive(field, norm_bound)
+        (norm, d, c, 2 * (a * c + b * d) + e * (a * d + b * c))
+        for _, c, d, norm, a, b in enumerate_primitive(field, norm_bound)
     )
 
 

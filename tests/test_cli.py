@@ -205,7 +205,7 @@ def test_pole_order_above_limit_is_usage_error(capsys):
     # 2 * 10^6 enumerated for 26 s and held 467 MB
     code, out, err = run(capsys, "enumerate", "--field", "gaussian", "--bound", "2000000")
     assert code == 1 and out == ""
-    assert "norm-bound must be <= 1000000" in err
+    assert "--bound must be <= 1000000, got 2000000" in err
 
 
 def test_verify_high_pole_order_at_low_precision(capsys):
@@ -270,6 +270,21 @@ def test_norm_bound_above_limit_is_usage_error(capsys):
     code, out, err = run(capsys, "identity", "--norm-bound", "1000001")
     assert code == 1 and out == ""
     assert "norm-bound must be <= 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "bound,message",
+    [
+        ("0", "--bound must be >= 1, got 0"),
+        ("-5", "--bound must be >= 1, got -5"),
+        ("2000000", "--bound must be <= 1000000, got 2000000"),
+    ],
+)
+def test_enumerate_bound_errors_name_the_flag(capsys, bound, message):
+    # enumerate takes --bound, not --norm-bound
+    code, out, err = run(capsys, "enumerate", "--field", "eisenstein", "--bound", bound)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_deterministic_output(capsys):

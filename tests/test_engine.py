@@ -193,6 +193,30 @@ def test_ideal_sums_match_reference_bit_for_bit(prec, point):
                     assert got[m, k, j] == reference_ideal_sum(point, k, j, m, bound, prec)[0], (m, k, j, bound)
 
 
+@pytest.mark.parametrize(
+    "point,bound,m,ks",
+    [
+        (POINT_I, 65, 5, (4, 12, 80, 156, 160)),
+        (POINT_I, 85, 3, (8, 28, 100, 160)),
+        (POINT_RHO, 91, 7, (6, 18, 120, 234, 240)),
+    ],
+    ids=["i-65", "i-85", "rho-91"],
+)
+def test_ideal_sums_mixed_m_large_k_bit_for_bit(prec, point, bound, m, ks):
+    # m = 0 and m >= 1 blocks in one pass, k up to 160 at i and 240 at rho
+    # with several j per k; each bound is a norm of several ideals, so the
+    # last rows share one table of N powers
+    norms = [norm for norm, _, _, _ in ideal_sum_data(field_of(point), bound)]
+    assert norms.count(bound) >= 4
+    rng = random.Random(bound)
+    blocks = {(k, j) for k in ks for j in rng.sample(range(k // 2 - 1), min(k // 2 - 1, 3))}
+    family = tuple(sorted((mm, k, j) for mm in (0, m) for k, j in blocks))
+    got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
+    assert set(got) == set(family)
+    for mm, k, j in family:
+        assert got[mm, k, j] == reference_ideal_sum(point, k, j, mm, bound, prec)[0], (mm, k, j)
+
+
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 @pytest.mark.parametrize("ms", [range(11), range(1, 8), (0, 3, 4, 10)], ids=["0..10", "1..7", "sparse"])
 def test_ideal_sums_over_m_ranges_within_rounding(prec, point, ms):

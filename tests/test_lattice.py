@@ -20,6 +20,7 @@ from meroforms.lattice import (
     fixed_phasor,
     ideal_sum_data,
     norm_form,
+    phase_numerator,
     phasor_row,
     sum_width,
     unit_orbit,
@@ -192,6 +193,14 @@ def test_c_kernel_matches_angle_reference(precision):
                     got = c_kernel(field, weight, ideal, m, precision)
                     with workprec(precision + 64):
                         assert abs(got - ref) <= tol
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 5000])
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_ideal_sum_data_matches_per_ideal_definition(field, bound):
+    # the rows unpack each ideal and inline its phase numerator
+    want = tuple((b.norm, b.d, b.c, phase_numerator(field, b)) for b in enumerate_primitive(field, bound))
+    assert ideal_sum_data.__wrapped__(field, bound) == want
 
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
