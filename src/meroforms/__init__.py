@@ -61,6 +61,5 @@ from .solver import (  # noqa: F401
     BasisTerm,
     basis_principal_part,
     epsilon_tilde,
-    simple_pole_rep,
     solve_basis,
 )

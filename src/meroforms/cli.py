@@ -138,30 +138,13 @@ def parse_m_range(text: str) -> list[int]:
 def _validate(norm_bound: int, ms: list[int]) -> None:
     if norm_bound < 16:
         raise UsageError("norm-bound must be >= 16")
-    _check_max_norm_bound(norm_bound)
-    if not ms:
-        raise UsageError("m range is empty")
-    _check_oracle_order(max(ms))
+    _at_most(norm_bound, MAX_NORM_BOUND, "norm-bound")
+    _at_most(max(ms), MAX_ORACLE_ORDER, "oracle order")
 
 
-def _check_max_norm_bound(norm_bound: int, flag: str = "norm-bound") -> None:
-    if norm_bound > MAX_NORM_BOUND:
-        raise UsageError(f"{flag} must be <= {MAX_NORM_BOUND}, got {norm_bound}")
-
-
-def _check_oracle_order(order: int) -> None:
-    if order > MAX_ORACLE_ORDER:
-        raise UsageError(f"oracle order must be <= {MAX_ORACLE_ORDER}, got {order}")
-
-
-def _check_depth(depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise UsageError(f"depth must be <= {MAX_DEPTH}, got {depth}")
-
-
-def _check_pole_order(order: int, what: str = "pole order") -> None:
-    if order > MAX_POLE_ORDER:
-        raise UsageError(f"{what} must be <= {MAX_POLE_ORDER}, got {order}")
+def _at_most(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise UsageError(f"{what} must be <= {limit}, got {value}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -181,20 +164,21 @@ def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
     oracle, then iterate ``(m, result, exact, rel_err)`` over the m range at
     the working precision; ``rel_err`` is absolute where the oracle is 0.
     The norm bound is checked at every pole of the form for the largest m
-    before the oracle or any sum runs."""
+    before the expansion, the oracle or any sum runs."""
     ms = parse_m_range(args.m)
     _validate(args.norm_bound, ms)
     expr = parse_form(args.form)
     if contains_dee(expr):
         raise UsageError("D(...) is not modular; only the oracle can expand it")
     e2_power, remainder = split_e2_power(expr)
+    orders = {point: -valuation(remainder, point) for point in (POINT_I, POINT_RHO)}
     # F_n, the top auxiliary form, has the poles of the remainder raised by n
-    poles = max(0, *(-valuation(remainder, point) for point in (POINT_I, POINT_RHO)))
-    _check_pole_order(poles + e2_power, "pole order plus E2 power")
-    expansion = quasi_expansion(remainder, e2_power, args.precision)
+    _at_most(max(0, *orders.values()) + e2_power, MAX_POLE_ORDER, "pole order plus E2 power")
     with workprec(args.precision + GUARD_BITS):
-        for point in expansion.pole_points:
-            check_norm_bound(args.norm_bound, max(ms), point.v0(args.precision))
+        for point, order in orders.items():
+            if order > 0:
+                check_norm_bound(args.norm_bound, max(ms), point.v0(args.precision), "--norm-bound")
+    expansion = quasi_expansion(remainder, e2_power, args.precision)
     oracle = oracle_coeffs(expr, max(ms))
 
     def rows():
@@ -214,7 +198,7 @@ def cmd_oracle(args) -> int:
     if args.order < 0:
         raise UsageError(f"--order must be >= 0, got {args.order}")
     order = max(args.order, max(ms))
-    _check_oracle_order(order)
+    _at_most(order, MAX_ORACLE_ORDER, "oracle order")
     coeffs = oracle_coeffs(expr, order)
     rows = [{"m": m, "coefficient": exact_str(coeffs[m])} for m in ms]
     _emit(json.dumps({"form": str(expr), "coefficients": rows}, indent=2) + "\n", args.out)
@@ -290,7 +274,7 @@ def cmd_verify(args) -> int:
 def cmd_identity(args) -> int:
     if args.norm_bound < 100:
         raise UsageError("identity check needs norm-bound >= 100")
-    _check_max_norm_bound(args.norm_bound)
+    _at_most(args.norm_bound, MAX_NORM_BOUND, "norm-bound")
     lhs, rhs, err = identity_check_m0(args.norm_bound, args.precision)
     payload = {
         "norm_bound": args.norm_bound,
@@ -306,7 +290,7 @@ def cmd_enumerate(args) -> int:
     field = Field(args.field)
     if args.bound < 1:
         raise UsageError(f"--bound must be >= 1, got {args.bound}")
-    _check_max_norm_bound(args.bound, "--bound")
+    _at_most(args.bound, MAX_NORM_BOUND, "--bound")
     ideals = enumerate_primitive(field, args.bound)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -318,10 +302,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    _check_depth(args.depth)
+    _at_most(args.depth, MAX_DEPTH, "depth")
     point = point_from_tag(args.point)
     expr = parse_form(args.form)
-    _check_pole_order(-valuation(expr, point))
+    _at_most(-valuation(expr, point), MAX_POLE_ORDER, "pole order")
     series = laurent_at(expr, point, args.precision, depth=args.depth)
     rows = [_complex_row("order", series.lowest_order + i, c, args.precision) for i, c in enumerate(series.coeffs)]
     payload = {"form": args.form, "point": args.point, "coefficients": rows}
@@ -369,7 +353,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    _check_depth(args.depth)
+    _at_most(args.depth, MAX_DEPTH, "depth")
     table = {}
     for tag, point in (("i", POINT_I), ("rho", POINT_RHO)):
         jet = derivative_jet(point, args.depth, args.precision)

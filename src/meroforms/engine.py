@@ -136,12 +136,13 @@ def raising_expansion_stepped(expansion: RaisingExpansion) -> RaisingExpansion:
     return RaisingExpansion(k, n1, terms)
 
 
-def check_norm_bound(norm_bound: int, m: int, v0: float) -> None:
+def check_norm_bound(norm_bound: int, m: int, v0: float, name: str = "norm_bound") -> None:
     """Refuse a norm bound below max(16, ceil(4 pi m v0)), the floor that
-    the tail bounds and the fixed-point sums of the m-th coefficient assume."""
+    the tail bounds and the fixed-point sums of the m-th coefficient assume;
+    the message calls the bound ``name``."""
     floor = max(16, int(mpmath.ceil(4 * mp.pi * m * v0)))
     if norm_bound < floor:
-        raise ValueError(f"norm_bound {norm_bound} below required {floor}")
+        raise ValueError(f"{name} {norm_bound} below required {floor}")
 
 
 def _ideal_tail_bound(k_half_minus_j, B, four_pi_m_r, v0_pow_j) -> mpf:
@@ -466,13 +467,14 @@ def block_families(reps, ms) -> dict:
     """point -> the sorted (m, k, j) ideal sums that the m-th coefficients,
     m in ``ms``, of the representations' raised blocks read there, for one
     ``ideal_sums`` pass per point.  At m = 0 only the r = 0 block (j = n) of
-    each term reaches a sum, and blocks off the kernel's divisibility class
-    never do."""
+    each term reaches a sum.  Every term lies on the kernel's divisibility
+    class: ``BasisRepresentation`` admits only (k + n) % omega == 0, so
+    w = 2k + 2n is divisible by 2 omega."""
     families: dict = {}
     for rep in reps:
         for t in rep.terms:
             w = 2 * rep.k + 2 * t.n
-            if t.point.tag in ("i", "rho") and not kernel_vanishes(field_of(t.point), w):
+            if t.point.tag in ("i", "rho"):
                 family = families.setdefault(t.point, set())
                 for m in ms:
                     family.update((m, w, j) for j in (range(t.n + 1) if m else (t.n,)))

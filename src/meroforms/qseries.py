@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, isqrt, lcm
@@ -208,24 +208,6 @@ class RationalQSeries:
     def dee(self) -> "RationalQSeries":
         """The operator q d/dq: coefficient n maps to n times itself."""
         return RationalQSeries._of([n * x for n, x in enumerate(self.numerators)], self.denominator)
-
-    def to_json_list(self) -> list[str]:
-        """Coefficients as canonical 'p/q' decimal strings."""
-        return [exact_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json_list(cls, items: Sequence[str]) -> "RationalQSeries":
-        """Inverse of ``to_json_list`` for strings of any length: each side
-        of the '/' is read through ``Decimal``, which is exact and not
-        limited like ``int(str)``."""
-        fractions = []
-        for s in items:
-            num, _, den = s.partition("/")
-            try:
-                fractions.append(Fraction(Decimal(num)) / Fraction(Decimal(den or 1)))
-            except (InvalidOperation, OverflowError):
-                raise ValueError(f"not a rational: {s!r}") from None
-        return cls(fractions)
 
 
 def eisenstein_qseries(weight: int, truncation_order: int) -> RationalQSeries:

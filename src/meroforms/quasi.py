@@ -46,11 +46,6 @@ from .qseries import FormExpression, Generator, parse_form
 from .solver import BasisRepresentation, solve_basis
 
 
-def ckl(k: int, l: int, j: int) -> Fraction:
-    """Exact c_{k,l,j} = (2k-l-j-2)! (2k-2l-1)/(2k-l-1)!."""
-    return Fraction(factorial(2 * k - l - j - 2) * (2 * k - 2 * l - 1), factorial(2 * k - l - 1))
-
-
 def f_combination_coeff(k: int, n: int, l: int) -> Fraction:
     """Exact coefficient (-1)^l C(n,l) (2k-2n-1)!/(2k-2n-1+l)! of the
     l-th term in the auxiliary form F_n."""
@@ -104,12 +99,10 @@ class QuasiExpansion:
     series arithmetic at each pole.
     """
 
-    expr: FormExpression
     k: int
     n: int
     f_rep: BasisRepresentation
     aux_reps: dict
-    pole_points: tuple
     precision: int
 
     def coefficients(self, ms, norm_bound: int) -> list[TruncatedSum]:
@@ -209,4 +202,4 @@ def quasi_expansion(
                     combo = piece if combo is None else _add(combo, piece)
                 pps.append(principal_part_from_laurent(combo))
             aux_reps[j] = solve_basis(pps, k - j, precision)
-    return QuasiExpansion(expr, k, n, f_rep, aux_reps, tuple(laurents), precision)
+    return QuasiExpansion(k, n, f_rep, aux_reps, precision)

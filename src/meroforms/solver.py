@@ -148,25 +148,3 @@ def solve_basis(
                     )
     return BasisRepresentation(k, tuple(terms))
 
-
-def simple_pole_rep(
-    expr,
-    points,
-    precision: int = DEFAULT_PRECISION,
-) -> BasisRepresentation:
-    """Representation a_m = residue/eps for an expression with only simple
-    poles at the given points."""
-    from .expansion import principal_part
-    from .qseries import parse_form
-
-    if isinstance(expr, str):
-        expr = parse_form(expr)
-    weight = expr.weight
-    if weight >= 0 or weight % 2:
-        raise ValueError(f"expression weight {weight} is not a negative even integer")
-    k = (2 - weight) // 2
-    pps = [principal_part(expr, point, precision) for point in points]
-    for pp in pps:
-        if pp.max_order > 1:
-            raise ValueError(f"pole at {pp.point} has order {pp.max_order}; not simple")
-    return solve_basis(pps, k, precision)

@@ -336,14 +336,20 @@ def test_oracle_negative_order_is_usage_error(capsys):
 
 
 def test_norm_bound_checked_before_oracle(monkeypatch, capsys):
-    def oracle_must_not_run(expr, n):
-        raise AssertionError("oracle ran before the norm-bound check")
+    # E2^20 * (1/E10^20) built its expansion for seconds before the bound was checked
+    def must_not_run(*args):
+        raise AssertionError("expansion or oracle built before the norm-bound check")
 
-    monkeypatch.setattr(cli, "oracle_coeffs", oracle_must_not_run)
+    monkeypatch.setattr(cli, "oracle_coeffs", must_not_run)
+    monkeypatch.setattr(cli, "quasi_expansion", must_not_run)
     for command in (("coeffs",), ("verify", "--tol", "1e-8")):
         code, out, err = run(capsys, *command, "--form", "1/E6^4", "--m", "400", "--norm-bound", "100")
         assert code == 1 and out == ""
-        assert "norm_bound 100 below required 5027" in err
+        assert err == "error: --norm-bound 100 below required 5027\n"
+    args = ("--form", "E2^20 * (1/E10^20)", "--m", "0..50", "--tol", "1e-8", "--norm-bound", "200")
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 1 and out == ""
+    assert err == "error: --norm-bound 200 below required 629\n"
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "abc"])

@@ -28,6 +28,7 @@ from meroforms.lattice import (
     enumerate_primitive,
     field_of,
     ideal_sum_data,
+    kernel_vanishes,
     mu_trace,
     phasor_row,
     ring_mul,
@@ -504,6 +505,25 @@ def test_block_off_class_is_exact_zero(prec, point, k, j):
     # the norm-bound precondition holds off the class too
     with pytest.raises(ValueError, match="norm_bound"):
         f_series_coeff(k, j, 0, point, 10, 50, prec)
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_admissible_terms_lie_on_the_kernel_class(point):
+    # block_families sums every term it is given: BasisRepresentation admits
+    # only (k + n) % omega == 0, so w = 2k + 2n is never off the class
+    admitted = 0
+    for k in range(2, 201):
+        for n in range(41):
+            try:
+                rep = BasisRepresentation(k, (BasisTerm(point, n, mpc(1)),))
+            except ValueError:
+                continue
+            admitted += 1
+            w = 2 * k + 2 * n
+            assert not kernel_vanishes(field_of(point), w), (k, n)
+            family = ((0, w, n),) + tuple((1, w, j) for j in range(n + 1))
+            assert engine.block_families([rep], (0, 1)) == {point: family}
+    assert admitted > 2000
 
 
 def test_block_closed_form_check_raises(prec, monkeypatch):

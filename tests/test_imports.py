@@ -1,6 +1,7 @@
 """Every import in the package is used, and every top-level function and
 class is referenced: a name left behind when its last user goes is dead
-weight.  ``__init__.py`` only re-exports, so it is skipped."""
+weight.  ``__init__.py`` only re-exports, so it is skipped.  A test does
+not count as a user, except for the listed reference definitions."""
 
 import ast
 import re
@@ -59,3 +60,71 @@ def test_no_dead_definitions():
 def test_dead_definition_is_reported():
     source = "def used():\n    pass\ndef dead():\n    pass\nclass Box:\n    def method(self):\n        pass\n"
     assert _dead_definitions({"m.py": source}, source + "used()\nBox()\n") == ["m.py: dead"]
+
+
+# Top-level definitions that no module in src/ or bench/ reads.  Each is a
+# reference or a test input the suites depend on; a definition not listed
+# here that loses its last non-test reader fails the check below.
+REFERENCE_DEFINITIONS = (
+    "generic_point",  # builds the non-elliptic poles that the pair-sum tests sum at
+    "raising_expansion_stepped",  # the recurrence that criterion 10 checks the closed form against
+    "principal_part",  # the acceptance suite and the solver tests build principal parts with it
+    "congruence_defect",  # the expansion tests check principal parts for inadmissible orders with it
+    "norm_form",  # the reference norm that the enumeration tests check ideals against
+    "unit_orbit",  # the reference unit orbits behind the one-per-ideal enumeration tests
+    "c_kernel",  # the per-ideal kernel: criterion 9 checks its invariances, the engine tests the sums against it
+)
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a statement reads: identifiers, attributes, imported names and
+    dotted-name strings (the benchmark names its entry points in strings)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def _unread_definitions(package: dict, readers: dict) -> list[str]:
+    """Top-level functions and classes of ``package`` that no other top-level
+    statement of ``package`` or ``readers`` (filename -> source) reads."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    trees = {filename: ast.parse(source) for filename, source in {**readers, **package}.items()}
+    refs = [(node, _references(node)) for tree in trees.values() for node in tree.body]
+    return [
+        f"{filename}: {node.name}"
+        for filename in package
+        for node in trees[filename].body
+        if isinstance(node, kinds) and not any(node.name in names for other, names in refs if other is not node)
+    ]
+
+
+def test_no_definitions_read_only_by_tests():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    readers = {str(path): path.read_text() for path in sorted((ROOT / "bench").rglob("*.py"))}
+    unread = [entry.partition(": ")[2] for entry in _unread_definitions(package, readers)]
+    assert sorted(unread) == sorted(REFERENCE_DEFINITIONS)
+
+
+def test_definition_read_only_by_tests_is_reported():
+    source = (
+        "def used():\n    pass\n"
+        "def helper():\n    pass\n"
+        "def named():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Box:\n    def method(self):\n        return Box()\n"
+        "NAMES = ('m.named',)\n"
+        "used()\n"
+    )
+    # the definition's own body does not count as a reader
+    reader = "from m import helper\nhelper()\n"
+    assert _unread_definitions({"m.py": source}, {"run.py": reader}) == ["m.py: recursive", "m.py: Box"]

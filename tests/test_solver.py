@@ -9,7 +9,6 @@ from meroforms import (
     basis_principal_part,
     epsilon_tilde,
     principal_part,
-    simple_pole_rep,
     solve_basis,
 )
 from meroforms.expansion import PrincipalPart
@@ -98,14 +97,13 @@ def test_solve_simple_poles(prec, e4i, e6rho):
 
 
 def test_simple_pole_rep(prec, e6rho):
-    rep = simple_pole_rep("1/E4", (POINT_I, POINT_RHO), prec)
+    # 1/E4 (k = 3) is holomorphic at i: its empty principal part there adds no term
+    rep = solve_basis([principal_part("1/E4", pt, prec) for pt in (POINT_I, POINT_RHO)], 3, prec)
     assert len(rep.terms) == 1
     t = rep.terms[0]
     assert t.point.tag == "rho" and t.n == 0
     with workprec(prec):
         assert rel_err(t.a, 1 / e6rho) < mpf(2) ** (-prec + 48)
-    with pytest.raises(ValueError, match="not simple"):
-        simple_pole_rep("1/E6^4", (POINT_I,), prec)
 
 
 def test_congruence_gate(prec):
