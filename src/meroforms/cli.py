@@ -52,8 +52,8 @@ EXIT_VERIFY = 3
 
 # Enumeration is pure Python and its cache keeps every ideal, so the bound
 # caps time and memory: on a 2-core x86-64 VM, ``enumerate`` at 10^6
-# takes 3.5-4.3 s and 171 MB peak (Gaussian, 477k ideals) or 3.0-3.6 s and
-# 141 MB (Eisenstein, 368k) in a fresh process, and both grow linearly
+# takes 3.5-3.7 s and 171-172 MB peak (Gaussian, 477k ideals) or 2.7-2.9 s
+# and 141 MB (Eisenstein, 368k) in a fresh process, and both grow linearly
 # in the bound.
 MAX_NORM_BOUND = 10**6
 
@@ -137,8 +137,8 @@ def parse_m_range(text: str) -> list[int]:
 
 def _validate(norm_bound: int, ms: list[int]) -> None:
     if norm_bound < 16:
-        raise UsageError("norm-bound must be >= 16")
-    _at_most(norm_bound, MAX_NORM_BOUND, "norm-bound")
+        raise UsageError(f"--norm-bound must be >= 16, got {norm_bound}")
+    _at_most(norm_bound, MAX_NORM_BOUND, "--norm-bound")
     _at_most(max(ms), MAX_ORACLE_ORDER, "oracle order")
 
 
@@ -273,8 +273,8 @@ def cmd_verify(args) -> int:
 
 def cmd_identity(args) -> int:
     if args.norm_bound < 100:
-        raise UsageError("identity check needs norm-bound >= 100")
-    _at_most(args.norm_bound, MAX_NORM_BOUND, "norm-bound")
+        raise UsageError(f"identity check needs --norm-bound >= 100, got {args.norm_bound}")
+    _at_most(args.norm_bound, MAX_NORM_BOUND, "--norm-bound")
     lhs, rhs, err = identity_check_m0(args.norm_bound, args.precision)
     payload = {
         "norm_bound": args.norm_bound,

@@ -26,8 +26,12 @@ exactly from the Lucas sequence of the trace and norm of g, in plain
 integer arithmetic, with the powers of N from one table per distinct
 norm; Z^m is stepped once across the m, each from the previous one by
 one fixed-point product, within the first-order error bound
-m (eps + 5 * 2^-width) of ``lattice.ring_power``.  Pair sums go through
-``b_kernel`` and ``mpmath.fsum``, which adds exactly and rounds once.
+m (eps + 5 * 2^-width) of ``lattice.ring_power``.  At m = 0 a term is one
+floor of the exact integer 2 Re[g^k], which a representative ideal and its
+conjugate mirror share for the even k summed here (``lattice.pair_weight``),
+so each such pair is summed once and counted twice, to the same integer
+total.  Pair sums go through ``b_kernel`` and ``mpmath.fsum``, which adds
+exactly and rounds once.
 
 At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
@@ -66,6 +70,7 @@ from .lattice import (
     ideal_sum_data,
     kernel_vanishes,
     mu_trace,
+    pair_weight,
     phasor_row,
     ring_mul,
     ring_power,
@@ -171,10 +176,18 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     b = e x_k + (e^2 - 2) y_k = (e x + (e^2 - 2) y) U_k - e N U_(k-1), those
     of ``ring_power``, so that 2 Re[g^k w] = a w_x + b w_y for any
     w = w_x + w_y mu.  The powers of N come from one table per distinct
-    norm (the rows are sorted by norm).  Then, for each m in ascending
-    order, Z_b^m is stepped from the previous m by ``ring_power``(Z_b, gap)
-    and one floored ``ring_mul``, and the numerator of each k is floored by
-    2 N^(k-j) for its largest j and then by N^(j'-j) down to each smaller j;
+    norm (the rows are sorted by norm).  An m = 0 term is one floor of the
+    integer a, and for even k a representative row and its mirror (the
+    generator -conj(g), see ``lattice``) have the same a, since
+    (-conj g)^k = conj(g^k): so each m = 0 job adds ``lattice.pair_weight``
+    times its floors, 2 for a representative, 0 for a mirror and 1 for a
+    self-conjugate row, the same integer total as one floor per row, and a
+    family with no m >= 1 block skips the mirrors before their Lucas
+    ladder.  The m >= 1 jobs still take every row, each with its own Z_b:
+    for each m in ascending order, Z_b^m is stepped from the previous m by
+    ``ring_power``(Z_b, gap) and one floored ``ring_mul``, and the numerator
+    of each k is floored by 2 N^(k-j) for its largest j and then by
+    N^(j'-j) down to each smaller j;
     since floor(floor(x/a)/b) = floor(x/(ab)) for positive integers a, b,
     every term is the one its block would get alone with the same Z_b^m.
     A lone m gets ``ring_power``(Z_b, m), so a one-m family is bit-identical
@@ -229,6 +242,9 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     rows = ideal_sum_data(field, norm_bound)
     row_norm = None
     for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision) if plan else repeat(None)):
+        weight = pair_weight(e, x, y)  # of its m = 0 terms; 0 for a mirror
+        if not (weight or plan):
+            continue
         if norm != row_norm:  # the rows are sorted by norm
             row_norm, powers = norm, dict(zip(exponents, map(pow, repeat(norm), exponents)))
         t = 2 * x + e * y  # (u0, u1) = (U_n, U_(n+1)), doubled from n = 1 to ks[0] - 1
@@ -242,13 +258,13 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
             for _ in steps:
                 u0, u1 = u1, t * u1 - norm * u0
             a = t * u1 - 2 * norm * u0  # = 2 x_k + e y_k
-            for top, slot, chain in zero_jobs:
+            for top, slot, chain in zero_jobs if weight else ():
                 # (a 2^width) // (2 N^top), with the 2 taken off the shift
                 q = (a << (width - 1)) // powers[top]
-                totals[slot] += q
+                totals[slot] += weight * q
                 for drop, lower in chain:
                     q //= powers[drop]
-                    totals[lower] += q
+                    totals[lower] += weight * q
             if plan:
                 folded.append((a, (e * x + e2 * y) * u1 - e * norm * u0))
         last = 0

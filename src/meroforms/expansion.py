@@ -63,10 +63,6 @@ class LaurentSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def highest_order(self) -> int:
-        return self.lowest_order + len(self.coeffs) - 1
-
     def coefficient(self, order: int) -> mpc:
         if order < self.lowest_order:
             return mpc(0)

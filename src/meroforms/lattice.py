@@ -11,6 +11,22 @@ factorization and no orbit folding:
   Gaussian:   (0, 1), (1, -1), and c >= 1 with |d| > c;
   Eisenstein: (0, 1), (1, -2), and c >= 1 with d > c or d < -2c.
 
+Conjugate pairs.  The generator g = d + c mu (x = d, y = c) of a sector
+pair with d > c > 0, a representative, has a mirror -conj(g) =
+-(x + e y) + y mu (e = 0 at i, 1 at rho), the sector pair (c, -d - e c)
+of the same norm; the mirrors are exactly the pairs with d < -(1 + e) c.
+The two pairs left over, (0, 1) and (1, -1) at i, (0, 1) and (1, -2) at
+rho (norms 1, 2 and 1, 3), are self-conjugate: -conj(g) is a unit
+multiple of g.  For even k, (-conj g)^k = conj(g^k), so a representative
+and its mirror have the same Re[g^k] as exact integers; ``pair_weight``
+gives each row its share of an m = 0 sum, 2, 0 or 1.
+
+Bulk construction.  ``enumerate_primitive`` and ``ideal_sum_data`` build
+one tuple per ideal, none of which can be part of a reference cycle, so
+they run with the cyclic garbage collector paused (``_collector_paused``);
+at norm bound 2e5 it would otherwise run hundreds of collections over the
+growing tables.
+
 Kernel conventions.  With theta = arg(c mu + d) and the completion
 (a, b), the weight-s cosine kernel at Fourier index m is
 
@@ -40,6 +56,8 @@ from the Lucas sequence of the trace and norm of g (``engine.ideal_sums``).
 from __future__ import annotations
 
 import enum
+import gc
+from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -130,7 +148,30 @@ def _sector_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int]]:
     return rows
 
 
+def pair_weight(e: int, x: int, y: int) -> int:
+    """Share of the row with generator x + y mu (trace e of mu) in an m = 0
+    sum: 2 for a representative (x > y > 0), which stands for its mirror too,
+    0 for a mirror (x < -(1 + e) y) and 1 for a self-conjugate row."""
+    if x > y > 0:
+        return 2
+    return 0 if x < -(1 + e) * y else 1
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring it on exit only if it
+    was enabled on entry; as a decorator it pauses each call."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @lru_cache(maxsize=32)
+@_collector_paused()
 def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, ...]:
     """All primitive ideals of norm <= norm_bound, sorted by (norm, c, d)."""
     if norm_bound < 1:
@@ -279,6 +320,7 @@ def sum_width(norm_bound: int, precision: int) -> int:
 
 
 @lru_cache(maxsize=16)
+@_collector_paused()
 def ideal_sum_data(field: Field, norm_bound: int) -> tuple[tuple[int, int, int, int], ...]:
     """(N, x, y, P) of every primitive ideal of norm <= norm_bound: its norm,
     its generator g = x + y mu = d + c mu and its phase numerator

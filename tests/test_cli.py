@@ -287,6 +287,25 @@ def test_enumerate_bound_errors_name_the_flag(capsys, bound, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("coeffs", "--form", "1/E6", "--m", "0", "--norm-bound", "15"), "--norm-bound must be >= 16, got 15"),
+        (("verify", "--form", "1/E6", "--m", "0", "--tol", "1e-8", "--norm-bound", "-3"), "--norm-bound must be >= 16, got -3"),
+        (
+            ("coeffs", "--form", "1/E6", "--m", "0", "--norm-bound", "2000000"),
+            "--norm-bound must be <= 1000000, got 2000000",
+        ),
+        (("identity", "--norm-bound", "99"), "identity check needs --norm-bound >= 100, got 99"),
+        (("identity", "--norm-bound", "1000001"), "--norm-bound must be <= 1000000, got 1000001"),
+    ],
+)
+def test_norm_bound_errors_name_the_flag(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_deterministic_output(capsys):
     args = ("coeffs", "--form", "1/E4", "--m", "0..1", "--norm-bound", "400", "--precision", "128")
     code1, out1, _ = run(capsys, *args)

@@ -30,6 +30,7 @@ from meroforms.lattice import (
     ideal_sum_data,
     kernel_vanishes,
     mu_trace,
+    pair_weight,
     phasor_row,
     ring_mul,
     ring_power,
@@ -143,20 +144,22 @@ def test_f_series_matches_angle_reference(point, field, precision):
                         assert rel_err(got, ref) <= tol, (k, j, r, m, bound)
 
 
-def reference_ideal_sum(point, k, j, m, norm_bound, precision):
+def reference_ideal_sum(point, k, j, m, norm_bound, precision, rows=None, phasors=None):
     """The reference definition of one ideal sum: a pass over the ideals
     for this (m, k, j) alone, with Z^m by binary powering, rounded once to
-    precision + GUARD_BITS.  Returns the sum and the sum of |term|."""
+    precision + GUARD_BITS.  Returns the sum and the sum of |term|.  Every
+    row counts once; ``rows`` with their ``phasors`` replace the ideals'."""
     field = field_of(point)
     e = mu_trace(field)
-    rows = ideal_sum_data(field, norm_bound)
+    if rows is None:
+        rows = ideal_sum_data(field, norm_bound)
     width = sum_width(norm_bound, precision)
     terms = []
     if m == 0:
         for norm, x, y, _ in rows:
             terms.append((twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j)))
     else:
-        for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision)):
+        for (norm, x, y, _), z in zip(rows, phasors or phasor_row(point, norm_bound, precision)):
             w = ring_power(e, z, m, width)
             terms.append(twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j)))
     bits = precision + GUARD_BITS
@@ -216,6 +219,50 @@ def test_ideal_sums_mixed_m_large_k_bit_for_bit(prec, point, bound, m, ks):
     assert set(got) == set(family)
     for mm, k, j in family:
         assert got[mm, k, j] == reference_ideal_sum(point, k, j, mm, bound, prec)[0], (mm, k, j)
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_ideal_sums_pair_conjugates_bit_for_bit(prec, point):
+    # at m = 0 a representative's term counts twice and its mirror's not at
+    # all, while m >= 1 blocks sum every row: m = 0-only and mixed families
+    # give the very bits of the reference, which sums every row
+    rng = random.Random(22 if point is POINT_I else 23)
+    step = 4 if point is POINT_I else 6
+    ks = list(range(step, 61, step))
+    for bound in (1, 2, 3, 300):
+        for ms in ((0,), (0, 1), (0, 2, 5)):
+            if ms[-1] and bound < 16:  # below check_norm_bound's floor
+                continue
+            for _ in range(3):
+                family = tuple(sorted((m, k, j) for m in ms for k, j in random_blocks(rng, ks)))
+                got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
+                assert set(got) == set(family)
+                for m, k, j in family:
+                    assert got[m, k, j] == reference_ideal_sum(point, k, j, m, bound, prec)[0], (m, k, j, bound)
+
+
+def test_ideal_sums_fold_without_conjugate_partners(prec, monkeypatch):
+    # over all rows, an error in the m >= 1 fold of g^k can cancel between
+    # a representative and its mirror; over the representatives alone it
+    # cannot, so these bits pin the fold at rho, where e = 1
+    point, bound = POINT_RHO, 300
+    field = field_of(point)
+    e = mu_trace(field)
+    every_row, every_phasor = ideal_sum_data(field, bound), phasor_row(point, bound, prec)
+    keep = [index for index, (_, x, y, _) in enumerate(every_row) if pair_weight(e, x, y) == 2]
+    rows = tuple(every_row[index] for index in keep)
+    phasors = tuple(every_phasor[index] for index in keep)
+    monkeypatch.setattr(engine, "ideal_sum_data", lambda field, norm_bound: rows)
+    monkeypatch.setattr(engine, "phasor_row", lambda point, norm_bound, precision: phasors)
+    rng = random.Random(29)
+    ks = list(range(6, 61, 6))
+    for ms in ((1,), (3,), (2, 5)):
+        for _ in range(2):
+            family = tuple(sorted((m, k, j) for m in ms for k, j in random_blocks(rng, ks)))
+            got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
+            for m, k, j in family:
+                want = reference_ideal_sum(point, k, j, m, bound, prec, rows, phasors)[0]
+                assert got[m, k, j] == want, (m, k, j)
 
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)

@@ -1,3 +1,4 @@
+import gc
 import random
 from math import gcd, isqrt
 
@@ -19,10 +20,14 @@ from meroforms.lattice import (
     field_of,
     fixed_phasor,
     ideal_sum_data,
+    mu_trace,
     norm_form,
+    pair_weight,
     phase_numerator,
     phasor_row,
+    ring_mul,
     sum_width,
+    twice_real,
     unit_orbit,
 )
 
@@ -201,6 +206,78 @@ def test_ideal_sum_data_matches_per_ideal_definition(field, bound):
     # the rows unpack each ideal and inline its phase numerator
     want = tuple((b.norm, b.d, b.c, phase_numerator(field, b)) for b in enumerate_primitive(field, bound))
     assert ideal_sum_data.__wrapped__(field, bound) == want
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 5000])
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_pair_weights_count_every_row_once(field, bound):
+    # a representative counts for itself and its mirror at m = 0
+    e = mu_trace(field)
+    rows = ideal_sum_data(field, bound)
+    assert sum(pair_weight(e, x, y) for _, x, y, _ in rows) == len(rows)
+
+
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_each_representative_has_one_mirror(field):
+    # the mirror -conj(g) of a representative's generator g is a row of the
+    # same norm with the same 2 Re g^k for every even k; only the norms 1, 2
+    # (i) and 1, 3 (rho) are self-conjugate
+    e = mu_trace(field)
+    rows = ideal_sum_data(field, 5000)
+    mirrors = [(norm, x, y) for norm, x, y, _ in rows if pair_weight(e, x, y) == 0]
+    assert len(set(mirrors)) == len(mirrors)
+    mirrors = set(mirrors)
+    selfconjugate = {(1, 1, 0), (2, -1, 1)} if field is Field.GAUSSIAN else {(1, 1, 0), (3, -2, 1)}
+    assert {(norm, x, y) for norm, x, y, _ in rows if pair_weight(e, x, y) == 1} == selfconjugate
+    for norm, x, y, _ in rows:
+        if pair_weight(e, x, y) != 2:
+            continue
+        g, mirror = (x, y), (-x - e * y, y)
+        mirrors.remove((norm, *mirror))  # exactly one mirror per representative
+        g2, mirror2 = ring_mul(e, g, g), ring_mul(e, mirror, mirror)
+        power, mirror_power = g2, mirror2
+        for k in range(2, 61, 2):
+            assert twice_real(e, power) == twice_real(e, mirror_power), (g, k)
+            power, mirror_power = ring_mul(e, power, g2), ring_mul(e, mirror_power, mirror2)
+    assert not mirrors  # and every mirror is a representative's
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_table_builds_leave_the_collector_as_found(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for field in Field:
+            enumerate_primitive.__wrapped__(field, 50)
+            assert gc.isenabled() is enabled
+            ideal_sum_data.__wrapped__(field, 50)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="norm_bound must be >= 1"):
+                enumerate_primitive.__wrapped__(field, 0)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_table_builds_run_without_collections():
+    # building 7164 Gaussian ideals and their rows would take dozens of
+    # generation-0 collections; paused, at most the one that the allocation
+    # count left over triggers after each build remains
+    assert gc.isenabled()
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        enumerate_primitive.__wrapped__(Field.GAUSSIAN, 15000)
+        ideal_sum_data.__wrapped__(Field.GAUSSIAN, 15000)
+    finally:
+        gc.callbacks.remove(record)
+    assert len(starts) <= 2, starts
 
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
