@@ -35,9 +35,9 @@ from .constants import (
     derivative_jet,
     point_from_tag,
 )
-from .engine import ClosedFormMismatch, TruncatedSum, check_norm_bound, identity_check_m0
+from .engine import ClosedFormMismatch, TruncatedSum, identity_check_m0
 from .expansion import ExpansionError, PrincipalPart, laurent_at, valuation
-from .lattice import Field, enumerate_primitive
+from .lattice import Field, check_norm_bound, enumerate_primitive
 from .qseries import FormParseError, contains_dee, exact_str, oracle_coeffs, parse_form, split_e2_power
 from .quasi import quasi_expansion
 from .solver import BasisCongruenceError, BasisResidualError, solve_basis

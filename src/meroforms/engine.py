@@ -14,24 +14,11 @@ on its omitted tail, using the per-norm ideal count bound d(N) <= 2
 sqrt(N) (a circle-packing count for pair sums), which keeps the bound
 finite on the whole validity range k >= j + 2 of the F-series exponent.
 
-Every sum goes through the kernels of ``lattice``.  Ideal sums use the
-helpers of ``c_kernel``: each term is Re[g^k Z^m] / N^(k-j) with the
-exact power g^k of the ideal's generator and its fixed-point phasor Z,
-floored to ``lattice.sum_width`` bits and added exactly as Python ints;
-each total is rounded once.  Every block (m, k, j) that the coefficients
-of an m range need at one pole shares the same ideals, and the blocks of
-one m the same Z^m, so ``ideal_sums`` fills that whole family
-(``block_families``) in one pass over the ideals.  Per ideal, g^k comes
-exactly from the Lucas sequence of the trace and norm of g, in plain
-integer arithmetic, with the powers of N from one table per distinct
-norm; Z^m is stepped once across the m, each from the previous one by
-one fixed-point product, within the first-order error bound
-m (eps + 5 * 2^-width) of ``lattice.ring_power``.  At m = 0 a term is one
-floor of the exact integer 2 Re[g^k], which a representative ideal and its
-conjugate mirror share for the even k summed here (``lattice.pair_weight``),
-so each such pair is summed once and counted twice, to the same integer
-total.  Pair sums go through ``b_kernel`` and ``mpmath.fsum``, which adds
-exactly and rounds once.
+Ideal sums come from ``lattice.ideal_sums``, whose module documents the
+term arithmetic: one pass over the ideals fills every (m, k, j) block that
+the coefficients of an m range need at one pole (``block_families``), and
+each total is rounded once.  Pair sums go through ``b_kernel`` and
+``mpmath.fsum``, which adds exactly and rounds once.
 
 At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
@@ -48,12 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial, gcd
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .constants import (
     DEFAULT_PRECISION,
@@ -64,18 +49,7 @@ from .constants import (
     eisenstein_derivatives,
     series_bits,
 )
-from .lattice import (
-    b_kernel,
-    field_of,
-    ideal_sum_data,
-    kernel_vanishes,
-    mu_trace,
-    pair_weight,
-    phasor_row,
-    ring_mul,
-    ring_power,
-    sum_width,
-)
+from .lattice import b_kernel, check_norm_bound, field_of, ideal_sums, kernel_vanishes
 from .solver import BasisRepresentation
 
 
@@ -141,147 +115,11 @@ def raising_expansion_stepped(expansion: RaisingExpansion) -> RaisingExpansion:
     return RaisingExpansion(k, n1, terms)
 
 
-def check_norm_bound(norm_bound: int, m: int, v0: float, name: str = "norm_bound") -> None:
-    """Refuse a norm bound below max(16, ceil(4 pi m v0)), the floor that
-    the tail bounds and the fixed-point sums of the m-th coefficient assume;
-    the message calls the bound ``name``."""
-    floor = max(16, int(mpmath.ceil(4 * mp.pi * m * v0)))
-    if norm_bound < floor:
-        raise ValueError(f"{name} {norm_bound} below required {floor}")
-
-
 def _ideal_tail_bound(k_half_minus_j, B, four_pi_m_r, v0_pow_j) -> mpf:
     # omitted ideals per norm N bounded by d(N) <= 2 sqrt(N); terms carry
     # e^{2 pi m v0/N} <= e^{1/2} once B >= 4 pi m v0
     s = k_half_minus_j - mpf(3) / 2
     return 2 * mpmath.exp(mpf(1) / 2) * four_pi_m_r / v0_pow_j * mpf(B) ** (-s) / s
-
-
-@lru_cache(maxsize=1024)
-def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tuple) -> dict:
-    """(m, k, j) -> sum*_b cos(pi m P_b/N_b + k theta_b) N_b^(j-k/2) e^(2 pi m v0/N_b)
-    over the primitive ideals of norm <= norm_bound, for every (m, k, j) in
-    ``blocks``, each rounded once to precision + GUARD_BITS bits.
-
-    One pass over the ideals fills every block.  Each term is
-    Re[g_b^k Z_b^m] / N_b^(k-j) with the exact power g_b^k of the generator
-    g = x + y mu and the power Z_b^m of its ``lattice.phasor_row`` entry (at
-    m = 0 the sum is integer arithmetic).  With t = 2x + e y and N the trace
-    and norm of g, g^2 = t g - N, so g^k = U_k g - N U_(k-1) for the Lucas
-    sequence U_(n+1) = t U_n - N U_(n-1), U_0 = 0, U_1 = 1.  Per ideal,
-    doubling by U_2n = U_n (2 U_(n+1) - t U_n) and
-    U_(2n+1) = U_(n+1)^2 - N U_n^2 reaches the smallest k, unit steps reach
-    the larger ones, and g^k = x_k + y_k mu is folded into the integers
-    a = 2 x_k + e y_k = t U_k - 2N U_(k-1) and
-    b = e x_k + (e^2 - 2) y_k = (e x + (e^2 - 2) y) U_k - e N U_(k-1), those
-    of ``ring_power``, so that 2 Re[g^k w] = a w_x + b w_y for any
-    w = w_x + w_y mu.  The powers of N come from one table per distinct
-    norm (the rows are sorted by norm).  An m = 0 term is one floor of the
-    integer a, and for even k a representative row and its mirror (the
-    generator -conj(g), see ``lattice``) have the same a, since
-    (-conj g)^k = conj(g^k): so each m = 0 job adds ``lattice.pair_weight``
-    times its floors, 2 for a representative, 0 for a mirror and 1 for a
-    self-conjugate row, the same integer total as one floor per row, and a
-    family with no m >= 1 block skips the mirrors before their Lucas
-    ladder.  The m >= 1 jobs still take every row, each with its own Z_b:
-    for each m in ascending order, Z_b^m is stepped from the previous m by
-    ``ring_power``(Z_b, gap) and one floored ``ring_mul``, and the numerator
-    of each k is floored by 2 N^(k-j) for its largest j and then by
-    N^(j'-j) down to each smaller j;
-    since floor(floor(x/a)/b) = floor(x/(ab)) for positive integers a, b,
-    every term is the one its block would get alone with the same Z_b^m.
-    A lone m gets ``ring_power``(Z_b, m), so a one-m family is bit-identical
-    to a pass of its own.  Every floored product of a product tree of m
-    factors Z_b (|Z_b| >= 1, relative error eps) adds at most
-    5 * 2^-width, so the stepped Z_b^m is within
-    m eps + (m - 1) 5 * 2^-width, the first-order bound of ``ring_power``.
-    Z_b^m and every term are floored to ``sum_width`` fractional bits and
-    added exactly as Python ints.  With m < norm_bound, which
-    ``check_norm_bound`` of the largest m ensures and which is checked here,
-    the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|,
-    which the unit ideal's term (at least 1) dominates.  The cache holds one
-    entry per pass, not per (4 pi m)^r scaling of a sum."""
-    field = field_of(point)
-    e = mu_trace(field)
-    width = sum_width(norm_bound, precision)
-    ms = sorted({m for m, _, _ in blocks})
-    if ms[-1]:
-        with workprec(precision + GUARD_BITS):
-            check_norm_bound(norm_bound, ms[-1], point.v0(precision))
-    ks = sorted({k for _, k, _ in blocks})
-    js_of: dict = {}
-    for m, k, j in blocks:
-        js_of.setdefault((m, k), set()).add(j)
-    order, exponents = [], set()
-
-    def jobs(m):
-        # per k with blocks at m: (index of k, N-exponent of the largest j,
-        # its slot, then (further N-exponent, slot) down the smaller j)
-        out = []
-        for index, k in enumerate(ks):
-            js = sorted(js_of.get((m, k), ()), reverse=True)
-            if js:
-                first = len(order)
-                order.extend((m, k, j) for j in js)
-                drops = [a - b for a, b in zip(js, js[1:])]
-                exponents.update((k - js[0], *drops))
-                out.append((index, k - js[0], first, tuple(zip(drops, range(first + 1, len(order))))))
-        return out
-
-    at_zero = jobs(0)
-    # per k, ascending: the unit steps of U from the previous k and its m = 0 jobs
-    per_k = [
-        (range(k - last), [job[1:] for job in at_zero if job[0] == index])
-        for index, (last, k) in enumerate(zip([ks[0], *ks], ks))
-    ]
-    ladder = tuple(bit == "1" for bit in bin(ks[0] - 1)[3:])  # doubling, then a unit step if set
-    plan = [(m, jobs(m)) for m in ms if m]
-    exponents = tuple(exponents)
-    totals = [0] * len(order)
-    e2 = e * e - 2
-    rows = ideal_sum_data(field, norm_bound)
-    row_norm = None
-    for (norm, x, y, _), z in zip(rows, phasor_row(point, norm_bound, precision) if plan else repeat(None)):
-        weight = pair_weight(e, x, y)  # of its m = 0 terms; 0 for a mirror
-        if not (weight or plan):
-            continue
-        if norm != row_norm:  # the rows are sorted by norm
-            row_norm, powers = norm, dict(zip(exponents, map(pow, repeat(norm), exponents)))
-        t = 2 * x + e * y  # (u0, u1) = (U_n, U_(n+1)), doubled from n = 1 to ks[0] - 1
-        u0, u1 = 1, t
-        for bit in ladder:
-            u0, u1 = u0 * (2 * u1 - t * u0), u1 * u1 - norm * u0 * u0
-            if bit:
-                u0, u1 = u1, t * u1 - norm * u0
-        folded = []
-        for steps, zero_jobs in per_k:
-            for _ in steps:
-                u0, u1 = u1, t * u1 - norm * u0
-            a = t * u1 - 2 * norm * u0  # = 2 x_k + e y_k
-            for top, slot, chain in zero_jobs if weight else ():
-                # (a 2^width) // (2 N^top), with the 2 taken off the shift
-                q = (a << (width - 1)) // powers[top]
-                totals[slot] += weight * q
-                for drop, lower in chain:
-                    q //= powers[drop]
-                    totals[lower] += weight * q
-            if plan:
-                folded.append((a, (e * x + e2 * y) * u1 - e * norm * u0))
-        last = 0
-        for m, m_jobs in plan:
-            step = ring_power(e, z, m - last, width)
-            wx, wy = step if last == 0 else ring_mul(e, (wx, wy), step, width)
-            last = m
-            for index, top, slot, chain in m_jobs:
-                a, b = folded[index]
-                # (a wx + b wy) // (2 N^top), as floor(floor(x/c)/2) = floor(x/(2c))
-                q = (a * wx + b * wy) // powers[top] >> 1
-                totals[slot] += q
-                for drop, lower in chain:
-                    q //= powers[drop]
-                    totals[lower] += q
-    bits = precision + GUARD_BITS
-    return {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in zip(order, totals)}
 
 
 @lru_cache(maxsize=8192)

@@ -145,10 +145,13 @@ _ZEROS = {"i": ("E6", "E10"), "rho": ("E4", "E10")}
 
 def valuation(expr: FormExpression, point: EllipticPoint) -> int:
     """Exact t-adic valuation of the expression at the point (negative for
-    poles): the order of its leading coefficient."""
+    poles): the order of its leading coefficient.  A zero constant has
+    none, so an expression holding one raises ``ValueError``."""
     if isinstance(expr, Generator):
         return int(expr.name in _ZEROS.get(point.tag, ()))
     if isinstance(expr, Constant):
+        if expr.value == 0:
+            raise ValueError("the form has a factor 0, so it is identically zero or divides by zero")
         return 0
     if isinstance(expr, Product):
         return sum(valuation(f, point) for f in expr.factors)

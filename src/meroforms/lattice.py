@@ -1,4 +1,4 @@
-"""Primitive ideals of Z[i] and Z[rho] and the cosine/complex kernels.
+"""Primitive ideals of Z[i] and Z[rho], their ideal sums and the cosine/complex kernels.
 
 An ideal (c mu + d) with gcd(c, d) = 1 (mu = i or rho = exp(pi i/3)) is
 stored as a canonical coprime pair together with a deterministic
@@ -45,12 +45,17 @@ so with P the phase numerator above
 
     C_s(b, m) = Re[g^s e^(i pi m P/N)] / N^(s/2).
 
-g^s is an exact power in Z[mu] (``ring_power``) and the phasor a pair of
-fixed-point ints (``fixed_phasor``); no angle is ever formed.  Ideal sums
-take Z_b = e^(i pi P/N) e^(2 pi v0/N) (v0 = Im mu) from ``phasor_row`` in
-place of the phasor, so that a term of weight k, index m and norm power
-N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j); there g^k is the same integer pair
-from the Lucas sequence of the trace and norm of g (``engine.ideal_sums``).
+No angle is ever formed.  Ideal sums take Z_b = e^(i pi P/N) e^(2 pi v0/N)
+(v0 = Im mu) from ``phasor_row``, a pair of fixed-point ints, so that a
+term of weight k, index m and norm power N^(j-k/2) is
+Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, ``sum_rows``, fills a
+whole family of (m, k, j) blocks: g^k exactly from the Lucas sequence of
+the trace and norm of g, Z_b^m stepped in fixed point, every term floored
+to a fixed number of fractional bits and added exactly as Python ints.
+``ideal_sums`` makes that pass over every ideal of norm <= B at
+``sum_width`` bits and rounds each total once; ``c_kernel`` makes it over
+one ideal, with the phasor e^(i pi m P/N) of ``fixed_phasor`` as Z and
+(1, s, s/2) as its one block.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import enum
 import gc
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -213,6 +219,8 @@ def ring_power(e: int, p: tuple[int, int], k: int, shift: int = 0) -> tuple[int,
     ``ring_mul``.  A floor moves a fixed-point value by less than
     2 * 2^-shift, so for |p| >= 1 the relative error of p^k is at most
     k (eps_p + 5 * 2^-shift) to first order, eps_p that of p."""
+    if k < 0:
+        raise ValueError(f"ring_power needs an exponent >= 0, got {k}")
     result = None
     while True:
         if k & 1:
@@ -266,15 +274,19 @@ def c_kernel(
 ) -> mpf:
     """Cosine kernel C_weight(ideal, m) = Re[g^weight e^(i pi m P/N)] / N^(weight/2)
     with g = d + c mu, rounded to precision + GUARD_BITS; exact 0 off the
-    divisibility class."""
+    divisibility class.  It is the one-ideal case of ``sum_rows``, the pass
+    of ``ideal_sums``, and refuses a weight <= 0, which the pass's Lucas
+    ladder cannot reach."""
+    if weight <= 0:
+        raise ValueError(f"kernel weight must be positive, got {weight}")
     if kernel_vanishes(field, weight):
         return mpf(0)
-    e = mu_trace(field)
     width = precision + GUARD_BITS
-    power = ring_power(e, (ideal.d, ideal.c), weight)
-    phase = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
-    scaled = twice_real(e, ring_mul(e, power, phase)) // (2 * ideal.norm ** (weight // 2))
-    return mp.make_mpf(from_man_exp(scaled, -width, width, round_nearest))
+    row = (ideal.norm, ideal.d, ideal.c, phase_numerator(field, ideal))
+    block = (1, weight, weight // 2)
+    phasor = fixed_phasor(field, m * row[3], ideal.norm, width)
+    total = sum_rows(mu_trace(field), (row,), (phasor,), (block,), width)[block]
+    return mp.make_mpf(from_man_exp(total, -width, width, round_nearest))
 
 
 def b_kernel_with_completion(
@@ -310,6 +322,15 @@ def b_kernel(
     """Complex kernel with the canonical completion of (c, d)."""
     a, b = complete_unimodular(c, d)
     return b_kernel_with_completion(weight, c, d, a, b, z, n, precision)
+
+
+def check_norm_bound(norm_bound: int, m: int, v0: float, name: str = "norm_bound") -> None:
+    """Refuse a norm bound below max(16, ceil(4 pi m v0)), the floor that
+    the tail bounds and the fixed-point sums of the m-th coefficient assume;
+    the message calls the bound ``name``."""
+    floor = max(16, int(mpmath.ceil(4 * mp.pi * m * v0)))
+    if norm_bound < floor:
+        raise ValueError(f"{name} {norm_bound} below required {floor}")
 
 
 def sum_width(norm_bound: int, precision: int) -> int:
@@ -350,3 +371,135 @@ def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[t
                 growth, last = mpmath.exp(two_pi_v0 / norm), norm
             row.append(fixed_phasor(field, phase_num, norm, width, growth))
     return tuple(row)
+
+
+def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
+    """(m, k, j) -> sum of the floored terms Re[g^k Z^m] / N^(k-j) over
+    ``rows`` (N, x, y, P) with generator g = x + y mu, for every (m, k, j)
+    in ``blocks`` (even k >= 2), each a fixed-point int with ``width``
+    fractional bits; Z is the row's entry of ``phasors``, fixed-point pairs
+    at ``width`` bits, which an m = 0-only family does not read (None).
+
+    With t = 2x + e y and N the trace and norm of g, g^2 = t g - N, so
+    g^k = U_k g - N U_(k-1) for the Lucas sequence U_(n+1) = t U_n - N U_(n-1),
+    U_0 = 0, U_1 = 1.  Per row, doubling by U_2n = U_n (2 U_(n+1) - t U_n) and
+    U_(2n+1) = U_(n+1)^2 - N U_n^2 reaches the smallest k, unit steps reach
+    the larger ones, and g^k = x_k + y_k mu is folded into the integers
+    a = 2 x_k + e y_k = t U_k - 2N U_(k-1) and
+    b = e x_k + (e^2 - 2) y_k = (e x + (e^2 - 2) y) U_k - e N U_(k-1), so
+    that 2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  The powers
+    of N come from one table per distinct norm (the rows are sorted by
+    norm).  An m = 0 term is one floor of the integer a, and for even k a
+    representative row and its mirror have the same a, since
+    (-conj g)^k = conj(g^k): so each m = 0 job adds ``pair_weight`` times
+    its floors, the same integer total as one floor per row, and a family
+    with no m >= 1 block skips the mirrors before their Lucas ladder.  The
+    m >= 1 jobs take every row, each with its own Z: for each m in
+    ascending order, Z^m is stepped from the previous m by
+    ``ring_power``(Z, gap) and one floored ``ring_mul``, and the numerator
+    of each k is floored by 2 N^(k-j) for its largest j and then by
+    N^(j'-j) down to each smaller j; since floor(floor(x/a)/b) = floor(x/(ab))
+    for positive integers a, b, every term is the one its block would get
+    alone with the same Z^m.  A lone m gets ``ring_power``(Z, m), so a one-m
+    family is bit-identical to a pass of its own.  Every floored product of
+    a product tree of m factors Z (|Z| >= 1, relative error eps) adds at
+    most 5 * 2^-width, so the stepped Z^m is within
+    m eps + (m - 1) 5 * 2^-width, the first-order bound of ``ring_power``."""
+    ks = sorted({k for _, k, _ in blocks})
+    js_of: dict = {}
+    for m, k, j in blocks:
+        js_of.setdefault((m, k), set()).add(j)
+    order, exponents = [], set()
+
+    def jobs(m):
+        # per k with blocks at m: (index of k, N-exponent of the largest j,
+        # its slot, then (further N-exponent, slot) down the smaller j)
+        out = []
+        for index, k in enumerate(ks):
+            js = sorted(js_of.get((m, k), ()), reverse=True)
+            if js:
+                first = len(order)
+                order.extend((m, k, j) for j in js)
+                drops = [a - b for a, b in zip(js, js[1:])]
+                exponents.update((k - js[0], *drops))
+                out.append((index, k - js[0], first, tuple(zip(drops, range(first + 1, len(order))))))
+        return out
+
+    at_zero = jobs(0)
+    # per k, ascending: the unit steps of U from the previous k and its m = 0 jobs
+    per_k = [
+        (range(k - last), [job[1:] for job in at_zero if job[0] == index])
+        for index, (last, k) in enumerate(zip([ks[0], *ks], ks))
+    ]
+    ladder = tuple(bit == "1" for bit in bin(ks[0] - 1)[3:])  # doubling, then a unit step if set
+    plan = [(m, jobs(m)) for m in sorted({m for m, _, _ in blocks}) if m]
+    exponents = tuple(exponents)
+    totals = [0] * len(order)
+    e2 = e * e - 2
+    row_norm = None
+    for (norm, x, y, _), z in zip(rows, phasors if plan else repeat(None)):
+        weight = pair_weight(e, x, y)  # of its m = 0 terms; 0 for a mirror
+        if not (weight or plan):
+            continue
+        if norm != row_norm:  # the rows are sorted by norm
+            row_norm, powers = norm, dict(zip(exponents, map(pow, repeat(norm), exponents)))
+        t = 2 * x + e * y  # (u0, u1) = (U_n, U_(n+1)), doubled from n = 1 to ks[0] - 1
+        u0, u1 = 1, t
+        for bit in ladder:
+            u0, u1 = u0 * (2 * u1 - t * u0), u1 * u1 - norm * u0 * u0
+            if bit:
+                u0, u1 = u1, t * u1 - norm * u0
+        folded = []
+        for steps, zero_jobs in per_k:
+            for _ in steps:
+                u0, u1 = u1, t * u1 - norm * u0
+            a = t * u1 - 2 * norm * u0  # = 2 x_k + e y_k
+            for top, slot, chain in zero_jobs if weight else ():
+                # (a 2^width) // (2 N^top), with the 2 taken off the shift
+                q = (a << (width - 1)) // powers[top]
+                totals[slot] += weight * q
+                for drop, lower in chain:
+                    q //= powers[drop]
+                    totals[lower] += weight * q
+            if plan:
+                folded.append((a, (e * x + e2 * y) * u1 - e * norm * u0))
+        last = 0
+        for m, m_jobs in plan:
+            step = ring_power(e, z, m - last, width)
+            wx, wy = step if last == 0 else ring_mul(e, (wx, wy), step, width)
+            last = m
+            for index, top, slot, chain in m_jobs:
+                a, b = folded[index]
+                # (a wx + b wy) // (2 N^top), as floor(floor(x/c)/2) = floor(x/(2c))
+                q = (a * wx + b * wy) // powers[top] >> 1
+                totals[slot] += q
+                for drop, lower in chain:
+                    q //= powers[drop]
+                    totals[lower] += q
+    return dict(zip(order, totals))
+
+
+@lru_cache(maxsize=1024)
+def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tuple) -> dict:
+    """(m, k, j) -> sum*_b cos(pi m P_b/N_b + k theta_b) N_b^(j-k/2) e^(2 pi m v0/N_b)
+    over the primitive ideals of norm <= norm_bound, for every (m, k, j) in
+    ``blocks``, each rounded once to precision + GUARD_BITS bits.
+
+    One ``sum_rows`` pass over the ``ideal_sum_data`` rows and their
+    ``phasor_row`` fills every block at ``sum_width`` fractional bits (at
+    m = 0 the sum is integer arithmetic).  With m < norm_bound, which
+    ``check_norm_bound`` of the largest m ensures and which is checked here,
+    the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|,
+    which the unit ideal's term (at least 1) dominates.  The cache holds one
+    entry per pass, not per (4 pi m)^r scaling of a sum."""
+    field = field_of(point)
+    top = max(m for m, _, _ in blocks)
+    if top:
+        with workprec(precision + GUARD_BITS):
+            check_norm_bound(norm_bound, top, point.v0(precision))
+    width = sum_width(norm_bound, precision)
+    rows = ideal_sum_data(field, norm_bound)
+    phasors = phasor_row(point, norm_bound, precision) if top else None
+    totals = sum_rows(mu_trace(field), rows, phasors, blocks, width)
+    bits = precision + GUARD_BITS
+    return {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in totals.items()}

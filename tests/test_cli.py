@@ -306,6 +306,28 @@ def test_norm_bound_errors_name_the_flag(capsys, args, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("coeffs", "--form", "0/E6", "--m", "0"),
+        ("verify", "--form", "0*(1/E6)", "--m", "0..2", "--tol", "1e-8"),
+        ("expand", "--form", "0/E6", "--point", "i"),
+    ],
+    ids=["coeffs", "verify", "expand"],
+)
+def test_zero_form_is_usage_error(capsys, args):
+    # a zero factor has no valuation: an input error, not a numerical failure
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err == "error: the form has a factor 0, so it is identically zero or divides by zero\n"
+
+
+def test_zero_form_oracle_prints_zero(capsys):
+    code, out, _ = run(capsys, "oracle", "--form", "0", "--m", "0")
+    assert code == 0
+    assert [row["coefficient"] for row in json.loads(out)["coefficients"]] == ["0"]
+
+
 def test_deterministic_output(capsys):
     args = ("coeffs", "--form", "1/E4", "--m", "0..1", "--norm-bound", "400", "--precision", "128")
     code1, out1, _ = run(capsys, *args)

@@ -1,7 +1,8 @@
 """Every import in the package is used, and every top-level function and
-class is referenced: a name left behind when its last user goes is dead
-weight.  ``__init__.py`` only re-exports, so it is skipped.  A test does
-not count as a user, except for the listed reference definitions."""
+class, and every method but the dunders, is referenced: a name left behind
+when its last user goes is dead weight.  ``__init__.py`` only re-exports,
+so it is skipped.  A test does not count as a user, except for the listed
+reference definitions."""
 
 import ast
 import re
@@ -62,9 +63,9 @@ def test_dead_definition_is_reported():
     assert _dead_definitions({"m.py": source}, source + "used()\nBox()\n") == ["m.py: dead"]
 
 
-# Top-level definitions that no module in src/ or bench/ reads.  Each is a
-# reference or a test input the suites depend on; a definition not listed
-# here that loses its last non-test reader fails the check below.
+# Top-level definitions and methods that no module in src/ or bench/ reads.
+# Each is a reference or a test input the suites depend on; a definition not
+# listed here that loses its last non-test reader fails the check below.
 REFERENCE_DEFINITIONS = (
     "generic_point",  # builds the non-elliptic poles that the pair-sum tests sum at
     "raising_expansion_stepped",  # the recurrence that criterion 10 checks the closed form against
@@ -73,6 +74,7 @@ REFERENCE_DEFINITIONS = (
     "norm_form",  # the reference norm that the enumeration tests check ideals against
     "unit_orbit",  # the reference unit orbits behind the one-per-ideal enumeration tests
     "c_kernel",  # the per-ideal kernel: criterion 9 checks its invariances, the engine tests the sums against it
+    "twice_real",  # 2 Re of a ring element in the reference ideal sum and in the kernel and mirror tests
 )
 
 
@@ -95,17 +97,34 @@ def _references(node: ast.AST) -> set[str]:
 
 
 def _unread_definitions(package: dict, readers: dict) -> list[str]:
-    """Top-level functions and classes of ``package`` that no other top-level
-    statement of ``package`` or ``readers`` (filename -> source) reads."""
+    """Top-level functions and classes of ``package``, and the non-dunder
+    functions of its class bodies (as ``Class.name``), that no other
+    statement of ``package`` or ``readers`` (filename -> source) reads: a
+    top-level definition is read by another top-level statement, a method
+    also by another statement of its class body."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     trees = {filename: ast.parse(source) for filename, source in {**readers, **package}.items()}
     refs = [(node, _references(node)) for tree in trees.values() for node in tree.body]
-    return [
-        f"{filename}: {node.name}"
-        for filename in package
-        for node in trees[filename].body
-        if isinstance(node, kinds) and not any(node.name in names for other, names in refs if other is not node)
-    ]
+
+    def read(name, skip, siblings=()):
+        return any(name in names for other, names in refs if other is not skip) or any(
+            name in _references(other) for other in siblings
+        )
+
+    unread = []
+    for filename in package:
+        for node in trees[filename].body:
+            if not isinstance(node, kinds):
+                continue
+            if not read(node.name, node):
+                unread.append(f"{filename}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, kinds[:2]) and not method.name.startswith("__"):
+                        siblings = [other for other in node.body if other is not method]
+                        if not read(method.name, node, siblings):
+                            unread.append(f"{filename}: {node.name}.{method.name}")
+    return unread
 
 
 def test_no_definitions_read_only_by_tests():
@@ -122,9 +141,20 @@ def test_definition_read_only_by_tests_is_reported():
         "def named():\n    pass\n"
         "def recursive(n):\n    return recursive(n - 1)\n"
         "class Box:\n    def method(self):\n        return Box()\n"
+        "class Tray:\n"
+        "    def __init__(self):\n        self.fill()\n"
+        "    def fill(self):\n        pass\n"
+        "    def tested(self):\n        return self.tested()\n"
+        "    def served(self):\n        pass\n"
         "NAMES = ('m.named',)\n"
         "used()\n"
     )
-    # the definition's own body does not count as a reader
-    reader = "from m import helper\nhelper()\n"
-    assert _unread_definitions({"m.py": source}, {"run.py": reader}) == ["m.py: recursive", "m.py: Box"]
+    # the definition's own body does not count as a reader; a method is read
+    # by its class's other methods, dunders are not checked
+    reader = "from m import helper\nhelper()\nTray().served()\n"
+    assert _unread_definitions({"m.py": source}, {"run.py": reader}) == [
+        "m.py: recursive",
+        "m.py: Box",
+        "m.py: Box.method",
+        "m.py: Tray.tested",
+    ]

@@ -5,6 +5,7 @@ from math import gcd, isqrt
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, round_nearest
 
 from meroforms import (
     Field,
@@ -13,7 +14,7 @@ from meroforms import (
     complete_unimodular,
     enumerate_primitive,
 )
-from meroforms.constants import POINT_I, POINT_RHO
+from meroforms.constants import GUARD_BITS, POINT_I, POINT_RHO
 from meroforms.lattice import (
     PrimitiveIdeal,
     b_kernel_with_completion,
@@ -26,6 +27,7 @@ from meroforms.lattice import (
     phase_numerator,
     phasor_row,
     ring_mul,
+    ring_power,
     sum_width,
     twice_real,
     unit_orbit,
@@ -198,6 +200,47 @@ def test_c_kernel_matches_angle_reference(precision):
                     got = c_kernel(field, weight, ideal, m, precision)
                     with workprec(precision + 64):
                         assert abs(got - ref) <= tol
+
+
+def _c_kernel_by_powers(field, weight, ideal, m, precision):
+    """The cosine kernel with g^weight from ``ring_power`` times the phasor
+    and 2 Re from ``twice_real``, floored and rounded as ``c_kernel`` does."""
+    e = mu_trace(field)
+    width = precision + GUARD_BITS
+    power = ring_power(e, (ideal.d, ideal.c), weight)
+    phase = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
+    scaled = twice_real(e, ring_mul(e, power, phase)) // (2 * ideal.norm ** (weight // 2))
+    return mp.make_mpf(from_man_exp(scaled, -width, width, round_nearest))
+
+
+def test_c_kernel_matches_ring_powers_bit_for_bit():
+    # c_kernel is the one-ideal case of the ideal-sum pass, whose Lucas fold
+    # must give the very bits of the exact power g^weight, on every
+    # generator of an ideal's unit orbit and on shifted completions
+    rng = random.Random(31)
+    for field in Field:
+        step = 4 if field is Field.GAUSSIAN else 6
+        ideals = enumerate_primitive(field, 400)
+        for _ in range(600):
+            base = ideals[rng.randrange(len(ideals))]
+            c, d = rng.choice(unit_orbit(field, base.c, base.d))
+            ideal = _ideal_from_pair(field, c, d)
+            t = rng.randint(-4, 4)
+            ideal = ideal._replace(a=ideal.a + t * c, b=ideal.b + t * d)
+            weight, m, precision = step * rng.randint(1, 10), rng.randint(0, 12), rng.choice((64, 128, 256))
+            want = _c_kernel_by_powers(field, weight, ideal, m, precision)
+            assert c_kernel(field, weight, ideal, m, precision) == want, (ideal, weight, m, precision)
+
+
+def test_negative_exponents_are_refused():
+    # binary powering would never end on a negative exponent, and the Lucas
+    # ladder of the ideal-sum pass has no weight <= 0
+    with pytest.raises(ValueError, match="exponent >= 0, got -1"):
+        ring_power(0, (1, 1), -1)
+    ideal = enumerate_primitive(Field.GAUSSIAN, 5)[2]
+    for weight in (-4, 0):
+        with pytest.raises(ValueError, match=f"weight must be positive, got {weight}"):
+            c_kernel(Field.GAUSSIAN, weight, ideal, 1, 64)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 5000])
