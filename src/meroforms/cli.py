@@ -38,7 +38,7 @@ from .constants import (
 from .engine import ClosedFormMismatch, TruncatedSum, identity_check_m0
 from .expansion import ExpansionError, PrincipalPart, laurent_at, valuation
 from .lattice import Field, check_norm_bound, enumerate_primitive
-from .qseries import FormParseError, contains_dee, exact_str, oracle_coeffs, parse_form, split_e2_power
+from .qseries import FormParseError, exact_str, oracle_coeffs, parse_form, split_e2_power
 from .quasi import quasi_expansion
 from .solver import BasisCongruenceError, BasisResidualError, solve_basis
 
@@ -168,8 +168,6 @@ def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
     ms = parse_m_range(args.m)
     _validate(args.norm_bound, ms)
     expr = parse_form(args.form)
-    if contains_dee(expr):
-        raise UsageError("D(...) is not modular; only the oracle can expand it")
     e2_power, remainder = split_e2_power(expr)
     orders = {point: -valuation(remainder, point) for point in (POINT_I, POINT_RHO)}
     # F_n, the top auxiliary form, has the poles of the remainder raised by n
@@ -199,7 +197,12 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"--order must be >= 0, got {args.order}")
     order = max(args.order, max(ms))
     _at_most(order, MAX_ORACLE_ORDER, "oracle order")
-    coeffs = oracle_coeffs(expr, order)
+    try:
+        coeffs = oracle_coeffs(expr, order)
+    except ZeroDivisionError:
+        raise UsageError(
+            f"{expr} divides by a q-series with constant term 0, so it is not bounded at the cusp"
+        ) from None
     rows = [{"m": m, "coefficient": exact_str(coeffs[m])} for m in ms]
     _emit(json.dumps({"form": str(expr), "coefficients": rows}, indent=2) + "\n", args.out)
     return EXIT_OK

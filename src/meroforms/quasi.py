@@ -35,14 +35,13 @@ from .expansion import (
     _add,
     _dz,
     _mul,
-    _pow,
     _scale,
     laurent_at,
     principal_part_from_laurent,
     taylor_at,
     valuation,
 )
-from .qseries import FormExpression, Generator, parse_form
+from .qseries import FormExpression, Generator, contains_dee, parse_form
 from .solver import BasisRepresentation, solve_basis
 
 
@@ -151,7 +150,11 @@ def quasi_expansion(
     n: int,
     precision: int = DEFAULT_PRECISION,
 ) -> QuasiExpansion:
-    """Build the quasi-coefficient machine for E_2^n times the expression."""
+    """Build the quasi-coefficient machine for E_2^n times the expression,
+    an E_2-free and D-free form with a pole at i or rho.  Each pole keeps
+    E_2^(j-1) f and the (j-1-d)-th derivatives of E_2^d f for d < j; step
+    j multiplies the first by E_2 and differentiates each of the others
+    once more: n products and n(n+1)/2 derivatives per pole in all."""
     if isinstance(expr, str):
         expr = parse_form(expr)
     weight = expr.weight
@@ -164,42 +167,29 @@ def quasi_expansion(
     poles = [point for point in (POINT_I, POINT_RHO) if valuation(expr, point) < 0]
     if not poles:
         raise ValueError("no poles found at the candidate points")
+    if contains_dee(expr):
+        raise ValueError("D(...) is not modular; only the oracle can expand it")
+    if expr.contains_generator("E2"):
+        raise ValueError("E2 is not modular; pass its power as n instead")
     laurents = {point: laurent_at(expr, point, precision, depth=n + 6) for point in poles}
 
-    f_rep = solve_basis(
-        [principal_part_from_laurent(s) for s in laurents.values()], k, precision
-    )
-
-    e2s = {
-        point: taylor_at(Generator("E2"), point, -lf.lowest_order + n + 6, precision)
-        for point, lf in laurents.items()
-    }
-    aux_reps = {}
-    # E_2^d f at each pole, d = j - l, built once for every (j, l)
-    products = {point: {0: lf} for point, lf in laurents.items()}
+    f_rep = solve_basis([principal_part_from_laurent(s) for s in laurents.values()], k, precision)
+    aux_pps = {j: [] for j in range(1, n + 1)}
     with workprec(precision + GUARD_BITS):
         pi_third = mp.pi / 3
         two_i = mpc(0, 2)
-        for j in range(1, n + 1):
-            pps = []
-            for point, lf in laurents.items():
-                e2, cache = e2s[point], products[point]
+        for point, lf in laurents.items():
+            e2 = taylor_at(Generator("E2"), point, -lf.lowest_order + n + 6, precision)
+            power, derivs = lf, [lf]
+            for j in range(1, n + 1):
+                power = _mul(e2, power)
+                derivs = [_dz(s) for s in derivs] + [power]
                 combo = None
                 for l in range(j + 1):
                     coeff = f_combination_coeff(k, j, l)
-                    factor = (
-                        mpf(coeff.numerator)
-                        / coeff.denominator
-                        * pi_third ** (j - l)
-                        * two_i**l
-                    )
-                    if j - l not in cache:
-                        cache[j - l] = _mul(_pow(e2, j - l), lf)
-                    term = cache[j - l]
-                    for _ in range(l):
-                        term = _dz(term)
-                    piece = _scale(term, factor)
+                    factor = mpf(coeff.numerator) / coeff.denominator * pi_third ** (j - l) * two_i**l
+                    piece = _scale(derivs[j - l], factor)
                     combo = piece if combo is None else _add(combo, piece)
-                pps.append(principal_part_from_laurent(combo))
-            aux_reps[j] = solve_basis(pps, k - j, precision)
+                aux_pps[j].append(principal_part_from_laurent(combo))
+    aux_reps = {j: solve_basis(pps, k - j, precision) for j, pps in aux_pps.items()}
     return QuasiExpansion(k, n, f_rep, aux_reps, precision)

@@ -3,6 +3,7 @@ entry point it wraps must resolve, and the cached ones must keep their
 ``cache_info``, or ``bench/run.py --trace 1`` crashes."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -68,3 +69,12 @@ def test_traced_kernel_counts(capsys):
     capsys.readouterr()
     assert engine.f_series_coeff.cache_info().misses == expected
     assert engine.ideal_sums.cache_info().misses == 1
+
+
+def test_setup_probe_prints_each_workload_summary(capsys):
+    # the probe behind setup_s builds every verify form's quasi-expansion
+    probe = _load_bench("setup_probe")
+    workloads = _load_bench("workloads")
+    for workload in (*workloads.WORKLOADS.values(), *workloads.TINY_WORKLOADS.values()):
+        probe.main(workload.command, workload.form)
+        assert json.loads(capsys.readouterr().out) == workload.setup, workload.name

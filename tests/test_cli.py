@@ -228,6 +228,7 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "coeffs", "--form", "D(1/E10)", "--m", "0")
     assert code == 1
+    assert err == "error: D(...) is not modular; only the oracle can expand it\n"
     code, _, _ = run(capsys, "nosuchcommand")
     assert code == 1
 
@@ -326,6 +327,15 @@ def test_zero_form_oracle_prints_zero(capsys):
     code, out, _ = run(capsys, "oracle", "--form", "0", "--m", "0")
     assert code == 0
     assert [row["coefficient"] for row in json.loads(out)["coefficients"]] == ["0"]
+
+
+@pytest.mark.parametrize("form", ["1/(0*E6)", "1/D(E4)", "E4/D(E6)"])
+def test_oracle_of_non_invertible_form_is_usage_error(capsys, form):
+    # exact arithmetic fails only on a reciprocal of a series with constant
+    # term 0, a form unbounded towards the cusp: an input error
+    code, out, err = run(capsys, "oracle", "--form", form, "--m", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "constant term 0" in err
 
 
 def test_deterministic_output(capsys):

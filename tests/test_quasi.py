@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 from meroforms import (
     POINT_I,
@@ -11,8 +11,11 @@ from meroforms import (
     simple_pole_quasi_coeff,
 )
 import meroforms.quasi as quasi
-from meroforms.qseries import oracle_coeffs
+from meroforms.constants import GUARD_BITS
+from meroforms.expansion import _add, _dz, _mul, _pow, _scale, laurent_at, principal_part_from_laurent, taylor_at, valuation
+from meroforms.qseries import Generator, oracle_coeffs, parse_form
 from meroforms.quasi import f_combination_coeff
+from meroforms.solver import solve_basis
 
 from conftest import rel_err
 
@@ -80,18 +83,61 @@ def test_coefficients_of_a_range_match_each_m(prec, form, n):
 
 
 def test_quasi_expansion_multiplies_each_e2_power_once(prec, monkeypatch):
-    # F_1..F_n read E_2^d f for d = j - l, so each d needs one product per pole
-    products = []
-    inner = quasi._mul
+    # step j takes E_2^j f from E_2^(j-1) f and one more derivative of each
+    # E_2^d f, d < j: n products and n(n+1)/2 derivatives per pole
+    calls = {"_mul": [], "_dz": []}
+    for name, log in calls.items():
+        inner = getattr(quasi, name)
 
-    def counting(a, b):
-        products.append(a.point)
-        return inner(a, b)
+        def counting(a, *rest, inner=inner, log=log):
+            log.append(a.point)
+            return inner(a, *rest)
 
-    monkeypatch.setattr(quasi, "_mul", counting)
+        monkeypatch.setattr(quasi, name, counting)
     quasi.quasi_expansion("1/E10^3", 6, prec)
     for point in (POINT_I, POINT_RHO):
-        assert 1 <= products.count(point) <= 6
+        assert calls["_mul"].count(point) == 6
+        assert calls["_dz"].count(point) == 21
+
+
+def _aux_reps_from_scratch(form, n, precision):
+    """F_1..F_n as the auxiliary forms were first built: E_2^(j-l) f by
+    ``_pow`` for every (j, l), differentiated l times from scratch."""
+    expr = parse_form(form)
+    k = (2 - expr.weight) // 2
+    laurents = {p: laurent_at(expr, p, precision, depth=n + 6) for p in (POINT_I, POINT_RHO) if valuation(expr, p) < 0}
+    e2s = {p: taylor_at(Generator("E2"), p, -lf.lowest_order + n + 6, precision) for p, lf in laurents.items()}
+    reps = {}
+    with workprec(precision + GUARD_BITS):
+        for j in range(1, n + 1):
+            pps = []
+            for point, lf in laurents.items():
+                combo = None
+                for l in range(j + 1):
+                    coeff = f_combination_coeff(k, j, l)
+                    factor = mpf(coeff.numerator) / coeff.denominator * (mp.pi / 3) ** (j - l) * mpc(0, 2) ** l
+                    term = _mul(_pow(e2s[point], j - l), lf)
+                    for _ in range(l):
+                        term = _dz(term)
+                    combo = _scale(term, factor) if combo is None else _add(combo, _scale(term, factor))
+                pps.append(principal_part_from_laurent(combo))
+            reps[j] = solve_basis(pps, k - j, precision)
+    return reps
+
+
+@pytest.mark.parametrize("precision", [128, 256])
+@pytest.mark.parametrize("form, n", [("1/E10^3", 6), ("1/E6^4", 3)])
+def test_aux_reps_match_construction_from_scratch(form, n, precision):
+    # the running product changes only E_2^d f for d >= 2, in trailing bits
+    got = quasi_expansion(form, n, precision).aux_reps
+    want = _aux_reps_from_scratch(form, n, precision)
+    assert got[1] == want[1]
+    for j in range(1, n + 1):
+        assert [(t.point, t.n) for t in got[j].terms] == [(t.point, t.n) for t in want[j].terms], j
+        with workprec(precision + 64):
+            largest = max(abs(t.a) for t in want[j].terms)
+            for g, w in zip(got[j].terms, want[j].terms):
+                assert abs(g.a - w.a) <= mpf(2) ** -(precision + 8) * largest, (j, w.point, w.n)
 
 
 def test_simple_route_validity_window(prec):
@@ -162,6 +208,20 @@ def test_weight_window_enforced(prec):
         quasi_expansion("1/E10", 5, prec)  # 2 - 12 + 10 = 0
     with pytest.raises(ValueError, match="weight"):
         quasi_expansion("E4", 1, prec)
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [("E2 * (1/E6^4)", "pass its power as n"), ("D(1/E6)", r"D\(\.\.\.\) is not modular"), ("E2 * D(1/E10)", "not modular")],
+)
+def test_quasi_forms_rejected(prec, form, message, monkeypatch):
+    # refused as input before any expansion, not as a failed solve
+    def expand(*args, **kwargs):
+        raise AssertionError("expanded a form it should refuse")
+
+    monkeypatch.setattr(quasi, "laurent_at", expand)
+    with pytest.raises(ValueError, match=message):
+        quasi_expansion(form, 0, prec)
 
 
 def test_no_poles_rejected(prec):
