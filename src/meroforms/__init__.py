@@ -53,6 +53,7 @@ from .qseries import (  # noqa: F401
 )
 from .quasi import (  # noqa: F401
     QuasiExpansion,
+    coefficients,
     quasi_expansion,
     simple_pole_quasi_coeff,
 )

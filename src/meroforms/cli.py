@@ -3,10 +3,10 @@
 Subcommands: coeffs (formula path with oracle column), oracle (exact
 rationals), verify (side-by-side comparison against the oracle),
 identity (the quartic-reciprocal constant-term identity), enumerate,
-expand, basis, constants.  ``coeffs`` and ``verify`` only validate their
-arguments and format ``QuasiExpansion.coefficients``, which picks the
-route, next to the oracle.  Numbers are emitted as decimal strings so
-output precision is not limited by binary doubles.
+expand, basis, constants.  ``coeffs`` and ``verify`` only check their
+flags and format ``meroforms.coefficients`` next to the oracle.  Numbers
+are emitted as decimal strings so output precision is not limited by
+binary doubles.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
 3 verification failure.
@@ -35,12 +35,12 @@ from .constants import (
     derivative_jet,
     point_from_tag,
 )
-from .engine import ClosedFormMismatch, TruncatedSum, identity_check_m0
-from .expansion import ExpansionError, PrincipalPart, laurent_at, valuation
-from .lattice import Field, check_norm_bound, enumerate_primitive
-from .qseries import FormParseError, exact_str, oracle_coeffs, parse_form, split_e2_power
-from .quasi import quasi_expansion
-from .solver import BasisCongruenceError, BasisResidualError, solve_basis
+from .engine import TruncatedSum, identity_check_m0
+from .expansion import PrincipalPart, laurent_at, valuation
+from .lattice import Field, enumerate_primitive
+from .qseries import exact_str, oracle_coeffs, parse_form
+from .quasi import MAX_POLE_ORDER, coefficients
+from .solver import solve_basis
 
 ENV_PRECISION = "MEROFORMS_PRECISION"
 
@@ -76,15 +76,6 @@ MAX_DEPTH = 200
 # `constants --depth 3` 11.0 s; at 1024 bits the first two take 2.5 s
 # and 2.6 s.
 MAX_PRECISION = 4096
-
-# Each pole order, read from the exact valuation, adds a term to every
-# series and a basis element to every solve, and the auxiliary forms of
-# E2^n f have the pole order of f plus n.  On a 2-core x86-64 VM, in a
-# fresh process at 256 bits: `expand --form "1/E6^40" --point i --depth
-# 200` takes 3.1 s; `verify --m 0 --tol 1e-8` takes 1.1 s on "1/E6^40",
-# 4.7 s on "E2^29 * (1/E6^11)" and 9.1 s on "E2^20 * (1/E10^20)", and
-# `verify --form "1/E6^40" --m 0..3` 2.3-2.5 s.
-MAX_POLE_ORDER = 40
 
 # The basis solve's factorials grow with k.  On the same VM, solving
 # principal parts of order 39 at i and rho at 1024 bits takes 0.75 s at
@@ -160,34 +151,20 @@ def _json_error(exc: Exception, kind: str) -> None:
 
 
 def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
-    """Validate ``coeffs``/``verify`` arguments, build the expansion and the
-    oracle, then iterate ``(m, result, exact, rel_err)`` over the m range at
-    the working precision; ``rel_err`` is absolute where the oracle is 0.
-    The norm bound is checked at every pole of the form for the largest m
-    before the expansion, the oracle or any sum runs."""
+    """Check the ``coeffs``/``verify`` flags, then iterate ``(m, result, exact,
+    rel_err)`` from ``coefficients`` and the oracle at the working precision;
+    ``rel_err`` is absolute where the oracle is 0."""
     ms = parse_m_range(args.m)
     _validate(args.norm_bound, ms)
     expr = parse_form(args.form)
-    e2_power, remainder = split_e2_power(expr)
-    orders = {point: -valuation(remainder, point) for point in (POINT_I, POINT_RHO)}
-    # F_n, the top auxiliary form, has the poles of the remainder raised by n
-    _at_most(max(0, *orders.values()) + e2_power, MAX_POLE_ORDER, "pole order plus E2 power")
-    with workprec(args.precision + GUARD_BITS):
-        for point, order in orders.items():
-            if order > 0:
-                check_norm_bound(args.norm_bound, max(ms), point.v0(args.precision), "--norm-bound")
-    expansion = quasi_expansion(remainder, e2_power, args.precision)
+    results = coefficients(expr, ms, norm_bound=args.norm_bound, precision=args.precision)
     oracle = oracle_coeffs(expr, max(ms))
-
-    def rows():
-        with workprec(args.precision):
-            for m, res in zip(ms, expansion.coefficients(ms, args.norm_bound)):
-                exact = oracle[m]
-                exact_mp = mpf(exact.numerator) / exact.denominator
-                denom = abs(exact_mp) if exact != 0 else mpf(1)
-                yield m, res, exact, abs(res.value - exact_mp) / denom
-
-    return rows()
+    with workprec(args.precision):
+        for m, res in zip(ms, results):
+            exact = oracle[m]
+            exact_mp = mpf(exact.numerator) / exact.denominator
+            denom = abs(exact_mp) if exact != 0 else mpf(1)
+            yield m, res, exact, abs(res.value - exact_mp) / denom
 
 
 def cmd_oracle(args) -> int:
@@ -197,12 +174,7 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"--order must be >= 0, got {args.order}")
     order = max(args.order, max(ms))
     _at_most(order, MAX_ORACLE_ORDER, "oracle order")
-    try:
-        coeffs = oracle_coeffs(expr, order)
-    except ZeroDivisionError:
-        raise UsageError(
-            f"{expr} divides by a q-series with constant term 0, so it is not bounded at the cusp"
-        ) from None
+    coeffs = oracle_coeffs(expr, order)
     rows = [{"m": m, "coefficient": exact_str(coeffs[m])} for m in ms]
     _emit(json.dumps({"form": str(expr), "coefficients": rows}, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -445,10 +417,10 @@ def main(argv=None) -> int:
         if "precision" in args:
             args.precision = _check_precision(args.precision)
         return args.func(args)
-    except (BasisCongruenceError, BasisResidualError, ClosedFormMismatch, ExpansionError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:
         _json_error(exc, "numerical")
         return EXIT_NUMERICAL
-    except (UsageError, FormParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -324,13 +324,12 @@ def b_kernel(
     return b_kernel_with_completion(weight, c, d, a, b, z, n, precision)
 
 
-def check_norm_bound(norm_bound: int, m: int, v0: float, name: str = "norm_bound") -> None:
+def check_norm_bound(norm_bound: int, m: int, v0: float) -> None:
     """Refuse a norm bound below max(16, ceil(4 pi m v0)), the floor that
-    the tail bounds and the fixed-point sums of the m-th coefficient assume;
-    the message calls the bound ``name``."""
+    the tail bounds and the fixed-point sums of the m-th coefficient assume."""
     floor = max(16, int(mpmath.ceil(4 * mp.pi * m * v0)))
     if norm_bound < floor:
-        raise ValueError(f"{name} {norm_bound} below required {floor}")
+        raise ValueError(f"norm_bound {norm_bound} below required {floor}")
 
 
 def sum_width(norm_bound: int, precision: int) -> int:

@@ -501,7 +501,10 @@ def contains_dee(expr: FormExpression) -> bool:
 
 
 def oracle_coeffs(expr: FormExpression | str, n_max: int) -> tuple[Fraction, ...]:
-    """Exact Fourier coefficients of the expression for 0 <= m <= n_max."""
-    if isinstance(expr, str):
-        expr = parse_form(expr)
-    return expr.qseries(n_max).coeffs
+    """Exact Fourier coefficients for 0 <= m <= n_max; ValueError if not invertible."""
+    expr = parse_form(expr) if isinstance(expr, str) else expr
+    try:
+        return expr.qseries(n_max).coeffs
+    except ZeroDivisionError:
+        why = "divides by a q-series with constant term 0, so it is not bounded at the cusp"
+        raise ValueError(f"{expr} {why}") from None

@@ -32,10 +32,6 @@ class BasisCongruenceError(ArithmeticError):
 class BasisResidualError(ArithmeticError):
     """Principal part inconsistent with the tails of higher basis elements."""
 
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 def epsilon_is_zero(weight: int, point: EllipticPoint) -> bool:
     if weight % 2:
@@ -142,9 +138,7 @@ def solve_basis(
                     terms.append(BasisTerm(point, n, a))
                 elif abs(residual[p]) > tol * scale[p]:
                     raise BasisResidualError(
-                        f"principal part inconsistent with basis tails at {point}: "
-                        f"order {p} residual {residual[p]}",
-                        residual=residual,
+                        f"principal part inconsistent with basis tails at {point}: order {p} residual {residual[p]}"
                     )
     return BasisRepresentation(k, tuple(terms))
 

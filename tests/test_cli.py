@@ -1,11 +1,15 @@
+import importlib
 import io
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import meroforms
 import meroforms.cli as cli
 import meroforms.engine as engine
+import meroforms.quasi as quasi
 from meroforms.cli import MAX_BASIS_K, MAX_ORACLE_ORDER, MAX_POLE_ORDER, MAX_PRECISION, main, parse_m_range
 from meroforms.engine import TruncatedSum
 
@@ -233,6 +237,30 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+def test_dee_without_a_pole_is_refused_as_dee(capsys):
+    # D(E4) has valuation 0 at i and rho: a pole scan ahead of the D check
+    # refused 1/D(E4) for having no poles
+    code, out, err = run(capsys, "coeffs", "--form", "1/D(E4)", "--m", "0")
+    assert code == 1 and out == ""
+    assert err == "error: D(...) is not modular; only the oracle can expand it\n"
+
+
+def test_every_error_class_maps_to_one_exit_code():
+    # main sends ArithmeticError to exit 2 and ValueError to exit 1, so an
+    # error class deriving from neither, or from both, is mapped wrongly
+    # (__main__ runs the command line when imported)
+    classes = [
+        obj
+        for info in pkgutil.iter_modules(meroforms.__path__)
+        if info.name != "__main__"
+        for obj in vars(importlib.import_module(f"meroforms.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__.startswith("meroforms.")
+    ]
+    assert {"UsageError", "FormParseError", "ExpansionError", "BasisResidualError"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        assert issubclass(cls, ArithmeticError) != issubclass(cls, ValueError), cls
+
+
 def test_out_of_range_input_is_usage_error(capsys, monkeypatch):
     # a negative m would index the coefficient tuple from its end, and a
     # negative depth leaves nothing to expand
@@ -392,15 +420,15 @@ def test_norm_bound_checked_before_oracle(monkeypatch, capsys):
         raise AssertionError("expansion or oracle built before the norm-bound check")
 
     monkeypatch.setattr(cli, "oracle_coeffs", must_not_run)
-    monkeypatch.setattr(cli, "quasi_expansion", must_not_run)
+    monkeypatch.setattr(quasi, "quasi_expansion", must_not_run)
     for command in (("coeffs",), ("verify", "--tol", "1e-8")):
         code, out, err = run(capsys, *command, "--form", "1/E6^4", "--m", "400", "--norm-bound", "100")
         assert code == 1 and out == ""
-        assert err == "error: --norm-bound 100 below required 5027\n"
+        assert err == "error: norm_bound 100 below required 5027\n"
     args = ("--form", "E2^20 * (1/E10^20)", "--m", "0..50", "--tol", "1e-8", "--norm-bound", "200")
     code, out, err = run(capsys, "verify", *args)
     assert code == 1 and out == ""
-    assert err == "error: --norm-bound 200 below required 629\n"
+    assert err == "error: norm_bound 200 below required 629\n"
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "abc"])
@@ -410,7 +438,7 @@ def test_tol_checked_before_any_work(monkeypatch, capsys, tol):
     def expansion_must_not_run(*args):
         raise AssertionError("expansion built before the --tol check")
 
-    monkeypatch.setattr(cli, "quasi_expansion", expansion_must_not_run)
+    monkeypatch.setattr(quasi, "quasi_expansion", expansion_must_not_run)
     code, out, err = run(capsys, "verify", "--form", "1/E6^4", "--m", "0", f"--tol={tol}")
     assert code == 1 and out == ""
     assert f"--tol must be a finite number > 0, got {tol!r}" in err

@@ -1,6 +1,7 @@
 """Every import in the package is used, and every top-level function and
-class, and every method but the dunders, is referenced: a name left behind
-when its last user goes is dead weight.  ``__init__.py`` only re-exports,
+class, every method but the dunders, and every field or attribute a class
+sets, is referenced: a name left behind when its last user goes is dead
+weight.  ``__init__.py`` only re-exports,
 so it is skipped.  A test does not count as a user, except for the listed
 reference definitions."""
 
@@ -158,3 +159,72 @@ def test_definition_read_only_by_tests_is_reported():
         "m.py: Box.method",
         "m.py: Tray.tested",
     ]
+
+
+# Fields and instance attributes that no module in src/ or bench/ reads, each
+# kept for the reason given; any other fails the check below.
+KEPT_ATTRIBUTES = (
+    "PrincipalPart.flagged_zero_orders",  # the acceptance suite builds PrincipalPart positionally, with this field
+)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+    )
+
+
+def _unread_attributes(package: dict, readers: dict) -> list[str]:
+    """``Class.name`` of each dataclass or NamedTuple field and each
+    ``self.name = ...`` assignment in the classes of ``package`` whose name
+    no statement of ``package`` or ``readers`` (filename -> source) reads as
+    an attribute or in a dotted-name string.  Names are matched alone, not
+    with their class, so a field is missed when another class's attribute
+    of the same name is read (``norm_bound``, for one)."""
+    package_trees = [ast.parse(source) for source in package.values()]
+    read = set()
+    for tree in package_trees + [ast.parse(source) for source in readers.values()]:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                parts = sub.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    read.update(parts)
+    attributes = set()
+    for tree in package_trees:
+        for node in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if _is_record(node):
+                fields = (s.target for s in node.body if isinstance(s, ast.AnnAssign))
+                attributes.update((node.name, t.id) for t in fields if isinstance(t, ast.Name))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                    if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                        attributes.add((node.name, sub.attr))
+    return sorted(f"{cls}.{name}" for cls, name in attributes if name not in read)
+
+
+def test_no_attributes_read_only_by_tests():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {str(path): path.read_text() for path in sorted((ROOT / "bench").rglob("*.py"))}
+    assert _unread_attributes(package, readers) == sorted(KEPT_ATTRIBUTES)
+
+
+def test_unread_attribute_is_reported():
+    source = (
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\nclass Box:\n    size: int\n    label: str\n"
+        "@dataclass\nclass Bag:\n    weight: int\n"
+        "class Pair(NamedTuple):\n    left: int\n    right: int\n"
+        "class Plain:\n    note: str\n"
+        "class Fault(ValueError):\n"
+        "    def __init__(self, message, data):\n"
+        "        super().__init__(message)\n        self.data = data\n        self.hint = message\n"
+        "def show(box, pair, fault):\n    return box.size, pair.left, fault.hint\n"
+    )
+    # a dotted string reads its parts; an annotation outside a record is not
+    # a field, and an assignment to self.name is not a read
+    reader = "NAMES = ('m.Box.label',)\n"
+    assert _unread_attributes({"m.py": source}, {"run.py": reader}) == ["Bag.weight", "Fault.data", "Pair.right"]

@@ -128,6 +128,12 @@ def test_oracle_dee():
     assert deed == tuple(m * c for m, c in enumerate(plain))
 
 
+def test_oracle_refuses_non_invertible_form():
+    # D(E4) has constant term 0, so its reciprocal has no q-series
+    with pytest.raises(ValueError, match="constant term 0"):
+        oracle_coeffs("1/D(E4)", 3)
+
+
 def test_parser_weights():
     assert parse_form("E2").weight == 2
     assert parse_form("E2^3 * E4/E6^2").weight == 3 * 2 + 4 - 12

@@ -7,6 +7,7 @@ from meroforms import (
     POINT_I,
     POINT_RHO,
     assemble_coefficient,
+    coefficients,
     quasi_expansion,
     simple_pole_quasi_coeff,
 )
@@ -233,3 +234,46 @@ def test_one_shot_wrapper(prec):
     got = quasi_expansion("1/E10", 1, prec).coefficient(1, 900)
     want = oracle_value("E2 * (1/E10)", 1)
     assert rel_err(got.value, want) < mpf(10) ** -8
+
+
+@pytest.mark.parametrize(
+    "form, f, n, norm_bound",
+    [("E2^4 * (1/E10)", "1/E10", 4, 800), ("E2 * (1/E6^4)", "1/E6^4", 1, 400)],
+)
+def test_coefficients_match_quasi_expansion(prec, form, f, n, norm_bound):
+    # the simple route, then the general one
+    ms = [0, 1, 2, 3]
+    got = coefficients(form, ms, norm_bound=norm_bound, precision=prec)
+    want = quasi_expansion(f, n, prec).coefficients(ms, norm_bound)
+    assert [(r.value, r.tail_bound) for r in got] == [(r.value, r.tail_bound) for r in want]
+
+
+def test_coefficients_check_the_floor_at_the_form_poles(prec):
+    # 1/E4 has its one pole at rho, where m = 10 needs a norm bound of 109;
+    # at i it needs 126
+    assert len(coefficients("1/E4", [10], norm_bound=120, precision=prec)) == 1
+    with pytest.raises(ValueError, match="^norm_bound 120 below required 126$"):
+        coefficients("1/E6", [10], norm_bound=120, precision=prec)
+
+
+@pytest.mark.parametrize(
+    "form, ms, message",
+    [
+        ("1/E6^41", [0], "^pole order plus E2 power must be <= 40, got 41$"),
+        ("E2^30 * (1/E6^11)", [0], "^pole order plus E2 power must be <= 40, got 41$"),
+        ("D(1/E6)", [0], r"^D\(\.\.\.\) is not modular"),
+        ("0/E6", [0], "has a factor 0"),
+        ("E4", [0], "^expression weight 4 is not a negative even integer$"),
+        ("(E2 * E6) / E10^2", [0], "only as a top-level factor"),
+        ("1/E6", [], "m >= 0"),
+        ("1/E6", [-1], "m >= 0"),
+        ("1/E6", [10], "^norm_bound 120 below required 126$"),
+    ],
+)
+def test_coefficients_refuse_before_expanding(form, ms, message, monkeypatch):
+    def expand(*args, **kwargs):
+        raise AssertionError("expanded a form it should refuse")
+
+    monkeypatch.setattr(quasi, "laurent_at", expand)
+    with pytest.raises(ValueError, match=message):
+        coefficients(form, ms, norm_bound=120)
