@@ -123,14 +123,14 @@ def parse_m_range(text: str) -> list[int]:
         raise UsageError(f"empty m range {text!r}")
     if lo < 0:
         raise UsageError(f"m must be >= 0, got {text!r}")
+    _at_most(hi, MAX_ORACLE_ORDER, "oracle order")  # before the list, which could fill memory
     return list(range(lo, hi + 1))
 
 
-def _validate(norm_bound: int, ms: list[int]) -> None:
+def _validate(norm_bound: int) -> None:
     if norm_bound < 16:
         raise UsageError(f"--norm-bound must be >= 16, got {norm_bound}")
     _at_most(norm_bound, MAX_NORM_BOUND, "--norm-bound")
-    _at_most(max(ms), MAX_ORACLE_ORDER, "oracle order")
 
 
 def _at_most(value: int, limit: int, what: str) -> None:
@@ -155,7 +155,7 @@ def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
     rel_err)`` from ``coefficients`` and the oracle at the working precision;
     ``rel_err`` is absolute where the oracle is 0."""
     ms = parse_m_range(args.m)
-    _validate(args.norm_bound, ms)
+    _validate(args.norm_bound)
     expr = parse_form(args.form)
     results = coefficients(expr, ms, norm_bound=args.norm_bound, precision=args.precision)
     oracle = oracle_coeffs(expr, max(ms))

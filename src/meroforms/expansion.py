@@ -192,8 +192,7 @@ class _Evaluator:
                 out = _mul(out, self.eval(f))
             return out
         if isinstance(expr, Power):
-            series = _pow(self.eval(expr.base), abs(expr.exponent))
-            return _reciprocal(series) if expr.exponent < 0 else series
+            return _pow(self.eval(expr.base), expr.exponent)
         if isinstance(expr, Reciprocal):
             return _reciprocal(self.eval(expr.operand))
         if isinstance(expr, Dee):

@@ -4,12 +4,14 @@ This module is the ground-truth side of the library: Eisenstein series
 q-expansions and the expression trees built from them are evaluated on
 integer numerators over one denominator, exact, with no rounding, and
 every coefficient is reported as a ``fractions.Fraction``.  All
-floating-point machinery elsewhere is validated against it.
+floating-point machinery elsewhere is validated against it.  Forms are
+read from text by ``parse_form``, a walk over Python's own parse tree
+that admits only the grammar of forms.
 """
 
 from __future__ import annotations
 
-import re
+import ast
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -259,9 +261,7 @@ class FormExpression:
                     yield from child.nodes()
 
     def has_reciprocal(self) -> bool:
-        return any(
-            isinstance(node, Reciprocal) or (isinstance(node, Power) and node.exponent < 0) for node in self.nodes()
-        )
+        return any(isinstance(node, Reciprocal) for node in self.nodes())
 
     def contains_generator(self, name: str) -> bool:
         return any(isinstance(node, Generator) and node.name == name for node in self.nodes())
@@ -324,6 +324,10 @@ class Power(FormExpression):
     base: FormExpression
     exponent: int
 
+    def __post_init__(self):
+        if self.exponent < 2:
+            raise ValueError(f"Power exponent must be >= 2, got {self.exponent}")
+
     @property
     def weight(self) -> int:
         return self.exponent * self.base.weight
@@ -332,11 +336,8 @@ class Power(FormExpression):
         return self.base.qseries(truncation_order) ** self.exponent
 
     def __str__(self) -> str:
-        return f"{self._base_str()}^{self.exponent}"
-
-    def _base_str(self) -> str:
-        s = str(self.base)
-        return s if isinstance(self.base, (Generator, Constant)) else f"({s})"
+        base = str(self.base) if isinstance(self.base, (Generator, Constant)) else f"({self.base})"
+        return f"{base}^{self.exponent}"
 
 
 @dataclass(frozen=True)
@@ -371,100 +372,71 @@ class Dee(FormExpression):
         return f"D({self.operand})"
 
 
-_TOKEN = re.compile(r"\s*(E10|E2|E4|E6|D|\d+|\^|\*|/|\(|\)|-)")
-
-
 class FormParseError(ValueError):
     pass
 
 
-class _Parser:
-    """Recursive descent over the grammar
-    expr := factor (('*'|'/') factor)* ; factor := primary ('^' int)? ;
-    primary := generator | integer | 'D' '(' expr ')' | '(' expr ')'.
-    """
-
-    def __init__(self, text: str):
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise FormParseError(f"unexpected input at {text[pos:]!r}")
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.index = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormParseError("unexpected end of expression")
-        if expected is not None and tok != expected:
-            raise FormParseError(f"expected {expected!r}, found {tok!r}")
-        self.index += 1
-        return tok
-
-    def parse(self) -> FormExpression:
-        expr = self.expr()
-        if self.peek() is not None:
-            raise FormParseError(f"trailing input at {self.peek()!r}")
-        return expr
-
-    def expr(self) -> FormExpression:
-        factors = [self.factor()]
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            factors.append(Reciprocal(rhs) if op == "/" else rhs)
-        if len(factors) > 1:
-            factors = [
-                f for f in factors if not (isinstance(f, Constant) and f.value == 1)
-            ] or factors[:1]
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
-
-    def factor(self) -> FormExpression:
-        base = self.primary()
-        if self.peek() == "^":
-            self.take("^")
-            sign = 1
-            if self.peek() == "-":
-                self.take("-")
-                sign = -1
-            tok = self.take()
-            if not tok.isdigit():
-                raise FormParseError(f"expected integer exponent, found {tok!r}")
-            e = sign * int(tok)
-            if e == 0:
-                return Constant(Fraction(1))
-            if e < 0:
-                return Reciprocal(base if e == -1 else Power(base, -e))
-            return base if e == 1 else Power(base, e)
-        return base
-
-    def primary(self) -> FormExpression:
-        tok = self.take()
-        if tok in GENERATOR_WEIGHTS:
-            return Generator(tok)
-        if tok.isdigit():
-            return Constant(Fraction(int(tok)))
-        if tok == "D":
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return Dee(inner)
-        if tok == "(":
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise FormParseError(f"unexpected token {tok!r}")
+_ONE = Constant(Fraction(1))
 
 
 def parse_form(text: str) -> FormExpression:
-    """Parse an expression like ``E2^2 * (1/E6^4)`` or ``D(1/E10)``."""
-    return _Parser(text).parse()
+    """Parse a form such as ``E2^2 * (1/E6^4)`` or ``D(1/E10)`` with Python's
+    parser, ``^`` read as ``**``: integer literals, E2, E4, E6, E10, ``*``,
+    ``/``, ``^`` with a signed integer exponent, parentheses and ``D(...)``.
+    Anything else, or more than 200 nested parentheses or about 3000
+    factors in one product, raises ``FormParseError``."""
+    source = " ".join(text.split()).replace("^", "**")  # one line, so a column places a node
+    try:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError) as exc:  # ValueError: a NUL byte, on older Pythons
+        raise FormParseError(f"cannot parse {text!r}: {getattr(exc, 'msg', exc)}") from None
+    except (RecursionError, MemoryError):
+        # how Python's parser gives up on about 3000 factors or nested operators
+        raise FormParseError("form is nested too deeply or has too many factors") from None
+    return _walk(tree.body, source)
+
+
+def _walk(node: ast.expr, source: str) -> FormExpression:
+    """The form tree of one node of the parsed ``source``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        # * and / associate to the left, so a chain of them runs down the left
+        # operands and a right operand that is a product was in parentheses,
+        # as was a left one that starts after the chain: both stay nested
+        start, factors = node.col_offset, []
+        while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)) and node.col_offset == start:
+            rhs = _walk(node.right, source)
+            factors.append(Reciprocal(rhs) if isinstance(node.op, ast.Div) else rhs)
+            node = node.left
+        factors.append(_walk(node, source))
+        return _product(factors[::-1])
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, exponent, sign = _walk(node.left, source), node.right, 1
+        if isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, ast.USub):
+            exponent, sign = exponent.operand, -1
+        if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
+            raise FormParseError(f"expected an integer exponent, found {_segment(exponent, source)!r}")
+        e = sign * exponent.value
+        if e < 0:
+            return Reciprocal(base if e == -1 else Power(base, -e))
+        return _ONE if e == 0 else base if e == 1 else Power(base, e)
+    if isinstance(node, ast.Name) and node.id in GENERATOR_WEIGHTS:
+        return Generator(node.id)
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Constant(Fraction(node.value))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "D" and len(node.args) == 1 and not node.keywords:
+        return Dee(_walk(node.args[0], source))
+    raise FormParseError(f"unexpected {_segment(node, source)!r} in a form")
+
+
+def _product(factors: list[FormExpression]) -> FormExpression:
+    """The product of ``factors`` without its factors 1."""
+    kept = [f for f in factors if f != _ONE] or [_ONE]
+    return kept[0] if len(kept) == 1 else Product(tuple(kept))
+
+
+def _segment(node: ast.expr, source: str) -> str:
+    """The text of ``node``, with powers spelled ``^`` as forms spell them."""
+    return ast.get_source_segment(source, node).replace("**", "^")
 
 
 def split_e2_power(expr: FormExpression) -> tuple[int, FormExpression]:
@@ -480,20 +452,12 @@ def split_e2_power(expr: FormExpression) -> tuple[int, FormExpression]:
         if isinstance(f, Generator) and f.name == "E2":
             n += 1
         elif isinstance(f, Power) and isinstance(f.base, Generator) and f.base.name == "E2":
-            if f.exponent < 0:
-                raise FormParseError("negative E2 powers are not supported")
             n += f.exponent
         elif f.contains_generator("E2"):
             raise FormParseError("E2 must appear only as a top-level factor E2^n")
         else:
             rest.append(f)
-    if not rest:
-        remainder: FormExpression = Constant(Fraction(1))
-    elif len(rest) == 1:
-        remainder = rest[0]
-    else:
-        remainder = Product(tuple(rest))
-    return n, remainder
+    return n, _product(rest)
 
 
 def contains_dee(expr: FormExpression) -> bool:

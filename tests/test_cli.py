@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import pkgutil
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -405,6 +406,52 @@ def test_oracle_order_above_limit_is_usage_error(capsys):
         code, out, err = run(capsys, *command, "--form", "1/E10", "--m", f"0..{MAX_ORACLE_ORDER + 1}")
         assert code == 1 and out == ""
         assert f"oracle order must be <= {MAX_ORACLE_ORDER}" in err
+
+
+M_COMMANDS = [("oracle",), ("coeffs",), ("verify", "--tol", "1e-8")]
+
+
+@pytest.mark.parametrize("command", M_COMMANDS, ids=lambda c: c[0])
+def test_m_range_is_bounded_before_its_list(capsys, command):
+    # the list of every m was built before its cap was checked: 0..10^7
+    # peaked at 404 MB, and 0..10^8 ended in a MemoryError traceback
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *command, "--form", "1/E6", "--m", "0..10000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == f"error: oracle order must be <= {MAX_ORACLE_ORDER}, got 10000000\n"
+    assert peak < 5 * 2**20
+
+
+NESTED = "(" * 400 + "1/E6" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("oracle", "--form", NESTED, "--m", "0"),
+        ("coeffs", "--form", NESTED, "--m", "0"),
+        ("expand", "--form", NESTED, "--point", "i"),
+        ("oracle", "--form", "D(" * 400 + "1/E6" + ")" * 400, "--m", "0"),
+        ("oracle", "--form", "1/E6\x00", "--m", "0"),
+        ("oracle", "--form", " * ".join(["E4"] * 5000), "--m", "0"),
+        ("oracle", "--form=" + "-" * 10000 + "E4", "--m", "0"),
+    ]
+    + [(*command, "--form", "1/E6", "--m", "0..10000000") for command in M_COMMANDS],
+    ids=[
+        "parens-oracle", "parens-coeffs", "parens-expand", "nested-D", "nul", "5000-factors", "10000-minus",
+        "m-oracle", "m-coeffs", "m-verify",
+    ],
+)
+def test_hostile_input_is_one_line_usage_error(capsys, args):
+    # Python's parser gives up on deep nesting and long products with
+    # RecursionError or MemoryError; the user sees one usage line, not a traceback
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
 
 
 def test_oracle_negative_order_is_usage_error(capsys):

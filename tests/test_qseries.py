@@ -144,9 +144,110 @@ def test_parser_weights():
 
 
 def test_parser_errors():
-    for bad in ("E3", "E4 +", "E4 * ", "(E4", "E4^x", "E4 E6"):
+    for bad in (
+        "E3", "E4 +", "E4 * ", "(E4", "E4^x", "E4 E6",
+        "-E4", "E4^2^3", "E4^1.5", "True", "'E4'", "E4.real", "E4[0]", "E4 + E6", "D(E4, E6)", "D(x=E4)",
+        "__import__('os')", "lambda: E4", "E5", "E4\x00",
+        "(" * 400 + "E4" + ")" * 400, "D(" * 400 + "E4" + ")" * 400, " * ".join(["E4"] * 5000),
+    ):
         with pytest.raises(FormParseError):
             parse_form(bad)
+
+
+# repr(parse_form(text)) for every form string in tests/, README.md and
+# bench/workloads.py and some edge cases, recorded from the recursive-descent
+# parser that the ast walker replaced
+PARSED_TREES = {
+    "(E2 * E6) / E10^2": "Product(factors=(Product(factors=(Generator(name='E2'), Generator(name='E6'))), Reciprocal(operand=Power(base=Generator(name='E10'), exponent=2))))",
+    "0*(1/E6)": "Product(factors=(Constant(value=Fraction(0, 1)), Reciprocal(operand=Generator(name='E6'))))",
+    "0/E6": "Product(factors=(Constant(value=Fraction(0, 1)), Reciprocal(operand=Generator(name='E6'))))",
+    "1/(0*E6)": "Reciprocal(operand=Product(factors=(Constant(value=Fraction(0, 1)), Generator(name='E6'))))",
+    "1/(2*E4)": "Reciprocal(operand=Product(factors=(Constant(value=Fraction(2, 1)), Generator(name='E4'))))",
+    "1/(E2 * E10)": "Reciprocal(operand=Product(factors=(Generator(name='E2'), Generator(name='E10'))))",
+    "1/(E4*E6)": "Reciprocal(operand=Product(factors=(Generator(name='E4'), Generator(name='E6'))))",
+    "1/D(E4)": "Reciprocal(operand=Dee(operand=Generator(name='E4')))",
+    "1/E10": "Reciprocal(operand=Generator(name='E10'))",
+    "1/E10^10": "Reciprocal(operand=Power(base=Generator(name='E10'), exponent=10))",
+    "1/E10^3": "Reciprocal(operand=Power(base=Generator(name='E10'), exponent=3))",
+    "1/E10^40": "Reciprocal(operand=Power(base=Generator(name='E10'), exponent=40))",
+    "1/E10^5": "Reciprocal(operand=Power(base=Generator(name='E10'), exponent=5))",
+    "1/E10^7": "Reciprocal(operand=Power(base=Generator(name='E10'), exponent=7))",
+    "1/E2": "Reciprocal(operand=Generator(name='E2'))",
+    "1/E4": "Reciprocal(operand=Generator(name='E4'))",
+    "1/E6": "Reciprocal(operand=Generator(name='E6'))",
+    "1/E6^2": "Reciprocal(operand=Power(base=Generator(name='E6'), exponent=2))",
+    "1/E6^4": "Reciprocal(operand=Power(base=Generator(name='E6'), exponent=4))",
+    "1/E6^41": "Reciprocal(operand=Power(base=Generator(name='E6'), exponent=41))",
+    "2 * E4": "Product(factors=(Constant(value=Fraction(2, 1)), Generator(name='E4')))",
+    "D(1)": 'Dee(operand=Constant(value=Fraction(1, 1)))',
+    "D(1/E10)": "Dee(operand=Reciprocal(operand=Generator(name='E10')))",
+    "D(1/E6)": "Dee(operand=Reciprocal(operand=Generator(name='E6')))",
+    "D(E2)": "Dee(operand=Generator(name='E2'))",
+    "E10": "Generator(name='E10')",
+    "E10/E6^4": "Product(factors=(Generator(name='E10'), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=4))))",
+    "E2": "Generator(name='E2')",
+    "E2 * (1/E10)": "Product(factors=(Generator(name='E2'), Reciprocal(operand=Generator(name='E10'))))",
+    "E2 * (1/E6^4)": "Product(factors=(Generator(name='E2'), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=4))))",
+    "E2 * D(1/E10)": "Product(factors=(Generator(name='E2'), Dee(operand=Reciprocal(operand=Generator(name='E10')))))",
+    "E2 * E2 * (1/E10)": "Product(factors=(Generator(name='E2'), Generator(name='E2'), Reciprocal(operand=Generator(name='E10'))))",
+    "E2 * E6": "Product(factors=(Generator(name='E2'), Generator(name='E6')))",
+    "E2/E6^4": "Product(factors=(Generator(name='E2'), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=4))))",
+    "E2^0/E10": "Reciprocal(operand=Generator(name='E10'))",
+    "E2^1 * (1/E10)": "Product(factors=(Generator(name='E2'), Reciprocal(operand=Generator(name='E10'))))",
+    "E2^2 * (1/E10)": "Product(factors=(Power(base=Generator(name='E2'), exponent=2), Reciprocal(operand=Generator(name='E10'))))",
+    "E2^2 * (E10/E6^4)": "Product(factors=(Power(base=Generator(name='E2'), exponent=2), Product(factors=(Generator(name='E10'), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=4))))))",
+    "E2^20 * (1/E10^20)": "Product(factors=(Power(base=Generator(name='E2'), exponent=20), Reciprocal(operand=Power(base=Generator(name='E10'), exponent=20))))",
+    "E2^3 * E4/E6^2": "Product(factors=(Power(base=Generator(name='E2'), exponent=3), Generator(name='E4'), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=2))))",
+    "E2^30 * (1/E6^11)": "Product(factors=(Power(base=Generator(name='E2'), exponent=30), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=11))))",
+    "E2^4 * (1/E10)": "Product(factors=(Power(base=Generator(name='E2'), exponent=4), Reciprocal(operand=Generator(name='E10'))))",
+    "E2^4 * (1/E6^4)": "Product(factors=(Power(base=Generator(name='E2'), exponent=4), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=4))))",
+    "E4": "Generator(name='E4')",
+    "E4/3": "Product(factors=(Generator(name='E4'), Reciprocal(operand=Constant(value=Fraction(3, 1)))))",
+    "E4/D(E6)": "Product(factors=(Generator(name='E4'), Reciprocal(operand=Dee(operand=Generator(name='E6')))))",
+    "E4/E6^2": "Product(factors=(Generator(name='E4'), Reciprocal(operand=Power(base=Generator(name='E6'), exponent=2))))",
+    "E4^0": 'Constant(value=Fraction(1, 1))',
+    "E6": "Generator(name='E6')",
+    "E6/E4^2": "Product(factors=(Generator(name='E6'), Reciprocal(operand=Power(base=Generator(name='E4'), exponent=2))))",
+    "E6^-2": "Reciprocal(operand=Power(base=Generator(name='E6'), exponent=2))",
+    "E6^2": "Power(base=Generator(name='E6'), exponent=2)",
+    "E6^3": "Power(base=Generator(name='E6'), exponent=3)",
+    "0": 'Constant(value=Fraction(0, 1))',
+    "1": 'Constant(value=Fraction(1, 1))',
+    "E2*E4/E6*E10": "Product(factors=(Generator(name='E2'), Generator(name='E4'), Reciprocal(operand=Generator(name='E6')), Generator(name='E10')))",
+    "1/E6/E4": "Product(factors=(Reciprocal(operand=Generator(name='E6')), Reciprocal(operand=Generator(name='E4'))))",
+    "E6^-1": "Reciprocal(operand=Generator(name='E6'))",
+    "2^3": 'Power(base=Constant(value=Fraction(2, 1)), exponent=3)',
+    "D(D(1/E6^2))": "Dee(operand=Dee(operand=Reciprocal(operand=Power(base=Generator(name='E6'), exponent=2))))",
+}
+
+
+@pytest.mark.parametrize("text", PARSED_TREES)
+def test_parser_trees(text):
+    assert repr(parse_form(text)) == PARSED_TREES[text]
+
+
+def test_parser_fuzz():
+    # Python's parser reads far more than forms: every string of form tokens
+    # and other Python punctuation parses or raises FormParseError, nothing else
+    rng = random.Random(20)
+    tokens = "E2 E4 E6 E10 D ( ) * / ^ - + 0 1 2 7 . ,".split() + [" "]
+    parsed = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(tokens) for _ in range(rng.randint(1, 30)))
+        try:
+            expr = parse_form(text)
+        except FormParseError:
+            continue
+        assert type(expr.weight) is int, text
+        parsed += 1
+    assert parsed > 0
+
+
+def test_power_exponent_is_at_least_two():
+    # the parser writes ^0, ^1 and negative powers as other nodes
+    for exponent in (1, 0, -2):
+        with pytest.raises(ValueError, match="exponent must be >= 2"):
+            Power(Generator("E4"), exponent)
 
 
 def test_split_e2_power():
