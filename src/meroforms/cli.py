@@ -50,11 +50,12 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 
-# Enumeration is pure Python and its cache keeps every ideal, so the bound
-# caps time and memory: on a 2-core x86-64 VM, ``enumerate`` at 10^6
-# takes 3.5-3.7 s and 171-172 MB peak (Gaussian, 477k ideals) or 2.7-2.9 s
-# and 141 MB (Eisenstein, 368k) in a fresh process, and both grow linearly
-# in the bound.
+# Enumeration and ideal sums are pure Python, so the bound caps time and
+# memory.  On a 2-core x86-64 VM, in fresh processes at 10^6, ``enumerate``
+# takes 2.5-2.7 s and 168 MB peak (Gaussian, 477k ideals) or 1.8-2.5 s and
+# 133 MB (Eisenstein, 368k); ``verify --form "1/E10" --m 0 --tol 1e-8``
+# takes 1.7-2.6 s and 56 MB (5.6-6.3 s and 284 MB when m = 0 read the whole
+# ideal table).  All grow linearly in the bound.
 MAX_NORM_BOUND = 10**6
 
 # The exact oracle's cost grows about as order^3 (order^2 products of
@@ -100,13 +101,9 @@ def _check_precision(flag: int | None) -> int:
     return precision
 
 
-def _digits(precision: int) -> int:
-    return int(precision * 0.30103) + 2
-
-
 def fmt_real(x, precision: int) -> str:
     with workprec(precision + 8):
-        return mpmath.nstr(mpf(x), _digits(precision))
+        return mpmath.nstr(mpf(x), int(precision * 0.30103) + 2)
 
 
 def _complex_row(key: str, index: int, z, precision: int) -> dict:
@@ -127,12 +124,6 @@ def parse_m_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _validate(norm_bound: int) -> None:
-    if norm_bound < 16:
-        raise UsageError(f"--norm-bound must be >= 16, got {norm_bound}")
-    _at_most(norm_bound, MAX_NORM_BOUND, "--norm-bound")
-
-
 def _at_most(value: int, limit: int, what: str) -> None:
     if value > limit:
         raise UsageError(f"{what} must be <= {limit}, got {value}")
@@ -146,16 +137,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_error(exc: Exception, kind: str) -> None:
-    sys.stderr.write(json.dumps({"error": {"kind": kind, "message": str(exc)}}) + "\n")
-
-
 def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
     """Check the ``coeffs``/``verify`` flags, then iterate ``(m, result, exact,
     rel_err)`` from ``coefficients`` and the oracle at the working precision;
     ``rel_err`` is absolute where the oracle is 0."""
     ms = parse_m_range(args.m)
-    _validate(args.norm_bound)
+    if args.norm_bound < 16:
+        raise UsageError(f"--norm-bound must be >= 16, got {args.norm_bound}")
+    _at_most(args.norm_bound, MAX_NORM_BOUND, "--norm-bound")
     expr = parse_form(args.form)
     results = coefficients(expr, ms, norm_bound=args.norm_bound, precision=args.precision)
     oracle = oracle_coeffs(expr, max(ms))
@@ -404,13 +393,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, norm_bound=False)
     p.set_defaults(func=cmd_constants)
 
+    # each flag of the program and its subcommands -> whether it takes a value
+    parser.takes_value = {
+        flag: a.nargs is None for p in (parser, *sub.choices.values()) for a in p._actions for flag in a.option_strings
+    }
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    flags, joined = parser.takes_value, []
+    for arg in sys.argv[1:] if argv is None else argv:
+        # '--form -E4' as '--form=-E4', which reaches the form's own check:
+        # argparse would read the value as a flag and print its usage text
+        if joined and flags.get(joined[-1]) and arg[:1] == "-" and arg.split("=")[0] not in flags:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:  # argparse exits 2 on usage problems
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
             args.precision = _check_precision(args.precision)
         return args.func(args)
     except ArithmeticError as exc:
-        _json_error(exc, "numerical")
+        sys.stderr.write(json.dumps({"error": {"kind": "numerical", "message": str(exc)}}) + "\n")
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,15 +17,18 @@ pair with d > c > 0, a representative, has a mirror -conj(g) =
 of the same norm; the mirrors are exactly the pairs with d < -(1 + e) c.
 The two pairs left over, (0, 1) and (1, -1) at i, (0, 1) and (1, -2) at
 rho (norms 1, 2 and 1, 3), are self-conjugate: -conj(g) is a unit
-multiple of g.  For even k, (-conj g)^k = conj(g^k), so a representative
-and its mirror have the same Re[g^k] as exact integers; ``pair_weight``
-gives each row its share of an m = 0 sum, 2, 0 or 1.
+multiple of g.  The scan emits only the representatives and these two,
+and ``enumerate_primitive`` derives each mirror.  For even k,
+(-conj g)^k = conj(g^k), so a representative and its mirror have the same
+Re[g^k] as exact integers; ``pair_weight`` gives each row its share of an
+m = 0 sum, 2, 0 or 1, and an m = 0-only pass sums the scan's rows alone
+(``pair_rows``): no mirror, completion or phase numerator.
 
-Bulk construction.  ``enumerate_primitive`` and ``ideal_sum_data`` build
-one tuple per ideal, none of which can be part of a reference cycle, so
-they run with the cyclic garbage collector paused (``_collector_paused``);
-at norm bound 2e5 it would otherwise run hundreds of collections over the
-growing tables.
+Bulk construction.  ``enumerate_primitive``, ``ideal_sum_data`` and
+``pair_rows`` build one tuple per ideal, none of which can be part of a
+reference cycle, so they run with the cyclic garbage collector paused
+(``_collector_paused``); at norm bound 2e5 it would otherwise run hundreds
+of collections over the growing tables.
 
 Kernel conventions.  With theta = arg(c mu + d) and the completion
 (a, b), the weight-s cosine kernel at Fourier index m is
@@ -129,31 +132,6 @@ class PrimitiveIdeal(NamedTuple):
     b: int
 
 
-def _sector_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int]]:
-    """(N, c, d) of every primitive ideal of norm N <= norm_bound, unsorted,
-    with (c, d) the sector representative of the module docstring."""
-    if field is Field.GAUSSIAN:
-        rows = [(1, 0, 1), (2, 1, -1)] if norm_bound >= 2 else [(1, 0, 1)]
-        c = 1
-        while 2 * c * c + 2 * c + 1 <= norm_bound:  # N(c, c + 1)
-            for d in range(c + 1, isqrt(norm_bound - c * c) + 1):
-                if gcd(c, d) == 1:
-                    norm = c * c + d * d
-                    rows.append((norm, c, d))
-                    rows.append((norm, c, -d))
-            c += 1
-        return rows
-    rows = [(1, 0, 1), (3, 1, -2)] if norm_bound >= 3 else [(1, 0, 1)]
-    c = 1
-    while 3 * c * c + 3 * c + 1 <= norm_bound:  # N(c, c + 1) = N(c, -2c - 1)
-        t = isqrt(4 * norm_bound - 3 * c * c)  # (2d + c)^2 <= 4B - 3c^2
-        for d in (*range(-((t + c) // 2), -2 * c), *range(c + 1, (t - c) // 2 + 1)):
-            if gcd(c, d) == 1:
-                rows.append((c * c + c * d + d * d, c, d))
-        c += 1
-    return rows
-
-
 def pair_weight(e: int, x: int, y: int) -> int:
     """Share of the row with generator x + y mu (trace e of mu) in an m = 0
     sum: 2 for a representative (x > y > 0), which stands for its mirror too,
@@ -176,13 +154,33 @@ def _collector_paused():
             gc.enable()
 
 
+@_collector_paused()
+def pair_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int, None]]:
+    """(N, x, y, None), sorted, of the self-conjugate ideals and of every
+    representative (d > c >= 1) of norm N <= norm_bound, with generator
+    x + y mu = d + c mu: the ``ideal_sum_data`` rows of ``pair_weight`` > 0,
+    all that an m = 0 pass reads, with no completion or phase numerator."""
+    if norm_bound < 1:
+        raise ValueError("norm_bound must be >= 1")
+    e = mu_trace(field)
+    rows = [(1, 1, 0, None), (2 + e, -1 - e, 1, None)] if norm_bound >= 2 + e else [(1, 1, 0, None)]
+    c = 1
+    while c * c + e * c * (c + 1) + (c + 1) ** 2 <= norm_bound:  # N(c, c + 1)
+        top = (isqrt(4 * norm_bound - (4 - e * e) * c * c) - e * c) // 2  # (2d + e c)^2 <= 4B - (4 - e^2) c^2
+        cc, ec = c * c, e * c
+        rows.extend((cc + d * (d + ec), d, c, None) for d in range(c + 1, top + 1) if gcd(c, d) == 1)
+        c += 1
+    rows.sort()
+    return rows
+
+
 @lru_cache(maxsize=32)
 @_collector_paused()
 def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, ...]:
     """All primitive ideals of norm <= norm_bound, sorted by (norm, c, d)."""
-    if norm_bound < 1:
-        raise ValueError("norm_bound must be >= 1")
-    rows = _sector_rows(field, norm_bound)
+    e = mu_trace(field)
+    rows = [(norm, c, d) for norm, d, c, _ in pair_rows(field, norm_bound)]
+    rows += [(norm, c, -d - e * c) for norm, c, d in rows if d > c > 0]  # the mirrors
     rows.sort()
     # no call per ideal: tuple.__new__ skips the NamedTuple's __new__, and
     # complete_unimodular is inlined as b = (-c)^-1 mod |d|, a = (1 + b c)/d
@@ -391,8 +389,8 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
     norm).  An m = 0 term is one floor of the integer a, and for even k a
     representative row and its mirror have the same a, since
     (-conj g)^k = conj(g^k): so each m = 0 job adds ``pair_weight`` times
-    its floors, the same integer total as one floor per row, and a family
-    with no m >= 1 block skips the mirrors before their Lucas ladder.  The
+    its floors, the same integer total as one floor per row: ``ideal_sums``
+    gives a family with no m >= 1 block only the rows of ``pair_rows``.  The
     m >= 1 jobs take every row, each with its own Z: for each m in
     ascending order, Z^m is stepped from the previous m by
     ``ring_power``(Z, gap) and one floored ``ring_mul``, and the numerator
@@ -438,8 +436,6 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
     row_norm = None
     for (norm, x, y, _), z in zip(rows, phasors if plan else repeat(None)):
         weight = pair_weight(e, x, y)  # of its m = 0 terms; 0 for a mirror
-        if not (weight or plan):
-            continue
         if norm != row_norm:  # the rows are sorted by norm
             row_norm, powers = norm, dict(zip(exponents, map(pow, repeat(norm), exponents)))
         t = 2 * x + e * y  # (u0, u1) = (U_n, U_(n+1)), doubled from n = 1 to ks[0] - 1
@@ -484,9 +480,10 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     over the primitive ideals of norm <= norm_bound, for every (m, k, j) in
     ``blocks``, each rounded once to precision + GUARD_BITS bits.
 
-    One ``sum_rows`` pass over the ``ideal_sum_data`` rows and their
-    ``phasor_row`` fills every block at ``sum_width`` fractional bits (at
-    m = 0 the sum is integer arithmetic).  With m < norm_bound, which
+    One ``sum_rows`` pass fills every block at ``sum_width`` fractional
+    bits: over the ``ideal_sum_data`` rows and their ``phasor_row`` if some
+    m >= 1, else over ``pair_rows`` alone, uncached, with the same integer
+    totals (at m = 0 the sum is integer arithmetic).  With m < norm_bound, which
     ``check_norm_bound`` of the largest m ensures and which is checked here,
     the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|,
     which the unit ideal's term (at least 1) dominates.  The cache holds one
@@ -496,9 +493,10 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     if top:
         with workprec(precision + GUARD_BITS):
             check_norm_bound(norm_bound, top, point.v0(precision))
+        rows, phasors = ideal_sum_data(field, norm_bound), phasor_row(point, norm_bound, precision)
+    else:
+        rows, phasors = pair_rows(field, norm_bound), None
     width = sum_width(norm_bound, precision)
-    rows = ideal_sum_data(field, norm_bound)
-    phasors = phasor_row(point, norm_bound, precision) if top else None
     totals = sum_rows(mu_trace(field), rows, phasors, blocks, width)
     bits = precision + GUARD_BITS
     return {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in totals.items()}

@@ -71,6 +71,20 @@ def test_traced_kernel_counts(capsys):
     assert engine.ideal_sums.cache_info().misses == 1
 
 
+def test_traced_supp_kernel_counts(capsys):
+    # supp-B200k's traced run pins 2 f_series_coeff misses: E2^4/E10 at
+    # m = 0 sums one m = 0-only family at each of its poles, i and rho
+    from meroforms import cli, engine
+
+    expected = _load_bench("workloads").WORKLOADS["supp-B200k"].counts["engine.f_series_coeff.misses"]
+    engine.f_series_coeff.cache_clear()
+    engine.ideal_sums.cache_clear()
+    assert cli.main(["coeffs", "--form", "E2^4 * (1/E10)", "--m", "0", "--norm-bound", "200"]) == 0
+    capsys.readouterr()
+    assert engine.f_series_coeff.cache_info().misses == expected
+    assert engine.ideal_sums.cache_info().misses == 2
+
+
 def test_setup_probe_prints_each_workload_summary(capsys):
     # the probe behind setup_s builds every verify form's quasi-expansion
     probe = _load_bench("setup_probe")

@@ -489,3 +489,32 @@ def test_tol_checked_before_any_work(monkeypatch, capsys, tol):
     code, out, err = run(capsys, "verify", "--form", "1/E6^4", "--m", "0", f"--tol={tol}")
     assert code == 1 and out == ""
     assert f"--tol must be a finite number > 0, got {tol!r}" in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("oracle", "--form", "-E4", "--m", "0"), "unexpected '-E4' in a form"),
+        (("coeffs", "--form", "-1/E6", "--m", "0"), "unexpected '-1' in a form"),
+        (("oracle", "--form", "E4", "--m", "-2..3"), "m must be >= 0, got '-2..3'"),
+        (("verify", "--form", "1/E6", "--m", "0", "--tol", "-1e-8"), "--tol must be a finite number > 0, got '-1e-8'"),
+        (("oracle", "--form", "-" * 10000 + "E4", "--m", "0"), None),
+    ],
+    ids=["form-oracle", "form-coeffs", "m", "tol", "10000-minus"],
+)
+def test_value_starting_with_minus_reaches_its_flags_check(capsys, args, message):
+    # argparse read '--form -E4' as two flags and printed its usage text;
+    # the value now meets the same check as in the '--form=-E4' spelling
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == f"error: {message}\n"
+    spelled = [f"{flag}={value}" for flag, value in zip(args[1::2], args[2::2])]
+    assert run(capsys, args[0], *spelled) == (code, out, err)
+
+
+def test_missing_flag_value_keeps_argparse_message(capsys):
+    # a flag where the value should be is not taken for the value
+    code, out, err = run(capsys, "coeffs", "--form", "--m", "0")
+    assert code == 1 and out == ""
+    assert "argument --form: expected one argument" in err

@@ -266,6 +266,36 @@ def test_ideal_sums_fold_without_conjugate_partners(prec):
                 assert got == want, (m, k, j)
 
 
+@pytest.mark.parametrize("bound", [5000, 20000])
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_m0_ideal_sums_match_every_row_bit_for_bit(prec, point, bound):
+    # an m = 0-only pass reads the representative and self-conjugate rows
+    # alone; sum_rows over every ideal_sum_data row, mirrors included,
+    # gives the very integers, so the very mpf
+    field = field_of(point)
+    e, width, bits = mu_trace(field), sum_width(bound, prec), prec + GUARD_BITS
+    rng = random.Random(bound + (0 if point is POINT_I else 1))
+    step = 4 if point is POINT_I else 6
+    ks = list(range(step, 61, step))
+    for _ in range(3):
+        family = tuple(sorted((0, k, j) for k, j in random_blocks(rng, ks)))
+        got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
+        totals = sum_rows(e, ideal_sum_data(field, bound), None, family, width)
+        assert set(got) == set(totals) == set(family)
+        for block, total in totals.items():
+            assert got[block] == mp.make_mpf(from_man_exp(total, -width, bits, round_nearest)), block
+
+
+def test_m0_ideal_sums_build_no_ideal_table(prec):
+    # no PrimitiveIdeal, completion, phase numerator or phasor at m = 0:
+    # a pass at a norm bound no other test uses misses none of those caches
+    caches = (enumerate_primitive, ideal_sum_data, phasor_row)
+    misses = [cache.cache_info().misses for cache in caches]
+    for point in (POINT_I, POINT_RHO):
+        engine.ideal_sums.__wrapped__(point, 4321, prec, ((0, 12, 0), (0, 24, 3)))
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 @pytest.mark.parametrize("ms", [range(11), range(1, 8), (0, 3, 4, 10)], ids=["0..10", "1..7", "sparse"])
 def test_ideal_sums_over_m_ranges_within_rounding(prec, point, ms):

@@ -23,6 +23,7 @@ from meroforms.lattice import (
     ideal_sum_data,
     mu_trace,
     norm_form,
+    pair_rows,
     pair_weight,
     phase_numerator,
     phasor_row,
@@ -260,6 +261,22 @@ def test_pair_weights_count_every_row_once(field, bound):
     assert sum(pair_weight(e, x, y) for _, x, y, _ in rows) == len(rows)
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5000])
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_pair_rows_are_the_rows_of_positive_weight(field, bound):
+    # an m = 0 pass reads only these: every representative once, with the
+    # two self-conjugate ideals, so half the table and one more; the
+    # reference orbit scan pins them apart from the sector scan they share
+    # with enumerate_primitive
+    e = mu_trace(field)
+    rows = pair_rows(field, bound)
+    assert [norm for norm, _, _, _ in rows] == sorted(norm for norm, _, _, _ in rows)
+    got = sorted((norm, x, y) for norm, x, y, _ in rows)
+    assert got == sorted((norm, d, c) for c, d, norm, _, _ in orbit_scan(field, bound) if pair_weight(e, d, c) > 0)
+    assert got == sorted((norm, x, y) for norm, x, y, _ in ideal_sum_data(field, bound) if pair_weight(e, x, y) > 0)
+    assert len(rows) == len(enumerate_primitive(field, bound)) // 2 + 1
+
+
 @pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
 def test_each_representative_has_one_mirror(field):
     # the mirror -conj(g) of a representative's generator g is a row of the
@@ -295,9 +312,12 @@ def test_table_builds_leave_the_collector_as_found(enabled):
             assert gc.isenabled() is enabled
             ideal_sum_data.__wrapped__(field, 50)
             assert gc.isenabled() is enabled
-            with pytest.raises(ValueError, match="norm_bound must be >= 1"):
-                enumerate_primitive.__wrapped__(field, 0)
+            pair_rows(field, 50)
             assert gc.isenabled() is enabled
+            for build in (enumerate_primitive.__wrapped__, pair_rows):
+                with pytest.raises(ValueError, match="norm_bound must be >= 1"):
+                    build(field, 0)
+                assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
 
