@@ -403,10 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     flags, joined = parser.takes_value, []
+
+    def takes(token):  # of each flag the token names, in full or as a prefix argparse expands
+        return {value for flag, value in flags.items() if flag == token or token[:2] == "--" and flag.startswith(token)}
+
     for arg in sys.argv[1:] if argv is None else argv:
-        # '--form -E4' as '--form=-E4', which reaches the form's own check:
-        # argparse would read the value as a flag and print its usage text
-        if joined and flags.get(joined[-1]) and arg[:1] == "-" and arg.split("=")[0] not in flags:
+        # '--form -E4' or '--for -E4' as '--form=-E4', which reaches the form's
+        # check: argparse would read the value as a flag and print its usage text
+        if joined and takes(joined[-1]) == {True} and arg[:1] == "-" and not takes(arg.split("=")[0]):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

@@ -19,10 +19,11 @@ The two pairs left over, (0, 1) and (1, -1) at i, (0, 1) and (1, -2) at
 rho (norms 1, 2 and 1, 3), are self-conjugate: -conj(g) is a unit
 multiple of g.  The scan emits only the representatives and these two,
 and ``enumerate_primitive`` derives each mirror.  For even k,
-(-conj g)^k = conj(g^k), so a representative and its mirror have the same
-Re[g^k] as exact integers; ``pair_weight`` gives each row its share of an
-m = 0 sum, 2, 0 or 1, and an m = 0-only pass sums the scan's rows alone
-(``pair_rows``): no mirror, completion or phase numerator.
+(-conj g)^k = conj(g^k) and the mirror's phase numerator is -P mod 2N, so
+a representative and its mirror have the same term Re[g^k Z^m] at every m.
+Every pass sums the rows of ``pair_weight`` w > 0 alone, w = 2 or 1 times:
+at m = 0 the scan's rows (``pair_rows``), with no mirror, completion or
+phase numerator, and at m >= 1 those of ``phasor_row``, one phasor each.
 
 Bulk construction.  ``enumerate_primitive``, ``ideal_sum_data`` and
 ``pair_rows`` build one tuple per ideal, none of which can be part of a
@@ -54,11 +55,11 @@ term of weight k, index m and norm power N^(j-k/2) is
 Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, ``sum_rows``, fills a
 whole family of (m, k, j) blocks: g^k exactly from the Lucas sequence of
 the trace and norm of g, Z_b^m stepped in fixed point, every term floored
-to a fixed number of fractional bits and added exactly as Python ints.
-``ideal_sums`` makes that pass over every ideal of norm <= B at
-``sum_width`` bits and rounds each total once; ``c_kernel`` makes it over
-one ideal, with the phasor e^(i pi m P/N) of ``fixed_phasor`` as Z and
-(1, s, s/2) as its one block.
+to a fixed number of fractional bits and added w times as Python ints.
+``ideal_sums`` makes that pass over the ideals of norm <= B, a mirror's
+term taken as its representative's, at ``sum_width`` bits and rounds each
+total once; ``c_kernel`` makes it over one ideal (w = 1), with the phasor
+e^(i pi m P/N) of ``fixed_phasor`` as Z and (1, s, s/2) as its one block.
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ class PrimitiveIdeal(NamedTuple):
 
 
 def pair_weight(e: int, x: int, y: int) -> int:
-    """Share of the row with generator x + y mu (trace e of mu) in an m = 0
-    sum: 2 for a representative (x > y > 0), which stands for its mirror too,
-    0 for a mirror (x < -(1 + e) y) and 1 for a self-conjugate row."""
+    """Multiplicity of the row with generator x + y mu (trace e of mu) in a
+    sum: 2 for a representative (x > y > 0), which stands for its mirror
+    too, 0 for a mirror (x < -(1 + e) y) and 1 for a self-conjugate row."""
     if x > y > 0:
         return 2
     return 0 if x < -(1 + e) * y else 1
@@ -155,20 +156,20 @@ def _collector_paused():
 
 
 @_collector_paused()
-def pair_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int, None]]:
-    """(N, x, y, None), sorted, of the self-conjugate ideals and of every
-    representative (d > c >= 1) of norm N <= norm_bound, with generator
-    x + y mu = d + c mu: the ``ideal_sum_data`` rows of ``pair_weight`` > 0,
-    all that an m = 0 pass reads, with no completion or phase numerator."""
+def pair_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int, int]]:
+    """(N, x, y, w), sorted, of the self-conjugate ideals (w = 1) and every
+    representative (d > c >= 1, w = 2) of norm N <= norm_bound, with
+    generator x + y mu = d + c mu: the ``ideal_sum_data`` rows of
+    ``pair_weight`` w > 0, all that an m = 0 pass reads."""
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
     e = mu_trace(field)
-    rows = [(1, 1, 0, None), (2 + e, -1 - e, 1, None)] if norm_bound >= 2 + e else [(1, 1, 0, None)]
+    rows = [(1, 1, 0, 1), (2 + e, -1 - e, 1, 1)] if norm_bound >= 2 + e else [(1, 1, 0, 1)]
     c = 1
     while c * c + e * c * (c + 1) + (c + 1) ** 2 <= norm_bound:  # N(c, c + 1)
         top = (isqrt(4 * norm_bound - (4 - e * e) * c * c) - e * c) // 2  # (2d + e c)^2 <= 4B - (4 - e^2) c^2
         cc, ec = c * c, e * c
-        rows.extend((cc + d * (d + ec), d, c, None) for d in range(c + 1, top + 1) if gcd(c, d) == 1)
+        rows.extend((cc + d * (d + ec), d, c, 2) for d in range(c + 1, top + 1) if gcd(c, d) == 1)
         c += 1
     rows.sort()
     return rows
@@ -280,9 +281,9 @@ def c_kernel(
     if kernel_vanishes(field, weight):
         return mpf(0)
     width = precision + GUARD_BITS
-    row = (ideal.norm, ideal.d, ideal.c, phase_numerator(field, ideal))
+    row = (ideal.norm, ideal.d, ideal.c, 1)
     block = (1, weight, weight // 2)
-    phasor = fixed_phasor(field, m * row[3], ideal.norm, width)
+    phasor = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
     total = sum_rows(mu_trace(field), (row,), (phasor,), (block,), width)[block]
     return mp.make_mpf(from_man_exp(total, -width, width, round_nearest))
 
@@ -352,29 +353,33 @@ def ideal_sum_data(field: Field, norm_bound: int) -> tuple[tuple[int, int, int, 
 
 
 @lru_cache(maxsize=16)
-def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[tuple[int, int], ...]:
-    """Z_b = e^(i pi P/N) e^(2 pi v0/N) of every ``ideal_sum_data`` row of the
-    point's field (v0 = Im point), in mu-coordinates floored to
-    ``sum_width`` bits: one ``cospi``/``sinpi`` per ideal and one ``exp`` per
-    distinct norm (the rows are sorted by norm), so
+def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[tuple, tuple]:
+    """The rows of an m >= 1 pass and their phasors, aligned: (N, x, y, w) of
+    each ``ideal_sum_data`` row of the point's field with ``pair_weight``
+    w > 0, none for a mirror, and its Z_b = e^(i pi P/N) e^(2 pi v0/N)
+    (v0 = Im point) in mu-coordinates floored to ``sum_width`` bits: one
+    ``cospi``/``sinpi`` per row and one ``exp`` per distinct norm, so
     Re[g^k Z^m] / N^k = cos(pi m P/N + k theta) N^(-k/2) e^(2 pi m v0/N)."""
     field = field_of(point)
+    e = mu_trace(field)
     width = sum_width(norm_bound, precision)
-    row, last = [], None
+    rows, phasors, last = [], [], None
     with workprec(width + 16):
         two_pi_v0 = 2 * mp.pi * point.v0(width)
-        for norm, _, _, phase_num in ideal_sum_data(field, norm_bound):
-            if norm != last:
-                growth, last = mpmath.exp(two_pi_v0 / norm), norm
-            row.append(fixed_phasor(field, phase_num, norm, width, growth))
-    return tuple(row)
+        for norm, x, y, phase_num in ideal_sum_data(field, norm_bound):
+            if w := pair_weight(e, x, y):
+                if norm != last:  # the rows are sorted by norm
+                    growth, last = mpmath.exp(two_pi_v0 / norm), norm
+                rows.append((norm, x, y, w))
+                phasors.append(fixed_phasor(field, phase_num, norm, width, growth))
+    return tuple(rows), tuple(phasors)
 
 
 def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
-    """(m, k, j) -> sum of the floored terms Re[g^k Z^m] / N^(k-j) over
-    ``rows`` (N, x, y, P) with generator g = x + y mu, for every (m, k, j)
-    in ``blocks`` (even k >= 2), each a fixed-point int with ``width``
-    fractional bits; Z is the row's entry of ``phasors``, fixed-point pairs
+    """(m, k, j) -> sum of w times the floored term Re[g^k Z^m] / N^(k-j)
+    over ``rows`` (N, x, y, w) with generator g = x + y mu, for every
+    (m, k, j) in ``blocks`` (even k >= 2), each a fixed-point int with
+    ``width`` fractional bits; Z is the row's entry of ``phasors``, pairs
     at ``width`` bits, which an m = 0-only family does not read (None).
 
     With t = 2x + e y and N the trace and norm of g, g^2 = t g - N, so
@@ -386,22 +391,22 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
     b = e x_k + (e^2 - 2) y_k = (e x + (e^2 - 2) y) U_k - e N U_(k-1), so
     that 2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  The powers
     of N come from one table per distinct norm (the rows are sorted by
-    norm).  An m = 0 term is one floor of the integer a, and for even k a
-    representative row and its mirror have the same a, since
-    (-conj g)^k = conj(g^k): so each m = 0 job adds ``pair_weight`` times
-    its floors, the same integer total as one floor per row: ``ideal_sums``
-    gives a family with no m >= 1 block only the rows of ``pair_rows``.  The
-    m >= 1 jobs take every row, each with its own Z: for each m in
+    norm).  An m = 0 term is one floor of the integer a; for each m >= 1 in
     ascending order, Z^m is stepped from the previous m by
-    ``ring_power``(Z, gap) and one floored ``ring_mul``, and the numerator
-    of each k is floored by 2 N^(k-j) for its largest j and then by
-    N^(j'-j) down to each smaller j; since floor(floor(x/a)/b) = floor(x/(ab))
-    for positive integers a, b, every term is the one its block would get
-    alone with the same Z^m.  A lone m gets ``ring_power``(Z, m), so a one-m
-    family is bit-identical to a pass of its own.  Every floored product of
-    a product tree of m factors Z (|Z| >= 1, relative error eps) adds at
-    most 5 * 2^-width, so the stepped Z^m is within
-    m eps + (m - 1) 5 * 2^-width, the first-order bound of ``ring_power``."""
+    ``ring_power``(Z, gap) and one floored ``ring_mul``.  The numerator of
+    each k is floored by 2 N^(k-j) for its largest j and then by N^(j'-j)
+    down to each smaller j; since floor(floor(x/a)/b) = floor(x/(ab)) for
+    positive integers a, b, every term is the one its block would get alone
+    with the same Z^m, and every job adds it w times.  ``ideal_sums`` passes
+    a representative with w = 2 for its mirror, whose term is taken as the
+    representative's: for even k, (-conj g)^k = conj(g^k) and the mirror's
+    Z is conj(Z), so the exact terms agree, and the doubled term carries
+    twice one term's floor and Z^m error, the pair's budget.  A lone m gets
+    ``ring_power``(Z, m), so a one-m family is bit-identical to a pass of
+    its own.  Every floored product of a product tree of m factors Z
+    (|Z| >= 1, relative error eps) adds at most 5 * 2^-width, so the stepped
+    Z^m is within m eps + (m - 1) 5 * 2^-width, the first-order bound of
+    ``ring_power``."""
     ks = sorted({k for _, k, _ in blocks})
     js_of: dict = {}
     for m, k, j in blocks:
@@ -434,8 +439,7 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
     totals = [0] * len(order)
     e2 = e * e - 2
     row_norm = None
-    for (norm, x, y, _), z in zip(rows, phasors if plan else repeat(None)):
-        weight = pair_weight(e, x, y)  # of its m = 0 terms; 0 for a mirror
+    for (norm, x, y, w), z in zip(rows, phasors if plan else repeat(None)):
         if norm != row_norm:  # the rows are sorted by norm
             row_norm, powers = norm, dict(zip(exponents, map(pow, repeat(norm), exponents)))
         t = 2 * x + e * y  # (u0, u1) = (U_n, U_(n+1)), doubled from n = 1 to ks[0] - 1
@@ -449,13 +453,13 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
             for _ in steps:
                 u0, u1 = u1, t * u1 - norm * u0
             a = t * u1 - 2 * norm * u0  # = 2 x_k + e y_k
-            for top, slot, chain in zero_jobs if weight else ():
+            for top, slot, chain in zero_jobs:
                 # (a 2^width) // (2 N^top), with the 2 taken off the shift
                 q = (a << (width - 1)) // powers[top]
-                totals[slot] += weight * q
+                totals[slot] += w * q
                 for drop, lower in chain:
                     q //= powers[drop]
-                    totals[lower] += weight * q
+                    totals[lower] += w * q
             if plan:
                 folded.append((a, (e * x + e2 * y) * u1 - e * norm * u0))
         last = 0
@@ -467,10 +471,10 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
                 a, b = folded[index]
                 # (a wx + b wy) // (2 N^top), as floor(floor(x/c)/2) = floor(x/(2c))
                 q = (a * wx + b * wy) // powers[top] >> 1
-                totals[slot] += q
+                totals[slot] += w * q
                 for drop, lower in chain:
                     q //= powers[drop]
-                    totals[lower] += q
+                    totals[lower] += w * q
     return dict(zip(order, totals))
 
 
@@ -481,19 +485,21 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     ``blocks``, each rounded once to precision + GUARD_BITS bits.
 
     One ``sum_rows`` pass fills every block at ``sum_width`` fractional
-    bits: over the ``ideal_sum_data`` rows and their ``phasor_row`` if some
-    m >= 1, else over ``pair_rows`` alone, uncached, with the same integer
-    totals (at m = 0 the sum is integer arithmetic).  With m < norm_bound, which
-    ``check_norm_bound`` of the largest m ensures and which is checked here,
-    the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|,
-    which the unit ideal's term (at least 1) dominates.  The cache holds one
-    entry per pass, not per (4 pi m)^r scaling of a sum."""
+    bits over the representative and self-conjugate rows alone, each
+    counted ``pair_weight`` (2 or 1) times at every m: those of
+    ``phasor_row`` if some m >= 1, else of ``pair_rows``, uncached.  The
+    mirror's term is taken as its representative's, of the same exact
+    value, so a doubled term carries the pair's rounding budget.  With
+    m < norm_bound (``check_norm_bound`` of the largest m, checked here),
+    the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|
+    over every ideal, which the unit ideal's term (at least 1) dominates.
+    The cache holds one entry per pass, not per (4 pi m)^r scaling."""
     field = field_of(point)
     top = max(m for m, _, _ in blocks)
     if top:
         with workprec(precision + GUARD_BITS):
             check_norm_bound(norm_bound, top, point.v0(precision))
-        rows, phasors = ideal_sum_data(field, norm_bound), phasor_row(point, norm_bound, precision)
+        rows, phasors = phasor_row(point, norm_bound, precision)
     else:
         rows, phasors = pair_rows(field, norm_bound), None
     width = sum_width(norm_bound, precision)

@@ -56,6 +56,24 @@ def test_ideal_sum_data_enumerates_through_module_attribute(monkeypatch):
     assert len(rows) == len(inner(lattice.Field.GAUSSIAN, 50))
 
 
+def test_m_ideal_sums_enumerate_once_through_module_attribute(monkeypatch):
+    # an m >= 1 pass reaches the ideals through phasor_row's one
+    # ideal_sum_data miss, so quasi-i-B5k's traced run counts each of its
+    # 2376 ideals once; the bound is one no other test sums at
+    from meroforms import POINT_I, lattice
+
+    calls = []
+    inner = lattice.enumerate_primitive
+
+    def counting(field, norm_bound):
+        calls.append((field, norm_bound))
+        return inner(field, norm_bound)
+
+    monkeypatch.setattr(lattice, "enumerate_primitive", counting)
+    lattice.ideal_sums.__wrapped__(POINT_I, 1357, 64, ((0, 12, 0), (1, 12, 0), (2, 16, 1)))
+    assert calls == [(lattice.Field.GAUSSIAN, 1357)]
+
+
 def test_traced_kernel_counts(capsys):
     # quasi-i-B5k's traced run pins the f_series_coeff misses, which the
     # norm bound does not change; the ideals are summed in one pass per

@@ -495,12 +495,13 @@ def test_tol_checked_before_any_work(monkeypatch, capsys, tol):
     "args,message",
     [
         (("oracle", "--form", "-E4", "--m", "0"), "unexpected '-E4' in a form"),
+        (("oracle", "--for", "-E4", "--m", "0"), "unexpected '-E4' in a form"),
         (("coeffs", "--form", "-1/E6", "--m", "0"), "unexpected '-1' in a form"),
         (("oracle", "--form", "E4", "--m", "-2..3"), "m must be >= 0, got '-2..3'"),
         (("verify", "--form", "1/E6", "--m", "0", "--tol", "-1e-8"), "--tol must be a finite number > 0, got '-1e-8'"),
         (("oracle", "--form", "-" * 10000 + "E4", "--m", "0"), None),
     ],
-    ids=["form-oracle", "form-coeffs", "m", "tol", "10000-minus"],
+    ids=["form-oracle", "form-abbreviated", "form-coeffs", "m", "tol", "10000-minus"],
 )
 def test_value_starting_with_minus_reaches_its_flags_check(capsys, args, message):
     # argparse read '--form -E4' as two flags and printed its usage text;
@@ -511,6 +512,15 @@ def test_value_starting_with_minus_reaches_its_flags_check(capsys, args, message
     assert message is None or err == f"error: {message}\n"
     spelled = [f"{flag}={value}" for flag, value in zip(args[1::2], args[2::2])]
     assert run(capsys, args[0], *spelled) == (code, out, err)
+
+
+def test_abbreviated_flags_join_only_values(capsys):
+    # '--h' prefixes '--help' alone, which takes no value: the '-E4' after
+    # it is not joined, and help is printed; '--norm' still takes its value
+    code, out, err = run(capsys, "oracle", "--h", "-E4")
+    assert code == 0 and out.startswith("usage: ") and err == ""
+    code, out, err = run(capsys, "coeffs", "--form", "1/E6", "--m", "0", "--norm", "300")
+    assert code == 0 and json.loads(out)["norm_bound"] == 300
 
 
 def test_missing_flag_value_keeps_argparse_message(capsys):

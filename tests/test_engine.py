@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import comb, gcd
 
 import mpmath
@@ -27,10 +28,10 @@ from meroforms.lattice import (
     c_kernel,
     enumerate_primitive,
     field_of,
+    fixed_phasor,
     ideal_sum_data,
     kernel_vanishes,
     mu_trace,
-    pair_weight,
     phasor_row,
     ring_mul,
     ring_power,
@@ -145,11 +146,26 @@ def test_f_series_matches_angle_reference(point, field, precision):
                         assert rel_err(got, ref) <= tol, (k, j, r, m, bound)
 
 
+@lru_cache(maxsize=None)
+def reference_phasors(point, norm_bound, precision):
+    """Z_b of every ideal_sum_data row, mirrors included, from one
+    fixed_phasor and one exp per ideal."""
+    field = field_of(point)
+    width = sum_width(norm_bound, precision)
+    with workprec(width + 16):
+        two_pi_v0 = 2 * mp.pi * point.v0(width)
+        return tuple(
+            fixed_phasor(field, phase_num, norm, width, mpmath.exp(two_pi_v0 / norm))
+            for norm, _, _, phase_num in ideal_sum_data(field, norm_bound)
+        )
+
+
 def reference_ideal_sum(point, k, j, m, norm_bound, precision, rows=None, phasors=None):
-    """The reference definition of one ideal sum: a pass over the ideals
-    for this (m, k, j) alone, with Z^m by binary powering, rounded once to
-    precision + GUARD_BITS.  Returns the sum and the sum of |term|.  Every
-    row counts once; ``rows`` with their ``phasors`` replace the ideals'."""
+    """The reference definition of one ideal sum: a pass over every ideal,
+    mirrors included, for this (m, k, j) alone, with Z^m by binary powering,
+    rounded once to precision + GUARD_BITS.  Returns the sum and the sum of
+    |term|.  Every row counts once; ``rows`` with their ``phasors`` replace
+    the ideals'."""
     field = field_of(point)
     e = mu_trace(field)
     if rows is None:
@@ -160,7 +176,7 @@ def reference_ideal_sum(point, k, j, m, norm_bound, precision, rows=None, phasor
         for norm, x, y, _ in rows:
             terms.append((twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j)))
     else:
-        for (norm, x, y, _), z in zip(rows, phasors or phasor_row(point, norm_bound, precision)):
+        for (norm, x, y, _), z in zip(rows, phasors or reference_phasors(point, norm_bound, precision)):
             w = ring_power(e, z, m, width)
             terms.append(twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j)))
     bits = precision + GUARD_BITS
@@ -224,9 +240,9 @@ def test_ideal_sums_mixed_m_large_k_bit_for_bit(prec, point, bound, m, ks):
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 def test_ideal_sums_pair_conjugates_bit_for_bit(prec, point):
-    # at m = 0 a representative's term counts twice and its mirror's not at
-    # all, while m >= 1 blocks sum every row: m = 0-only and mixed families
-    # give the very bits of the reference, which sums every row
+    # at every m a representative's term counts twice and its mirror's not
+    # at all: m = 0-only and mixed families give the very bits of the
+    # reference, which sums every row
     rng = random.Random(22 if point is POINT_I else 23)
     step = 4 if point is POINT_I else 6
     ks = list(range(step, 61, step))
@@ -244,15 +260,13 @@ def test_ideal_sums_pair_conjugates_bit_for_bit(prec, point):
 
 def test_ideal_sums_fold_without_conjugate_partners(prec):
     # over all rows, an error in the m >= 1 fold of g^k can cancel between
-    # a representative and its mirror; over the representatives alone it
-    # cannot, so these bits pin the fold at rho, where e = 1
+    # a representative and its mirror; over the representatives alone, each
+    # counted once, it cannot, so these bits pin the fold at rho, where e = 1
     point, bound = POINT_RHO, 300
-    field = field_of(point)
-    e = mu_trace(field)
-    every_row, every_phasor = ideal_sum_data(field, bound), phasor_row(point, bound, prec)
-    keep = [index for index, (_, x, y, _) in enumerate(every_row) if pair_weight(e, x, y) == 2]
-    rows = tuple(every_row[index] for index in keep)
-    phasors = tuple(every_phasor[index] for index in keep)
+    e = mu_trace(field_of(point))
+    representatives = [(row, z) for row, z in zip(*phasor_row(point, bound, prec)) if row[3] == 2]
+    rows = tuple((norm, x, y, 1) for (norm, x, y, _), _ in representatives)
+    phasors = tuple(z for _, z in representatives)
     width = sum_width(bound, prec)
     rng = random.Random(29)
     ks = list(range(6, 61, 6))
@@ -270,8 +284,8 @@ def test_ideal_sums_fold_without_conjugate_partners(prec):
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 def test_m0_ideal_sums_match_every_row_bit_for_bit(prec, point, bound):
     # an m = 0-only pass reads the representative and self-conjugate rows
-    # alone; sum_rows over every ideal_sum_data row, mirrors included,
-    # gives the very integers, so the very mpf
+    # alone; sum_rows over every ideal_sum_data row, mirrors included, each
+    # with multiplicity 1, gives the very integers, so the very mpf
     field = field_of(point)
     e, width, bits = mu_trace(field), sum_width(bound, prec), prec + GUARD_BITS
     rng = random.Random(bound + (0 if point is POINT_I else 1))
@@ -280,7 +294,8 @@ def test_m0_ideal_sums_match_every_row_bit_for_bit(prec, point, bound):
     for _ in range(3):
         family = tuple(sorted((0, k, j) for k, j in random_blocks(rng, ks)))
         got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
-        totals = sum_rows(e, ideal_sum_data(field, bound), None, family, width)
+        every_row = [(norm, x, y, 1) for norm, x, y, _ in ideal_sum_data(field, bound)]
+        totals = sum_rows(e, every_row, None, family, width)
         assert set(got) == set(totals) == set(family)
         for block, total in totals.items():
             assert got[block] == mp.make_mpf(from_man_exp(total, -width, bits, round_nearest)), block

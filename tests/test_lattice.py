@@ -14,6 +14,7 @@ from meroforms import (
     complete_unimodular,
     enumerate_primitive,
 )
+import meroforms.lattice as lattice
 from meroforms.constants import GUARD_BITS, POINT_I, POINT_RHO
 from meroforms.lattice import (
     PrimitiveIdeal,
@@ -271,6 +272,7 @@ def test_pair_rows_are_the_rows_of_positive_weight(field, bound):
     e = mu_trace(field)
     rows = pair_rows(field, bound)
     assert [norm for norm, _, _, _ in rows] == sorted(norm for norm, _, _, _ in rows)
+    assert all(w == pair_weight(e, x, y) for _, x, y, w in rows)
     got = sorted((norm, x, y) for norm, x, y, _ in rows)
     assert got == sorted((norm, d, c) for c, d, norm, _, _ in orbit_scan(field, bound) if pair_weight(e, d, c) > 0)
     assert got == sorted((norm, x, y) for norm, x, y, _ in ideal_sum_data(field, bound) if pair_weight(e, x, y) > 0)
@@ -345,16 +347,34 @@ def test_table_builds_run_without_collections():
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 def test_phasor_row_matches_per_ideal_construction(prec, point):
-    # one exp per distinct norm gives the very ints of one exp per ideal
+    # the rows of positive pair_weight, each with its weight, and for each
+    # the very ints of one exp per ideal from one exp per distinct norm
     field = field_of(point)
+    e = mu_trace(field)
     width = sum_width(600, prec)
+    rows = ideal_sum_data(field, 600)
+    kept = [(norm, x, y, pair_weight(e, x, y), p) for norm, x, y, p in rows if pair_weight(e, x, y)]
     with workprec(width + 16):
         two_pi_v0 = 2 * mp.pi * point.v0(width)
-        want = tuple(
-            fixed_phasor(field, phase_num, norm, width, mpmath.exp(two_pi_v0 / norm))
-            for norm, _, _, phase_num in ideal_sum_data(field, 600)
-        )
-    assert phasor_row.__wrapped__(point, 600, prec) == want
+        want = tuple(fixed_phasor(field, p, norm, width, mpmath.exp(two_pi_v0 / norm)) for norm, _, _, _, p in kept)
+    assert phasor_row.__wrapped__(point, 600, prec) == (tuple(row[:4] for row in kept), want)
+
+
+@pytest.mark.parametrize("bound", [300, 5000])
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_phasor_row_evaluates_no_mirror(monkeypatch, point, bound):
+    # one cospi/sinpi per representative or self-conjugate row: half the
+    # ideals and one more (1189 of 2376 at i, B = 5000)
+    calls = []
+    inner = lattice.mpf_cos_sin_pi
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(lattice, "mpf_cos_sin_pi", counting)
+    rows, phasors = phasor_row.__wrapped__(point, bound, 64)
+    assert len(calls) == len(rows) == len(phasors) == len(ideal_sum_data(field_of(point), bound)) // 2 + 1
 
 
 def test_b_kernel_identities(prec):
