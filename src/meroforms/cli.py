@@ -58,11 +58,16 @@ EXIT_VERIFY = 3
 # ideal table).  All grow linearly in the bound.
 MAX_NORM_BOUND = 10**6
 
-# The exact oracle's cost grows about as order^3 (order^2 products of
-# coefficients whose size grows linearly).  On a 2-core x86-64 VM,
-# `oracle --form "E2^4 * (1/E6^4)" --order 2000` takes 11 s and 41 MB in a
-# fresh process; in-process the oracle takes 0.3 s at order 600, 9.6 s at
-# 2000 and 31 s at 3000.
+# The exact oracle's cost is its divisions, one per form and one more per
+# D(...) of a quotient, each growing about as order^3 (an order^2 recurrence
+# over coefficients whose size grows linearly).  It grows with the form too:
+# a high power widens the divisor, and a product with a divided factor packs
+# coefficients thousands of bits wide.  On a 2-core x86-64 VM, in a fresh
+# process, `oracle --form "E2^4 * (1/E6^4)" --order N` takes 0.2-0.3 s at
+# N = 600 and 3.6-5.2 s and 26 MB at 2000, and the same oracle_coeffs call
+# 10-12 s and 32 MB at 3000; in-process the oracle takes 0.10-0.17 s at
+# order 600, 3.7-5.5 s at 2000 and 12-14 s at 3000.  At order 2000, `1/E6^64`
+# takes 27-31 s and 30 MB, and `D(1/E6)^2` 65-74 s and 111 MB.
 MAX_ORACLE_ORDER = 2000
 
 # Jets and Laurent expansions cost about depth^2 products.  On a 2-core

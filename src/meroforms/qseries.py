@@ -1,9 +1,13 @@
 """Exact truncated q-series arithmetic over the rationals.
 
 This module is the ground-truth side of the library: Eisenstein series
-q-expansions and the expression trees built from them are evaluated on
-integer numerators over one denominator, exact, with no rounding, and
-every coefficient is reported as a ``fractions.Fraction``.  All
+q-expansions and the expression trees built from them are evaluated
+exactly, with no rounding, and every coefficient is reported as a
+``fractions.Fraction``.  A tree evaluates to a numerator series over a
+denominator series, both products of the small generator series, and
+divides once at the end (a ``D(...)`` of a quotient divides its operand
+first); a product of two series packs each into one int (Kronecker
+substitution) and multiplies those once.  All
 floating-point machinery elsewhere is validated against it.  Forms are
 read from text by ``parse_form``, a walk over Python's own parse tree
 that admits only the grammar of forms.
@@ -67,10 +71,11 @@ class RationalQSeries:
     The coefficients are held as Python-int ``numerators`` over one positive
     common ``denominator``, reduced so that no integer > 1 divides the
     denominator and every numerator; that form is unique, so arithmetic
-    touches only ints and reduces once per operation.  ``coeffs[n]`` is the
-    coefficient of q^n as a ``Fraction``; the truncation order is
-    ``len(coeffs) - 1``.  Instances are immutable; arithmetic truncates to
-    the minimum order of the operands.
+    touches only ints and reduces once per operation.  A product is one
+    big-int product of the packed numerators; a quotient is one integer
+    recurrence.  ``coeffs[n]`` is the coefficient of q^n as a ``Fraction``;
+    the truncation order is ``len(coeffs) - 1``.  Instances are immutable;
+    arithmetic truncates to the minimum order of the operands.
     """
 
     __slots__ = ("numerators", "denominator")
@@ -155,11 +160,22 @@ class RationalQSeries:
             c = Fraction(other)
             return RationalQSeries._of([x * c.numerator for x in self.numerators], self.denominator * c.denominator)
         o = self._coerce(other)
-        order = min(self.truncation_order, o.truncation_order)
-        a = self.numerators[: order + 1]
-        rb = o.numerators[order::-1]  # rb[order - j] is b_j
-        # coefficient k is sum_i a_i b_(k-i), one C-level dot product each
-        out = [sum(map(mul, a[: k + 1], rb[order - k :])) for k in range(order + 1)]
+        n = min(self.truncation_order, o.truncation_order)
+        a, b = self.numerators[: n + 1], o.numerators[: n + 1]
+        # Kronecker substitution: a series packs into one int, a byte slot per
+        # coefficient, and one big-int product makes every coefficient.  A slot
+        # spans over twice any |sum_i a_i b_(k-i)| and holds x + half >= 0.
+        slot = (max(x.bit_length() for x in a) + max(x.bit_length() for x in b) + (n + 1).bit_length()) // 8 + 1
+        half, size = 1 << (8 * slot - 1), slot * (n + 1)
+        bias = int.from_bytes((bytes(slot - 1) + b"\x80") * (n + 1), "little")  # half in every slot
+
+        def pack(xs):
+            return int.from_bytes(b"".join((x + half).to_bytes(slot, "little") for x in xs), "little") - bias
+
+        pa = pack(a)
+        product = pa * (pa if o is self else pack(b))  # a square packs once and squares faster
+        digits = ((product + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")  # a mask: % would divide
+        out = [int.from_bytes(digits[i : i + slot], "little") - half for i in range(0, size, slot)]
         return RationalQSeries._of(out, self.denominator * o.denominator)
 
     __rmul__ = __mul__
@@ -168,7 +184,7 @@ class RationalQSeries:
         if not isinstance(exponent, int):
             raise TypeError("only integer powers are supported")
         if exponent < 0:
-            return self.reciprocal() ** (-exponent)
+            return (self ** -exponent).reciprocal()  # one division of a small power
         if exponent == 0:
             return RationalQSeries.one(self.truncation_order)
         result = None
@@ -182,30 +198,30 @@ class RationalQSeries:
                 return result
             base = base * base
 
-    def reciprocal(self) -> "RationalQSeries":
-        """Multiplicative inverse up to the truncation order n.
+    def __truediv__(self, other) -> "RationalQSeries":
+        """The quotient up to the lower truncation order n.
 
-        With self = A/d and c = A_0, 1/A has coefficients C_k / c^(k+1),
-        where C_0 = 1 and the integers C_k = -sum_(i>=1) A_i c^(i-1) C_(k-i);
-        over the common denominator c^(n+1), 1/self has the numerators
-        d C_k c^(n-k).
+        With self = B/d, other = A/e and c = A_0, B/A has coefficients
+        F_k / c^(k+1), where the integers F_k = B_k c^k - sum_(i>=1) A_i
+        c^(i-1) F_(k-i); over the common denominator d c^(n+1), self/other
+        has the numerators e F_k c^(n-k).
         """
-        a = self.numerators
-        c = a[0]
+        o = self._coerce(other)
+        c = o.numerators[0]
         if c == 0:
             raise ZeroDivisionError("not invertible as q-series")
-        n = self.truncation_order
-        scaled = [0] * (n + 1)  # scaled[i] = A_i c^(i-1) for i >= 1
-        power = 1
-        for i in range(1, n + 1):
-            scaled[i] = a[i] * power
-            power *= c
-        rs = scaled[::-1]  # rs[n - i] is scaled[i]
-        cs = [1]
-        for k in range(1, n + 1):
-            cs.append(-sum(map(mul, cs, rs[n - k : n])))
-        d = self.denominator
-        return RationalQSeries._of([d * x * c ** (n - k) for k, x in enumerate(cs)], c ** (n + 1))
+        n = min(self.truncation_order, o.truncation_order)
+        powers = [c**k for k in range(n + 1)]
+        rs = [x * p for x, p in zip(o.numerators[n:0:-1], powers[n - 1 :: -1])]  # rs[n - i] is A_i c^(i-1)
+        fs: list[int] = []
+        for k in range(n + 1):
+            fs.append(self.numerators[k] * powers[k] - sum(map(mul, fs, rs[n - k :])))
+        out = [o.denominator * f * p for f, p in zip(fs, reversed(powers))]
+        return RationalQSeries._of(out, self.denominator * powers[n] * c)
+
+    def reciprocal(self) -> "RationalQSeries":
+        """Multiplicative inverse up to the truncation order."""
+        return RationalQSeries.one(self.truncation_order) / self
 
     def dee(self) -> "RationalQSeries":
         """The operator q d/dq: coefficient n maps to n times itself."""
@@ -248,8 +264,14 @@ class FormExpression:
     def weight(self) -> int:
         raise NotImplementedError
 
-    def qseries(self, truncation_order: int) -> RationalQSeries:
+    def quotient(self, truncation_order: int) -> tuple[RationalQSeries | None, RationalQSeries | None]:
+        """The form as (numerator, denominator) series, None for the series 1."""
         raise NotImplementedError
+
+    def qseries(self, truncation_order: int) -> RationalQSeries:
+        """The form's series: its quotient, divided once if it has a denominator."""
+        num, den = self.quotient(truncation_order)
+        return num if den is None else (RationalQSeries.one(truncation_order) if num is None else num) / den
 
     def nodes(self) -> Iterator[FormExpression]:
         """This node and every node below it, depth first; a node's
@@ -282,8 +304,8 @@ class Generator(FormExpression):
     def weight(self) -> int:
         return GENERATOR_WEIGHTS[self.name]
 
-    def qseries(self, truncation_order: int) -> RationalQSeries:
-        return make_eisenstein(GENERATOR_WEIGHTS[self.name], truncation_order)
+    def quotient(self, truncation_order: int):
+        return make_eisenstein(GENERATOR_WEIGHTS[self.name], truncation_order), None
 
     def __str__(self) -> str:
         return self.name
@@ -297,8 +319,8 @@ class Constant(FormExpression):
     def weight(self) -> int:
         return 0
 
-    def qseries(self, truncation_order: int) -> RationalQSeries:
-        return RationalQSeries.constant(self.value, truncation_order)
+    def quotient(self, truncation_order: int):
+        return RationalQSeries.constant(self.value, truncation_order), None
 
     def __str__(self) -> str:
         return str(self.value)
@@ -312,8 +334,10 @@ class Product(FormExpression):
     def weight(self) -> int:
         return sum(f.weight for f in self.factors)
 
-    def qseries(self, truncation_order: int) -> RationalQSeries:
-        return reduce(mul, (f.qseries(truncation_order) for f in self.factors))
+    def quotient(self, truncation_order: int):
+        sides = zip(*(f.quotient(truncation_order) for f in self.factors))
+        present = ([x for x in side if x is not None] for side in sides)  # None is 1: nothing to multiply
+        return tuple(reduce(mul, xs) if xs else None for xs in present)
 
     def __str__(self) -> str:
         return " * ".join(str(f) for f in self.factors)
@@ -332,8 +356,8 @@ class Power(FormExpression):
     def weight(self) -> int:
         return self.exponent * self.base.weight
 
-    def qseries(self, truncation_order: int) -> RationalQSeries:
-        return self.base.qseries(truncation_order) ** self.exponent
+    def quotient(self, truncation_order: int):
+        return tuple(None if x is None else x**self.exponent for x in self.base.quotient(truncation_order))
 
     def __str__(self) -> str:
         base = str(self.base) if isinstance(self.base, (Generator, Constant)) else f"({self.base})"
@@ -348,8 +372,11 @@ class Reciprocal(FormExpression):
     def weight(self) -> int:
         return -self.operand.weight
 
-    def qseries(self, truncation_order: int) -> RationalQSeries:
-        return self.operand.qseries(truncation_order).reciprocal()
+    def quotient(self, truncation_order: int):
+        num, den = self.operand.quotient(truncation_order)
+        if num is not None and num.numerators[0] == 0:  # no inverse, even where 1/(1/f) would cancel
+            raise ZeroDivisionError("not invertible as q-series")
+        return den, num
 
     def __str__(self) -> str:
         return f"1/({self.operand})"
@@ -365,8 +392,10 @@ class Dee(FormExpression):
     def weight(self) -> int:
         return self.operand.weight + 2
 
-    def qseries(self, truncation_order: int) -> RationalQSeries:
-        return self.operand.qseries(truncation_order).dee()
+    def quotient(self, truncation_order: int):
+        # divides a quotient operand first: the quotient rule D(N/Q) =
+        # (D N * Q - N * D Q) / Q^2 would square Q at every nested D
+        return self.operand.qseries(truncation_order).dee(), None
 
     def __str__(self) -> str:
         return f"D({self.operand})"

@@ -110,3 +110,13 @@ def test_setup_probe_prints_each_workload_summary(capsys):
     for workload in (*workloads.WORKLOADS.values(), *workloads.TINY_WORKLOADS.values()):
         probe.main(workload.command, workload.form)
         assert json.loads(capsys.readouterr().out) == workload.setup, workload.name
+
+
+def test_oracle_digests_match_the_exactness_gate():
+    # oracle-600 keeps a child's timing only if the sha256 of its 601
+    # rationals matches the recorded digest; tiny-oracle does the same at 50
+    from meroforms.qseries import oracle_coeffs
+
+    workloads = _load_bench("workloads")
+    assert workloads.oracle_digest(oracle_coeffs("E2^4 * (1/E6^4)", 600)) == workloads.ORACLE_DIGEST_600
+    assert workloads.oracle_digest(oracle_coeffs("E2^4 * (1/E6^4)", 50)) == workloads.ORACLE_DIGEST_50

@@ -367,7 +367,13 @@ def _reference_oracle(expr, order):
     raise TypeError(expr)
 
 
-@pytest.mark.parametrize("form", ["E4/3", "1/(2*E4)", "D(1/E10)", "E2^4 * (1/E6^4)"])
+@pytest.mark.parametrize(
+    "form",
+    [
+        "E4/3", "1/(2*E4)", "D(1/E10)", "E2^4 * (1/E6^4)",
+        "(1/E6)^4", "(E4/E6)^2 * E10", "D(E4/E6^2)", "D(D(1/E6^2))", "E4 * D(1/E10) / E6", "1/(2*E4)^3",
+    ],
+)
 def test_oracle_matches_fraction_reference(form):
     got = oracle_coeffs(form, 60)
     assert got == _reference_oracle(parse_form(form), 60)
@@ -379,3 +385,121 @@ def test_eisenstein_691_denominators():
     want = [Fraction(1)] + [Fraction(65520, 691) * sigma(n, 11) for n in range(1, 31)]
     _assert_matches(e12, want)
     assert e12.denominator == 691
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_truediv_matches_fraction_reference(seed):
+    # the pool has non-unit constant terms, 691 denominators and series of
+    # every length from 1 to 9, so most pairs divide at unequal orders
+    pool = _property_series(seed) + [
+        [Fraction(65520, 691) * x for x in range(1, 7)],  # non-unit constant term over 691
+        [Fraction(-691), Fraction(1, 691), Fraction(0), Fraction(5, 3)],
+    ]
+    for a in pool:
+        for b in pool:
+            sa, sb = RationalQSeries(a), RationalQSeries(b)
+            if b[0] == 0:
+                with pytest.raises(ZeroDivisionError, match="not invertible"):
+                    sa / sb
+                continue
+            _assert_matches(sa / sb, reference_mul(a, reference_reciprocal(b)))
+        if a[0] != 0:
+            _assert_matches(RationalQSeries(a).reciprocal(), reference_reciprocal(a))
+            _assert_matches(1 - RationalQSeries(a) / Fraction(3, 691), [1 - a[0] * Fraction(691, 3)] + [-x * Fraction(691, 3) for x in a[1:]])
+
+
+BIG = 10**4300
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([BIG + 1, -(BIG - 7), 3, -(BIG // 10)], [-BIG, 1, BIG - 1, 5]),  # signed, near 10^4300
+        ([-BIG, BIG, -BIG], [BIG, BIG, BIG]),
+        ([0] * 5, [3, -1, 4, 1, -5]),  # all zero
+        ([0] * 3, [0] * 3),
+        ([7], [-3]),  # order 0
+        ([-BIG], [BIG]),
+        ([1, 1, 0, 0], [1, -1, 0, 0]),  # (1 + q)(1 - q): slots 1 and 3 cancel to 0
+        ([BIG, BIG, 0], [BIG, -BIG, 0]),
+        ([1, 1], [1, -5]),  # a negative top slot
+        ([2, -3, 0, 1], [5, 4, -7, -9, 11, 8]),  # negative top slot, longer operand truncated
+        ([-1, -(2**64), -(2**63) + 1], [2**64 - 1, -(2**64), 2**63]),  # coefficients at byte edges
+    ],
+)
+def test_packed_product_edge_cases(a, b):
+    sa, sb = RationalQSeries(a), RationalQSeries(b)
+    _assert_product(sa * sb, reference_mul(a, b))
+    _assert_product(sb * sa, reference_mul(a, b))
+    _assert_product(sa * sa, reference_mul(a, a))  # one packed int squared
+
+
+def test_packed_product_over_denominators():
+    a = [Fraction(BIG, 691), Fraction(-1, 3), Fraction(0), Fraction(-BIG + 1, 7)]
+    b = [Fraction(-5, 691), Fraction(BIG), Fraction(2, 3), Fraction(-1)]
+    _assert_product(RationalQSeries(a) * RationalQSeries(b), reference_mul(a, b))
+
+
+def _assert_product(series, reference):
+    """``_assert_matches`` without ``str``, which refuses over 4300 digits."""
+    assert series.coeffs == reference and series == RationalQSeries(reference)
+    assert all(type(x) is int for x in series.numerators)
+    assert series.denominator > 0 and gcd(series.denominator, *series.numerators) == 1
+
+
+def _count_divisions(monkeypatch):
+    calls = []
+    inner = RationalQSeries.__truediv__
+
+    def counting(self, other):
+        calls.append(other)
+        return inner(self, other)
+
+    monkeypatch.setattr(RationalQSeries, "__truediv__", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "form, divisions",
+    [
+        ("E2^4 * (1/E6^4)", 1), ("(1/E6)^4", 1), ("1/E6/E4", 1), ("E2*E4/E6*E10", 1), ("D(D(1/E6^2))", 1),
+        ("E4 * D(1/E10) / E6", 2), ("1/(2*E4)^3", 1), ("(E4/E6)^2 * D(E4/E6^2)", 2), ("E4/3", 1),
+        ("E2^4", 0), ("D(E4) * E6^3", 0), ("D(D(E2))", 0), ("2^3", 0),
+    ],
+)
+def test_oracle_divides_once(monkeypatch, form, divisions):
+    # the tree is evaluated as numerator / denominator: every reciprocal in a
+    # form lands in the one denominator, divided out once at the end (a
+    # reciprocal of a reciprocal cancels, and so divides nothing); a D(...)
+    # of a quotient divides its operand once, however deep the D's nest
+    calls = _count_divisions(monkeypatch)
+    assert parse_form(form).has_reciprocal() == (divisions > 0)
+    oracle_coeffs(form, 40)
+    assert len(calls) == divisions
+
+
+def test_nested_dee_divides_by_the_operand_denominator(monkeypatch):
+    # D^k(1/E6) is one division by E6 and k passes of D; the quotient rule
+    # would divide by E6^(2^k) and widen every coefficient 2^k-fold
+    depth, order = 12, 40
+    calls = _count_divisions(monkeypatch)
+    got = oracle_coeffs("D(" * depth + "1/E6" + ")" * depth, order)
+    assert len(calls) == 1 and calls[0] == make_eisenstein(6, order)
+    want = reference_reciprocal(make_eisenstein(6, order).coeffs)
+    assert list(got) == [n**depth * x for n, x in enumerate(want)]
+
+
+def test_negative_power_divides_once(monkeypatch):
+    e6 = make_eisenstein(6, 30)
+    want = e6.reciprocal() * e6.reciprocal() * e6.reciprocal()
+    calls = _count_divisions(monkeypatch)
+    assert e6**-3 == want
+    assert len(calls) == 1 and calls[0] == e6**3
+
+
+@pytest.mark.parametrize("form", ["1/D(E4)", "E4/(E6*D(E4))", "1/(1/D(E4))", "D(1/D(E4))"])
+def test_oracle_refuses_zero_constant_term_anywhere(form):
+    expr = parse_form(form)
+    with pytest.raises(ValueError) as info:
+        oracle_coeffs(form, 5)
+    assert str(info.value) == f"{expr} divides by a q-series with constant term 0, so it is not bounded at the cusp"
