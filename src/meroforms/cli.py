@@ -54,8 +54,10 @@ EXIT_VERIFY = 3
 # memory.  On a 2-core x86-64 VM, in fresh processes at 10^6, ``enumerate``
 # takes 2.5-2.7 s and 168 MB peak (Gaussian, 477k ideals) or 1.8-2.5 s and
 # 133 MB (Eisenstein, 368k); ``verify --form "1/E10" --m 0 --tol 1e-8``
-# takes 1.7-2.6 s and 56 MB (5.6-6.3 s and 284 MB when m = 0 read the whole
-# ideal table).  All grow linearly in the bound.
+# takes 1.0-1.7 s and 21 MB, its m = 0 pass streaming the sector scan
+# (1.7-2.6 s and 56 MB when it sorted a table of the scan's rows, 5.6-6.3 s
+# and 284 MB when it read the whole ideal table).  Time grows linearly in
+# the bound, and so does memory where a table is built.
 MAX_NORM_BOUND = 10**6
 
 # The exact oracle's cost is its divisions, one per form and one more per

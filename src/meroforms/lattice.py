@@ -22,12 +22,14 @@ and ``enumerate_primitive`` derives each mirror.  For even k,
 (-conj g)^k = conj(g^k) and the mirror's phase numerator is -P mod 2N, so
 a representative and its mirror have the same term Re[g^k Z^m] at every m.
 Every pass sums the rows of ``pair_weight`` w > 0 alone, w = 2 or 1 times:
-at m = 0 the scan's rows (``pair_rows``), with no mirror, completion or
+at m = 0 the scan's rows (``scan_rows``), with no mirror, completion or
 phase numerator, and at m >= 1 those of ``phasor_row``, one phasor each.
 
-Bulk construction.  ``enumerate_primitive``, ``ideal_sum_data`` and
-``pair_rows`` build one tuple per ideal, none of which can be part of a
-reference cycle, so they run with the cyclic garbage collector paused
+Bulk construction.  ``scan_rows`` yields the scan's rows one column c at
+a time, so an m = 0 pass holds one column and never a table.  The tables,
+``pair_rows`` (the same rows, sorted), ``enumerate_primitive`` and
+``ideal_sum_data``, build one tuple per ideal, none of which can be part of
+a reference cycle, so they run with the cyclic garbage collector paused
 (``_collector_paused``); at norm bound 2e5 it would otherwise run hundreds
 of collections over the growing tables.
 
@@ -52,14 +54,17 @@ so with P the phase numerator above
 No angle is ever formed.  Ideal sums take Z_b = e^(i pi P/N) e^(2 pi v0/N)
 (v0 = Im mu) from ``phasor_row``, a pair of fixed-point ints, so that a
 term of weight k, index m and norm power N^(j-k/2) is
-Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, ``sum_rows``, fills a
-whole family of (m, k, j) blocks: g^k exactly from the Lucas sequence of
-the trace and norm of g, Z_b^m stepped in fixed point, every term floored
-to a fixed number of fractional bits and added w times as Python ints.
-``ideal_sums`` makes that pass over the ideals of norm <= B, a mirror's
-term taken as its representative's, at ``sum_width`` bits and rounds each
-total once; ``c_kernel`` makes it over one ideal (w = 1), with the phasor
-e^(i pi m P/N) of ``fixed_phasor`` as Z and (1, s, s/2) as its one block.
+Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, in any order,
+``sum_rows``, fills a whole family of (m, k, j) blocks: g^k exactly from
+the Lucas sequences (U, V) of the trace and norm of g, Z_b^m stepped in
+fixed point, every term floored to a fixed number of fractional bits and
+added w times as Python ints, so that no order of the rows changes a
+total.  ``ideal_sums`` makes that pass over the ideals of norm <= B, a
+mirror's term taken as its representative's, at ``sum_width`` bits and
+rounds each total once: with some m >= 1 over the cached ``phasor_row``,
+at m = 0 alone over ``scan_rows`` while the scan runs.  ``c_kernel`` makes
+it over one ideal (w = 1), with the phasor e^(i pi m P/N) of
+``fixed_phasor`` as Z and (1, s, s/2) as its one block.
 """
 
 from __future__ import annotations
@@ -68,9 +73,9 @@ import enum
 import gc
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
@@ -155,24 +160,34 @@ def _collector_paused():
             gc.enable()
 
 
-@_collector_paused()
-def pair_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int, int]]:
-    """(N, x, y, w), sorted, of the self-conjugate ideals (w = 1) and every
+def scan_rows(field: Field, norm_bound: int) -> Iterator[tuple[int, int, int, int]]:
+    """(N, x, y, w) of the self-conjugate ideals (w = 1) and every
     representative (d > c >= 1, w = 2) of norm N <= norm_bound, with
-    generator x + y mu = d + c mu: the ``ideal_sum_data`` rows of
-    ``pair_weight`` w > 0, all that an m = 0 pass reads."""
+    generator x + y mu = d + c mu, in scan order: the two self-conjugate
+    rows, then one column c at a time in ascending d.  The columns are
+    built as the iterator reaches them, so a pass that reads it once holds
+    one column at a time and never the whole table."""
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
-    e = mu_trace(field)
-    rows = [(1, 1, 0, 1), (2 + e, -1 - e, 1, 1)] if norm_bound >= 2 + e else [(1, 1, 0, 1)]
+    return chain.from_iterable(_scan_columns(mu_trace(field), norm_bound))
+
+
+def _scan_columns(e: int, norm_bound: int) -> Iterator[list[tuple[int, int, int, int]]]:
+    yield [(1, 1, 0, 1), (2 + e, -1 - e, 1, 1)] if norm_bound >= 2 + e else [(1, 1, 0, 1)]
     c = 1
     while c * c + e * c * (c + 1) + (c + 1) ** 2 <= norm_bound:  # N(c, c + 1)
         top = (isqrt(4 * norm_bound - (4 - e * e) * c * c) - e * c) // 2  # (2d + e c)^2 <= 4B - (4 - e^2) c^2
         cc, ec = c * c, e * c
-        rows.extend((cc + d * (d + ec), d, c, 2) for d in range(c + 1, top + 1) if gcd(c, d) == 1)
+        yield [(cc + d * (d + ec), d, c, 2) for d in range(c + 1, top + 1) if gcd(c, d) == 1]
         c += 1
-    rows.sort()
-    return rows
+
+
+@_collector_paused()
+def pair_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int, int]]:
+    """The rows of ``scan_rows`` as one sorted list: the ``ideal_sum_data``
+    rows of ``pair_weight`` w > 0, from which ``enumerate_primitive``
+    derives every ideal."""
+    return sorted(scan_rows(field, norm_bound))
 
 
 @lru_cache(maxsize=32)
@@ -375,106 +390,121 @@ def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[t
     return tuple(rows), tuple(phasors)
 
 
+def _check_blocks(blocks) -> None:
+    """Refuse a block outside the contract of ``sum_rows``, once per pass."""
+    for block in blocks:
+        m, k, j = block
+        if m < 0 or k < 2 or k % 2 or not 0 <= j <= k:
+            raise ValueError(f"ideal-sum block (m, k, j) = {block} needs m >= 0, even k >= 2 and 0 <= j <= k")
+
+
 def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
     """(m, k, j) -> sum of w times the floored term Re[g^k Z^m] / N^(k-j)
     over ``rows`` (N, x, y, w) with generator g = x + y mu, for every
-    (m, k, j) in ``blocks`` (even k >= 2), each a fixed-point int with
-    ``width`` fractional bits; Z is the row's entry of ``phasors``, pairs
-    at ``width`` bits, which an m = 0-only family does not read (None).
+    (m, k, j) in ``blocks`` (m >= 0, even k >= 2, 0 <= j <= k, refused
+    otherwise), each a fixed-point int with ``width`` fractional bits; Z is
+    the row's entry of ``phasors``, pairs at ``width`` bits, which an
+    m = 0-only family does not read (None).  ``rows`` is any iterable, in
+    any order: every term is an exact integer, so no order changes a total,
+    and the powers of N are raised again whenever the norm differs from the
+    previous row's.
 
-    With t = 2x + e y and N the trace and norm of g, g^2 = t g - N, so
-    g^k = U_k g - N U_(k-1) for the Lucas sequence U_(n+1) = t U_n - N U_(n-1),
-    U_0 = 0, U_1 = 1.  Per row, doubling by U_2n = U_n (2 U_(n+1) - t U_n) and
-    U_(2n+1) = U_(n+1)^2 - N U_n^2 reaches the smallest k, unit steps reach
-    the larger ones, and g^k = x_k + y_k mu is folded into the integers
-    a = 2 x_k + e y_k = t U_k - 2N U_(k-1) and
-    b = e x_k + (e^2 - 2) y_k = (e x + (e^2 - 2) y) U_k - e N U_(k-1), so
-    that 2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  The powers
-    of N come from one table per distinct norm (the rows are sorted by
-    norm).  An m = 0 term is one floor of the integer a; for each m >= 1 in
-    ascending order, Z^m is stepped from the previous m by
-    ``ring_power``(Z, gap) and one floored ``ring_mul``.  The numerator of
-    each k is floored by 2 N^(k-j) for its largest j and then by N^(j'-j)
-    down to each smaller j; since floor(floor(x/a)/b) = floor(x/(ab)) for
-    positive integers a, b, every term is the one its block would get alone
-    with the same Z^m, and every job adds it w times.  ``ideal_sums`` passes
-    a representative with w = 2 for its mirror, whose term is taken as the
-    representative's: for even k, (-conj g)^k = conj(g^k) and the mirror's
-    Z is conj(Z), so the exact terms agree, and the doubled term carries
-    twice one term's floor and Z^m error, the pair's budget.  A lone m gets
-    ``ring_power``(Z, m), so a one-m family is bit-identical to a pass of
-    its own.  Every floored product of a product tree of m factors Z
-    (|Z| >= 1, relative error eps) adds at most 5 * 2^-width, so the stepped
-    Z^m is within m eps + (m - 1) 5 * 2^-width, the first-order bound of
-    ``ring_power``."""
+    With t = 2x + e y and N the trace and norm of g, and D = t^2 - 4N, the
+    Lucas sequences U_n = (g^n - conj(g)^n)/(g - conj(g)) and
+    V_n = g^n + conj(g)^n are integers with U_2n = U_n V_n,
+    V_2n = V_n^2 - 2 N^n, U_(n+1) = (t U_n + V_n)/2 and
+    V_(n+1) = (D U_n + t V_n)/2.  Per row, a ladder of these from
+    (U_1, V_1, N^1) = (1, t, N) reaches the smallest k, and steps by g^2
+    (trace V_2 = t^2 - 2N, U_2 = t) reach the larger ones.  g^k = x_k + y_k mu
+    is folded into the integers a = 2 x_k + e y_k = V_k and
+    b = e x_k + (e^2 - 2) y_k = (e V_k + (e^2 - 4) y U_k)/2, so that
+    2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  An m = 0 term is
+    one floor of the integer a; for each m >= 1 in ascending order, Z^m is
+    stepped from the previous m by ``ring_power``(Z, gap) and one floored
+    ``ring_mul``.  The numerator of each k is floored by 2 N^(k-j) for its
+    largest j and then by N^(j'-j) down to each smaller j; since
+    floor(floor(x/a)/b) = floor(x/(ab)) for positive integers a, b, every
+    term is the one its block would get alone with the same Z^m, and every
+    job adds it w times.  ``ideal_sums`` passes a representative with w = 2
+    for its mirror, whose term is taken as the representative's: for even
+    k, (-conj g)^k = conj(g^k) and the mirror's Z is conj(Z), so the exact
+    terms agree, and the doubled term carries twice one term's floor and
+    Z^m error, the pair's budget.  A lone m gets ``ring_power``(Z, m), so a
+    one-m family is bit-identical to a pass of its own.  Every floored
+    product of a product tree of m factors Z (|Z| >= 1, relative error eps)
+    adds at most 5 * 2^-width, so the stepped Z^m is within
+    m eps + (m - 1) 5 * 2^-width, the first-order bound of ``ring_power``."""
+    _check_blocks(blocks)
     ks = sorted({k for _, k, _ in blocks})
     js_of: dict = {}
     for m, k, j in blocks:
         js_of.setdefault((m, k), set()).add(j)
-    order, exponents = [], set()
+    order, exponents = [], []
 
-    def jobs(m):
-        # per k with blocks at m: (index of k, N-exponent of the largest j,
-        # its slot, then (further N-exponent, slot) down the smaller j)
+    def links_of(m, k):
+        # the (position of the N power, slot) of each j at (m, k), largest j
+        # first: N^(k - j) for it, then N^(j' - j) down to each smaller j
+        js = sorted(js_of.get((m, k), ()), reverse=True)
         out = []
-        for index, k in enumerate(ks):
-            js = sorted(js_of.get((m, k), ()), reverse=True)
-            if js:
-                first = len(order)
-                order.extend((m, k, j) for j in js)
-                drops = [a - b for a, b in zip(js, js[1:])]
-                exponents.update((k - js[0], *drops))
-                out.append((index, k - js[0], first, tuple(zip(drops, range(first + 1, len(order))))))
-        return out
+        for above, j in zip([k, *js], js):
+            if above - j not in exponents:
+                exponents.append(above - j)
+            out.append((exponents.index(above - j), len(order)))
+            order.append((m, k, j))
+        return tuple(out)
 
-    at_zero = jobs(0)
-    # per k, ascending: the unit steps of U from the previous k and its m = 0 jobs
-    per_k = [
-        (range(k - last), [job[1:] for job in at_zero if job[0] == index])
-        for index, (last, k) in enumerate(zip([ks[0], *ks], ks))
-    ]
-    ladder = tuple(bit == "1" for bit in bin(ks[0] - 1)[3:])  # doubling, then a unit step if set
-    plan = [(m, jobs(m)) for m in sorted({m for m, _, _ in blocks}) if m]
+    # per k, ascending: the g^2 steps from the previous k and its m = 0 links
+    per_k = tuple((range((k - last) // 2), links_of(0, k)) for last, k in zip([ks[0], *ks], ks))
+    ladder = tuple(bit == "1" for bit in bin(ks[0])[3:])  # doubling, then a unit step if set
+    # per m >= 1, ascending: (index of k, its links) for each k with blocks at m
+    plan = tuple(
+        (m, tuple((index, links) for index, k in enumerate(ks) if (links := links_of(m, k))))
+        for m in sorted({m for m, _, _ in blocks})
+        if m
+    )
     exponents = tuple(exponents)
+    single = exponents[0] if len(exponents) == 1 else None  # one power per row, no map
     totals = [0] * len(order)
-    e2 = e * e - 2
+    shift, e4, stepped = width - 1, e * e - 4, len(ks) > 1
     row_norm = None
     for (norm, x, y, w), z in zip(rows, phasors if plan else repeat(None)):
-        if norm != row_norm:  # the rows are sorted by norm
-            row_norm, powers = norm, dict(zip(exponents, map(pow, repeat(norm), exponents)))
-        t = 2 * x + e * y  # (u0, u1) = (U_n, U_(n+1)), doubled from n = 1 to ks[0] - 1
-        u0, u1 = 1, t
-        for bit in ladder:
-            u0, u1 = u0 * (2 * u1 - t * u0), u1 * u1 - norm * u0 * u0
-            if bit:
-                u0, u1 = u1, t * u1 - norm * u0
-        folded = []
-        for steps, zero_jobs in per_k:
-            for _ in steps:
-                u0, u1 = u1, t * u1 - norm * u0
-            a = t * u1 - 2 * norm * u0  # = 2 x_k + e y_k
-            for top, slot, chain in zero_jobs:
-                # (a 2^width) // (2 N^top), with the 2 taken off the shift
-                q = (a << (width - 1)) // powers[top]
+        if norm != row_norm:
+            row_norm = norm
+            powers = (norm**single,) if single is not None else tuple(map(pow, repeat(norm), exponents))
+        t = 2 * x + e * y
+        disc = t * t - 4 * norm
+        u, v, nn = 1, t, norm  # (U_n, V_n, N^n) from n = 1 to ks[0]
+        for odd in ladder:
+            u, v, nn = u * v, v * v - 2 * nn, nn * nn
+            if odd:
+                u, v, nn = (t * u + v) >> 1, (disc * u + t * v) >> 1, nn * norm
+        if stepped:
+            t2, dt = t * t - 2 * norm, disc * t  # V_2 and D U_2
+        if plan:
+            folded = []
+        for steps, links in per_k:
+            for _ in steps:  # (U, V)_(n+2) = (V_2 U + U_2 V, V_2 V + D U_2 U)/2
+                u, v = (t2 * u + t * v) >> 1, (t2 * v + dt * u) >> 1
+            # (V_k 2^width) // (2 N^(k-j)), the 2 taken off the shift, then
+            # floored down the chain: floor(floor(x/a)/b) = floor(x/(ab))
+            q = v << shift
+            for position, slot in links:
+                q //= powers[position]
                 totals[slot] += w * q
-                for drop, lower in chain:
-                    q //= powers[drop]
-                    totals[lower] += w * q
             if plan:
-                folded.append((a, (e * x + e2 * y) * u1 - e * norm * u0))
-        last = 0
-        for m, m_jobs in plan:
-            step = ring_power(e, z, m - last, width)
-            wx, wy = step if last == 0 else ring_mul(e, (wx, wy), step, width)
-            last = m
-            for index, top, slot, chain in m_jobs:
-                a, b = folded[index]
-                # (a wx + b wy) // (2 N^top), as floor(floor(x/c)/2) = floor(x/(2c))
-                q = (a * wx + b * wy) // powers[top] >> 1
-                totals[slot] += w * q
-                for drop, lower in chain:
-                    q //= powers[drop]
-                    totals[lower] += w * q
+                folded.append((v, (e * v + e4 * y * u) >> 1))
+        if plan:
+            last = 0
+            for m, m_jobs in plan:
+                step = ring_power(e, z, m - last, width)
+                wx, wy = step if last == 0 else ring_mul(e, (wx, wy), step, width)
+                last = m
+                for index, links in m_jobs:
+                    a, b = folded[index]
+                    q = (a * wx + b * wy) >> 1  # then // N^(k-j), as at m = 0
+                    for position, slot in links:
+                        q //= powers[position]
+                        totals[slot] += w * q
     return dict(zip(order, totals))
 
 
@@ -487,21 +517,34 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     One ``sum_rows`` pass fills every block at ``sum_width`` fractional
     bits over the representative and self-conjugate rows alone, each
     counted ``pair_weight`` (2 or 1) times at every m: those of
-    ``phasor_row`` if some m >= 1, else of ``pair_rows``, uncached.  The
+    ``phasor_row`` if some m >= 1, else those of ``scan_rows``, streamed
+    from the sector scan into the pass with no table, sort or cache.  The
     mirror's term is taken as its representative's, of the same exact
     value, so a doubled term carries the pair's rounding budget.  With
     m < norm_bound (``check_norm_bound`` of the largest m, checked here),
     the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|
     over every ideal, which the unit ideal's term (at least 1) dominates.
-    The cache holds one entry per pass, not per (4 pi m)^r scaling."""
+    The cache holds one entry per pass, not per (4 pi m)^r scaling.
+
+    An empty family is refused, as is, before any row is read, a block
+    outside the contract of ``sum_rows`` or off the kernel's divisibility
+    class (4 | k at i, 6 | k at rho), where the sum would depend on which
+    generator stands for each ideal."""
     field = field_of(point)
+    if not blocks:
+        raise ValueError("ideal_sums needs at least one block")
+    _check_blocks(blocks)
+    for block in blocks:
+        if kernel_vanishes(field, block[1]):
+            step = 4 if field is Field.GAUSSIAN else 6
+            raise ValueError(f"ideal-sum block (m, k, j) = {block} is off the kernel's class: {step} must divide k")
     top = max(m for m, _, _ in blocks)
     if top:
         with workprec(precision + GUARD_BITS):
             check_norm_bound(norm_bound, top, point.v0(precision))
         rows, phasors = phasor_row(point, norm_bound, precision)
     else:
-        rows, phasors = pair_rows(field, norm_bound), None
+        rows, phasors = scan_rows(field, norm_bound), None
     width = sum_width(norm_bound, precision)
     totals = sum_rows(mu_trace(field), rows, phasors, blocks, width)
     bits = precision + GUARD_BITS

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from functools import lru_cache
 from math import comb, gcd
 
@@ -21,6 +23,7 @@ from meroforms import (
     raising_expansion,
 )
 import meroforms.engine as engine
+import meroforms.lattice as lattice
 from meroforms.constants import GUARD_BITS, generic_point
 from meroforms.engine import NonconvergentParameters, check_norm_bound, linear_combination, raising_expansion_stepped
 from meroforms.lattice import (
@@ -32,6 +35,7 @@ from meroforms.lattice import (
     ideal_sum_data,
     kernel_vanishes,
     mu_trace,
+    pair_rows,
     phasor_row,
     ring_mul,
     ring_power,
@@ -309,6 +313,101 @@ def test_m0_ideal_sums_build_no_ideal_table(prec):
     for point in (POINT_I, POINT_RHO):
         engine.ideal_sums.__wrapped__(point, 4321, prec, ((0, 12, 0), (0, 24, 3)))
     assert [cache.cache_info().misses for cache in caches] == misses
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_m0_ideal_sums_stream_the_scan_bit_for_bit(prec, point):
+    # an m = 0-only pass sums the sector scan in scan order as it runs: the
+    # very mpf of sum_rows over the sorted table pair_rows
+    field = field_of(point)
+    e, bits = mu_trace(field), prec + GUARD_BITS
+    rng = random.Random(61 if point is POINT_I else 62)
+    step = 4 if point is POINT_I else 6
+    ks = list(range(step, 61, step))
+    for bound in (1, 2, 3, 4, 5000, 20000):
+        width = sum_width(bound, prec)
+        for _ in range(2):
+            family = tuple(sorted((0, k, j) for k, j in random_blocks(rng, ks)))
+            got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
+            totals = sum_rows(e, pair_rows(field, bound), None, family, width)
+            want = {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in totals.items()}
+            assert got == want, (bound, family)
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_sum_rows_totals_do_not_depend_on_row_order(prec, point):
+    # every term is an exact integer, so a seeded shuffle of the rows, which
+    # parts the rows of one norm, gives the very totals at m = 0 and m >= 1
+    field = field_of(point)
+    e, bound = mu_trace(field), 3000
+    width = sum_width(bound, prec)
+    rng = random.Random(71 if point is POINT_I else 72)
+    step = 4 if point is POINT_I else 6
+    ks = list(range(step, 61, step))
+    rows = pair_rows(field, bound)
+    shuffled = rng.sample(rows, len(rows))
+    for _ in range(3):
+        family = tuple(sorted((0, k, j) for k, j in random_blocks(rng, ks)))
+        assert sum_rows(e, shuffled, None, family, width) == sum_rows(e, rows, None, family, width)
+    rows, phasors = phasor_row(point, bound, prec)
+    pairs = rng.sample(list(zip(rows, phasors)), len(rows))
+    family = tuple(sorted((m, k, j) for m in (0, 1, 3) for k, j in random_blocks(rng, ks)))
+    want = sum_rows(e, rows, phasors, family, width)
+    assert sum_rows(e, [row for row, _ in pairs], [z for _, z in pairs], family, width) == want
+
+
+def test_m0_ideal_sums_read_no_row_table(prec, monkeypatch):
+    # the m = 0 route streams the scan: with the sorted table refused, a
+    # pass still sums every block at both points
+    def refuse(*args):
+        raise AssertionError("pair_rows built the row table")
+
+    monkeypatch.setattr(lattice, "pair_rows", refuse)
+    family = ((0, 12, 0), (0, 24, 3))
+    for point in (POINT_I, POINT_RHO):
+        assert set(engine.ideal_sums.__wrapped__(point, 3000, prec, family)) == set(family)
+
+
+def test_m0_ideal_sums_hold_a_column_not_the_table(prec):
+    # the streamed pass holds one column of the scan at a time: its traced
+    # peak stays below a tenth of building the table pair_rows
+    def peak(build):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        streamed = peak(lambda: engine.ideal_sums.__wrapped__(POINT_I, 50000, prec, ((0, 12, 4),)))
+        table = peak(lambda: pair_rows(Field.GAUSSIAN, 50000))
+    finally:
+        tracemalloc.stop()
+    assert streamed < table / 10, (streamed, table)
+
+
+def test_ideal_sums_refuse_j_above_k():
+    # N^(k - j) with j > k is no integer: the sum went through a float
+    with pytest.raises(ValueError, match=re.escape("block (m, k, j) = (0, 4, 5) needs")):
+        engine.ideal_sums.__wrapped__(POINT_I, 100, 64, ((0, 4, 5),))
+
+
+def test_ideal_sums_refuse_blocks_off_the_kernel_class(prec):
+    # off the class the sum depends on the generator that stands for each
+    # ideal, where f_series_coeff has an exact 0; refused before any phasor
+    assert f_series_coeff(6, 0, 0, POINT_I, 0, 100, 64).value == 0
+    misses = phasor_row.cache_info().misses
+    families = ((POINT_I, ((0, 6, 0),)), (POINT_RHO, ((0, 12, 0), (0, 8, 0))), (POINT_I, ((1, 12, 0), (2, 6, 0))))
+    for point, family in families:
+        bad = next(block for block in family if block[1] % (4 if point is POINT_I else 6))
+        with pytest.raises(ValueError, match=re.escape(f"block (m, k, j) = {bad} is off the kernel's class")):
+            engine.ideal_sums.__wrapped__(point, 4567, prec, family)
+    assert phasor_row.cache_info().misses == misses
+
+
+def test_ideal_sums_refuse_an_empty_family(prec):
+    with pytest.raises(ValueError, match="needs at least one block"):
+        engine.ideal_sums.__wrapped__(POINT_I, 100, prec, ())
 
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 from math import gcd, isqrt
 
 import mpmath
@@ -30,6 +31,7 @@ from meroforms.lattice import (
     phasor_row,
     ring_mul,
     ring_power,
+    sum_rows,
     sum_width,
     twice_real,
     unit_orbit,
@@ -232,6 +234,71 @@ def test_c_kernel_matches_ring_powers_bit_for_bit():
             weight, m, precision = step * rng.randint(1, 10), rng.randint(0, 12), rng.choice((64, 128, 256))
             want = _c_kernel_by_powers(field, weight, ideal, m, precision)
             assert c_kernel(field, weight, ideal, m, precision) == want, (ideal, weight, m, precision)
+
+
+def _random_generators(rng, e, count, norm_bound):
+    """``count`` rows (N, x, y, w) of random generators x + y mu of norm in
+    [1, norm_bound], of every sign, with random multiplicity 1 or 2."""
+    span = isqrt(4 * norm_bound // 3)
+    rows = []
+    while len(rows) < count:
+        x, y = rng.randint(-span, span), rng.randint(-span, span)
+        norm = x * x + e * x * y + y * y
+        if 1 <= norm <= norm_bound:
+            rows.append((norm, x, y, rng.randint(1, 2)))
+    return rows
+
+
+def _sum_rows_by_powers(e, rows, phasors, block, width):
+    """One block's total with g^k from ``ring_power`` and 2 Re from
+    ``twice_real``, each term floored as ``sum_rows`` documents."""
+    m, k, j = block
+    total = 0
+    for (norm, x, y, w), z in zip(rows, phasors):
+        power = ring_power(e, (x, y), k)
+        if m:
+            power = ring_mul(e, power, ring_power(e, z, m, width))
+        numerator = twice_real(e, power) if m else twice_real(e, power) << width
+        total += w * (numerator // (2 * norm ** (k - j)))
+    return total
+
+
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_sum_rows_ladder_matches_ring_powers_bit_for_bit(field):
+    # every even k from 2 to 64 alone reaches both ladder bits (k = 2 is one
+    # doubling, k = 6 takes a unit step), and all of them in one pass take
+    # the g^2 steps between weights; at m = 0 the term is V_k and at m = 1
+    # it folds U_k into b, on random generators up to norm 10^6
+    e = mu_trace(field)
+    rng = random.Random(41 + e)
+    width = sum_width(10**6, 64)
+    rows = _random_generators(rng, e, 12, 10**6)
+    half = 1 << (width + 7)
+    phasors = [(rng.getrandbits(width + 8) - half, rng.getrandbits(width + 8) - half) for _ in rows]
+    ks = range(2, 65, 2)
+    alone = [((0, k, rng.randint(0, k)), (1, k, rng.randint(0, k))) for k in ks]
+    together = tuple(block for family in alone for block in family)
+    for family in (*alone, together):
+        totals = sum_rows(e, rows, phasors, family, width)
+        assert set(totals) == set(family)
+        for block in family:
+            assert totals[block] == _sum_rows_by_powers(e, rows, phasors, block, width), block
+
+
+@pytest.mark.parametrize(
+    "block",
+    [(0, 3, 0), (0, 0, 0), (0, -2, 0), (0, 12, -1), (0, 12, 13), (-1, 12, 0)],
+    ids=["odd-k", "k-0", "k-negative", "j-negative", "j-above-k", "m-negative"],
+)
+def test_sum_rows_refuses_blocks_outside_its_contract(block):
+    # odd k has no Lucas ladder and k < 2, j < 0 or m < 0 none that the pass
+    # runs; the family is checked once, before any row is read
+    def unread():
+        raise AssertionError("a row was read")
+        yield
+
+    with pytest.raises(ValueError, match=re.escape(f"block (m, k, j) = {block} needs")):
+        sum_rows(0, unread(), None, ((0, 12, 0), block), 64)
 
 
 def test_negative_exponents_are_refused():
