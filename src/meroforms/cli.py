@@ -287,23 +287,33 @@ def cmd_expand(args) -> int:
 def _basis_request(request, precision: int) -> tuple[int, list[PrincipalPart]]:
     """``k`` and the principal parts of a ``basis`` request, which must read
     {"k": 2..MAX_BASIS_K, "principal_parts": [{"point": "i" or "rho",
-    "coeffs": {order: [re, im]}}]} with orders in 1..MAX_POLE_ORDER."""
+    "coeffs": {order: [re, im]}}]} with orders in 1..MAX_POLE_ORDER.  A bad
+    order or coefficient is named by its entry's index and point and its key."""
     try:
         k = request["k"]
         if type(k) is not int or not 2 <= k <= MAX_BASIS_K:
             raise UsageError(f"k must be an integer in 2..{MAX_BASIS_K}, got {k!r}")
         pps = []
         with workprec(precision + GUARD_BITS):
-            for entry in request["principal_parts"]:
+            for index, entry in enumerate(request["principal_parts"]):
+                point = point_from_tag(entry["point"])
                 coeffs = {}
-                for order, (re, im) in entry["coeffs"].items():
-                    order = int(order)
+                for key, value in entry["coeffs"].items():
+                    where = f"principal_parts[{index}] at {point}, order key {key!r}"
+                    try:
+                        order = int(key)
+                    except ValueError:
+                        raise UsageError(f"{where}: the pole order is not an integer") from None
                     if not 1 <= order <= MAX_POLE_ORDER:
-                        raise UsageError(f"pole order must be in 1..{MAX_POLE_ORDER}, got {order}")
-                    coeffs[order] = mpc(mpf(re), mpf(im))
+                        raise UsageError(f"{where}: pole order must be in 1..{MAX_POLE_ORDER}, got {order}")
+                    try:
+                        re, im = value
+                        coeffs[order] = mpc(mpf(re), mpf(im))
+                    except (ValueError, TypeError):
+                        raise UsageError(f"{where}: coefficient must be [re, im], got {value!r}") from None
                     if not mpmath.isfinite(coeffs[order]):
-                        raise UsageError(f"coefficient of order {order} is not finite")
-                pps.append(PrincipalPart(point_from_tag(entry["point"]), coeffs, frozenset(), precision))
+                        raise UsageError(f"{where}: coefficient is not finite")
+                pps.append(PrincipalPart(point, coeffs, frozenset(), precision))
     except (KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed basis request: {exc!r}") from None
     return k, pps

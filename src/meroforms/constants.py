@@ -61,6 +61,13 @@ class EllipticPoint:
     def v0(self, precision: int = DEFAULT_PRECISION) -> mpf:
         return self.tau(precision).imag
 
+    def vanishes(self, weight: int) -> bool:
+        """2 omega does not divide the even weight, so the stabilizer forces
+        any modular quantity of that weight to 0 here; never at a generic point."""
+        if weight % 2:
+            raise ValueError(f"weight must be even, got {weight}")
+        return weight % (2 * self.omega) != 0
+
     def __str__(self) -> str:
         return self.tag if self.tag != "generic" else f"generic({self.generic_tau})"
 
@@ -93,24 +100,19 @@ def _round_to(value, precision: int):
 def closed_value(weight: int, point: EllipticPoint, precision: int = DEFAULT_PRECISION) -> mpf:
     """Closed-form value of E_weight at i or rho, rounded to ``precision`` bits.
 
-    E_2(i) = 3/pi, E_2(rho) = 2 sqrt(3)/pi, E_6(i) = E_4(rho) = 0, and
-    Gamma-quotient expressions for E_4(i), E_6(rho).
+    E_2(i) = 3/pi, E_2(rho) = 2 sqrt(3)/pi, 0 where the point ``vanishes``
+    (E_6(i), E_4(rho)), and Gamma-quotient expressions for E_4(i), E_6(rho).
     """
     if point.tag not in ("i", "rho") or weight not in (2, 4, 6):
         raise ValueError(f"no closed form for weight {weight} at {point}")
     with workprec(precision + GUARD_BITS):
         pi = mp.pi
-        if point.tag == "i":
-            if weight == 2:
-                value = 3 / pi
-            elif weight == 4:
-                value = 12 / (8 * pi) ** 2 * (mpmath.gamma(Fraction(1, 4)) / mpmath.gamma(Fraction(3, 4))) ** 4
-            else:
-                value = mpf(0)
-        elif weight == 2:
-            value = 2 * mpmath.sqrt(3) / pi
-        elif weight == 4:
+        if weight == 2:
+            value = 3 / pi if point.tag == "i" else 2 * mpmath.sqrt(3) / pi
+        elif point.vanishes(weight):
             value = mpf(0)
+        elif point.tag == "i":
+            value = 12 / (8 * pi) ** 2 * (mpmath.gamma(Fraction(1, 4)) / mpmath.gamma(Fraction(3, 4))) ** 4
         else:
             value = 24 * mpmath.sqrt(3) / (6 * pi) ** 3 * (mpmath.gamma(Fraction(1, 3)) / mpmath.gamma(Fraction(2, 3))) ** 9
     return _round_to(value, precision)
@@ -188,8 +190,6 @@ class DerivativeJet:
     """Jets of E_w at a point: ``table[w][r]`` is the Taylor coefficient
     d^r/dz^r E_w(tau0) / r! for 0 <= r <= depth."""
 
-    point: EllipticPoint
-    depth: int
     precision: int
     table: dict
 
@@ -224,7 +224,7 @@ def derivative_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PR
             b.append(2 * pi_i / 3 * (cauchy(a, b, r) - c[r]) / (r + 1))
             c.append(pi_i * (cauchy(a, c, r) - cauchy(b, b, r)) / (r + 1))
         e10 = [cauchy(b, c, r) for r in range(depth + 1)]
-    return DerivativeJet(point, depth, precision, {2: a, 4: b, 6: c, 10: e10})
+    return DerivativeJet(precision, {2: a, 4: b, 6: c, 10: e10})
 
 
 def e10_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PRECISION) -> DerivativeJet:

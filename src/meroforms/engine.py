@@ -49,7 +49,7 @@ from .constants import (
     eisenstein_derivatives,
     series_bits,
 )
-from .lattice import b_kernel, check_norm_bound, field_of, ideal_sums, kernel_vanishes
+from .lattice import b_kernel, check_norm_bound, field_of, ideal_sums
 from .solver import BasisRepresentation
 
 
@@ -137,9 +137,9 @@ def f_series_coeff(
     (k, j, r): v0^-j sum*_b C_k(b, m) N^(j-k/2) (4 pi m)^r e^(2 pi m v0/N).
 
     Requires even k with k/2 >= j + 2 (tail convergence) and
-    norm_bound >= max(16, ceil(4 pi m v0)).  Off the divisibility class
-    of the cosine kernel (4 does not divide k at i, 6 does not at rho)
-    the sum is an exact 0 with tail 0, as ``c_kernel`` has it.
+    norm_bound >= max(16, ceil(4 pi m v0)).  Where ``point.vanishes(k)``, off
+    the cosine kernel's class, the sum is an exact 0 with tail 0, as
+    ``c_kernel`` has it.
     ``blocks`` is the tuple of (m, k, j) whose ideal sums at this point
     share one ``ideal_sums`` pass (``block_families``); it must hold
     (m, k, j), and None sums (m, k, j) alone.
@@ -150,11 +150,11 @@ def f_series_coeff(
         raise ValueError("j, r, m must be nonnegative")
     if k // 2 < j + 2:
         raise NonconvergentParameters("nonconvergent parameter regime: need k/2 >= j + 2")
-    field = field_of(point)
+    field_of(point)  # refuses a point without ideal sums
     with workprec(precision + GUARD_BITS):
         v0 = point.v0(precision)
         check_norm_bound(norm_bound, m, v0)
-        if (m == 0 and r >= 1) or kernel_vanishes(field, k):
+        if (m == 0 and r >= 1) or point.vanishes(k):
             return TruncatedSum(mpc(0), mpf(0), norm_bound)
         family = blocks or ((m, k, j),)
         if (m, k, j) not in family:
@@ -200,7 +200,7 @@ def elliptic_block_coeff(
     reads values within 2^-precision of v0^-j as well.
     """
     partial = f_series_coeff(k, j, r, point, m, norm_bound, precision, blocks=blocks)
-    if m or r or kernel_vanishes(field_of(point), k):
+    if m or r or point.vanishes(k):
         return partial
     w = k - 2 * j
     depth = max([j2 for m2, k2, j2 in blocks or () if m2 == 0 and k2 - 2 * j2 == w] + [j])
@@ -322,8 +322,8 @@ def block_families(reps, ms) -> dict:
     m in ``ms``, of the representations' raised blocks read there, for one
     ``ideal_sums`` pass per point.  At m = 0 only the r = 0 block (j = n) of
     each term reaches a sum.  Every term lies on the kernel's divisibility
-    class: ``BasisRepresentation`` admits only (k + n) % omega == 0, so
-    w = 2k + 2n is divisible by 2 omega."""
+    class: ``BasisRepresentation`` admits a term only where its point does
+    not ``vanishes`` at w = 2k + 2n, the one rule ``ideal_sums`` checks."""
     families: dict = {}
     for rep in reps:
         for t in rep.terms:

@@ -3,7 +3,8 @@
 Expressions are expanded in t = z - tau0 by pushing derivative jets
 through the expression tree with series arithmetic.  Pole and zero
 orders are exact, never read off coefficient sizes: ``valuation`` takes
-them from the tree (E_6 vanishes simply at i, E_4 at rho, E_10 at both),
+them from the tree (a generator of weight w != 2 vanishes simply where
+``EllipticPoint.vanishes(w)``: E_6 at i, E_4 at rho, E_10 at both),
 and every node's series starts at its leading coefficient, so its
 ``lowest_order`` is its valuation.  Generators drop the exact zero of
 their value and D the exact-zero derivative of a constant term; a zero
@@ -139,16 +140,12 @@ def _reciprocal(a: LaurentSeries) -> LaurentSeries:
 # Expression evaluation.
 
 
-# the generators with a (simple) zero at each point; none vanishes elsewhere
-_ZEROS = {"i": ("E6", "E10"), "rho": ("E4", "E10")}
-
-
 def valuation(expr: FormExpression, point: EllipticPoint) -> int:
     """Exact t-adic valuation of the expression at the point (negative for
     poles): the order of its leading coefficient.  A zero constant has
     none, so an expression holding one raises ``ValueError``."""
     if isinstance(expr, Generator):
-        return int(expr.name in _ZEROS.get(point.tag, ()))
+        return int(expr.weight != 2 and point.vanishes(expr.weight))  # E_2 is not modular
     if isinstance(expr, Constant):
         if expr.value == 0:
             raise ValueError("the form has a factor 0, so it is identically zero or divides by zero")
@@ -312,14 +309,14 @@ def x_coefficients(pp: PrincipalPart, k: int, precision: int | None = None) -> d
 
 def congruence_defect(pp: PrincipalPart, k: int, precision: int | None = None) -> mpf:
     """Largest misplaced elliptic-expansion coefficient, relative to the
-    largest one.  Orders j with j = 1-k (mod omega) are the admissible ones;
-    anything else must vanish for a genuine weight 2-2k form."""
+    largest one.  Orders j with j = 1-k (mod omega), where the point does not
+    ``vanishes`` at weight 2(k+j-1), are the admissible ones; anything else
+    must vanish for a genuine weight 2-2k form."""
     b = x_coefficients(pp, k, precision)
     if not b:
         return mpf(0)
     scale = max(abs(c) for c in b.values())
     if scale == 0:
         return mpf(0)
-    omega = pp.point.omega
-    bad = [abs(c) for j, c in b.items() if (j - (1 - k)) % omega != 0]
+    bad = [abs(c) for j, c in b.items() if pp.point.vanishes(2 * (k + j - 1))]
     return max(bad) / scale if bad else mpf(0)

@@ -41,10 +41,11 @@ Kernel conventions.  With theta = arg(c mu + d) and the completion
   Eisenstein (mu = rho, N = c^2 + cd + d^2, s = 0 mod 6):
       cos(pi m (2ac + 2bd + ad + bc)/N + s theta)
 
-and 0 when 4 (resp. 6) does not divide s.  Both are what the complex
-kernel B_{s,c,d} collapses to after grouping a unit orbit, so they are
-invariant under the unit action and under (a, b) -> (a + tc, b + td);
-the invariance is asserted in the test suite rather than assumed.
+and 0 where the point ``vanishes`` at weight s: 4 (resp. 6) does not
+divide s.  Both are what the complex kernel B_{s,c,d} collapses to after
+grouping a unit orbit, so they are invariant under the unit action and
+under (a, b) -> (a + tc, b + td); the invariance is asserted in the test
+suite rather than assumed.
 
 Evaluation.  The generator g = d + c mu has |g|^2 = N and arg g = theta,
 so with P the phase numerator above
@@ -81,20 +82,26 @@ import mpmath
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, round_nearest, to_fixed
 
-from .constants import DEFAULT_PRECISION, GUARD_BITS, EllipticPoint
+from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, POINT_RHO, EllipticPoint
 
 
 class Field(enum.Enum):
-    GAUSSIAN = "gaussian"
-    EISENSTEIN = "eisenstein"
+    """The order Z[mu]: its name, its ``point`` mu and ``e`` = mu + conj(mu)."""
+
+    GAUSSIAN = "gaussian", POINT_I, 0
+    EISENSTEIN = "eisenstein", POINT_RHO, 1
+
+    def __new__(cls, value: str, point: EllipticPoint, e: int):
+        member = object.__new__(cls)
+        member._value_, member.point, member.e = value, point, e
+        return member
 
 
 def field_of(point: EllipticPoint) -> Field:
-    """Z[i] at i, Z[rho] at rho; ideal sums exist only at these two points."""
-    if point.tag == "i":
-        return Field.GAUSSIAN
-    if point.tag == "rho":
-        return Field.EISENSTEIN
+    """The order at the point; ideal sums exist only at i and rho."""
+    for field in Field:
+        if field.point == point:
+            return field
     raise ValueError(f"ideal sums need an elliptic point, got {point}")
 
 
@@ -169,7 +176,7 @@ def scan_rows(field: Field, norm_bound: int) -> Iterator[tuple[int, int, int, in
     one column at a time and never the whole table."""
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
-    return chain.from_iterable(_scan_columns(mu_trace(field), norm_bound))
+    return chain.from_iterable(_scan_columns(field.e, norm_bound))
 
 
 def _scan_columns(e: int, norm_bound: int) -> Iterator[list[tuple[int, int, int, int]]]:
@@ -194,7 +201,7 @@ def pair_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int, int]]:
 @_collector_paused()
 def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, ...]:
     """All primitive ideals of norm <= norm_bound, sorted by (norm, c, d)."""
-    e = mu_trace(field)
+    e = field.e
     rows = [(norm, c, d) for norm, d, c, _ in pair_rows(field, norm_bound)]
     rows += [(norm, c, -d - e * c) for norm, c, d in rows if d > c > 0]  # the mirrors
     rows.sort()
@@ -212,12 +219,7 @@ def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, 
 # Kernels.
 #
 # An element x + y mu of Z[mu] is the pair (x, y).  mu^2 = e mu - 1 with
-# trace e = 0 at i and e = 1 at rho, so 2 Re(x + y mu) = 2x + e y.
-
-
-def mu_trace(field: Field) -> int:
-    """e = mu + conj(mu), so mu^2 = e mu - 1: 0 for mu = i, 1 for mu = rho."""
-    return 0 if field is Field.GAUSSIAN else 1
+# trace e = ``Field.e``, 0 at i and 1 at rho, so 2 Re(x + y mu) = 2x + e y.
 
 
 def ring_mul(e: int, p: tuple[int, int], q: tuple[int, int], shift: int = 0) -> tuple[int, int]:
@@ -259,24 +261,16 @@ def fixed_phasor(field: Field, num: int, den: int, width: int, growth: mpf | Non
         cos, sin = (mp.make_mpf(v) for v in mpf_cos_sin_pi(turn, prec))
         if growth is not None:
             cos, sin = cos * growth, sin * growth
-        if field is Field.EISENSTEIN:  # u + iv = (u - v/sqrt3) + (2v/sqrt3) rho
-            sin /= mpmath.sqrt(3)
-            cos, sin = cos - sin, 2 * sin
+        if field.e:  # u + iv = (u - e y/2) + y mu, y = 2v/sqrt(4 - e^2); the identity at i
+            sin = 2 * sin / mpmath.sqrt(4 - field.e**2)
+            cos -= field.e * sin / 2
         return to_fixed(cos._mpf_, width), to_fixed(sin._mpf_, width)
 
 
 def phase_numerator(field: Field, ideal: PrimitiveIdeal) -> int:
-    """Integer P with m-dependent phase pi*m*P/N inside the cosine."""
+    """Integer P = 2(ac + bd) + e(ad + bc): the phase pi*m*P/N in the cosine."""
     a, b, c, d = ideal.a, ideal.b, ideal.c, ideal.d
-    if field is Field.GAUSSIAN:
-        return 2 * (a * c + b * d)
-    return 2 * a * c + 2 * b * d + a * d + b * c
-
-
-def kernel_vanishes(field: Field, weight: int) -> bool:
-    if weight % 2:
-        raise ValueError("kernel weight must be even")
-    return weight % (4 if field is Field.GAUSSIAN else 6) != 0
+    return 2 * (a * c + b * d) + field.e * (a * d + b * c)
 
 
 def c_kernel(
@@ -293,13 +287,13 @@ def c_kernel(
     ladder cannot reach."""
     if weight <= 0:
         raise ValueError(f"kernel weight must be positive, got {weight}")
-    if kernel_vanishes(field, weight):
+    if field.point.vanishes(weight):
         return mpf(0)
     width = precision + GUARD_BITS
     row = (ideal.norm, ideal.d, ideal.c, 1)
     block = (1, weight, weight // 2)
     phasor = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
-    total = sum_rows(mu_trace(field), (row,), (phasor,), (block,), width)[block]
+    total = sum_rows(field.e, (row,), (phasor,), (block,), width)[block]
     return mp.make_mpf(from_man_exp(total, -width, width, round_nearest))
 
 
@@ -360,7 +354,7 @@ def ideal_sum_data(field: Field, norm_bound: int) -> tuple[tuple[int, int, int, 
     its generator g = x + y mu = d + c mu and its phase numerator
     P = 2(ac + bd) + e(ad + bc) (``phase_numerator``, inlined).  Exact ints,
     shared by every precision."""
-    e = mu_trace(field)
+    e = field.e
     return tuple(
         (norm, d, c, 2 * (a * c + b * d) + e * (a * d + b * c))
         for _, c, d, norm, a, b in enumerate_primitive(field, norm_bound)
@@ -376,7 +370,7 @@ def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[t
     ``cospi``/``sinpi`` per row and one ``exp`` per distinct norm, so
     Re[g^k Z^m] / N^k = cos(pi m P/N + k theta) N^(-k/2) e^(2 pi m v0/N)."""
     field = field_of(point)
-    e = mu_trace(field)
+    e = field.e
     width = sum_width(norm_bound, precision)
     rows, phasors, last = [], [], None
     with workprec(width + 16):
@@ -528,15 +522,15 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
 
     An empty family is refused, as is, before any row is read, a block
     outside the contract of ``sum_rows`` or off the kernel's divisibility
-    class (4 | k at i, 6 | k at rho), where the sum would depend on which
-    generator stands for each ideal."""
+    class (where ``point.vanishes(k)``: 4 | k at i, 6 | k at rho), where the
+    sum would depend on which generator stands for each ideal."""
     field = field_of(point)
     if not blocks:
         raise ValueError("ideal_sums needs at least one block")
     _check_blocks(blocks)
     for block in blocks:
-        if kernel_vanishes(field, block[1]):
-            step = 4 if field is Field.GAUSSIAN else 6
+        if point.vanishes(block[1]):
+            step = 2 * point.omega
             raise ValueError(f"ideal-sum block (m, k, j) = {block} is off the kernel's class: {step} must divide k")
     top = max(m for m, _, _ in blocks)
     if top:
@@ -546,6 +540,6 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     else:
         rows, phasors = scan_rows(field, norm_bound), None
     width = sum_width(norm_bound, precision)
-    totals = sum_rows(mu_trace(field), rows, phasors, blocks, width)
+    totals = sum_rows(field.e, rows, phasors, blocks, width)
     bits = precision + GUARD_BITS
     return {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in totals.items()}

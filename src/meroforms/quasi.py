@@ -221,11 +221,16 @@ def coefficients(
     form: FormExpression | str, ms, *, norm_bound: int, precision: int = DEFAULT_PRECISION
 ) -> list[TruncatedSum]:
     """The m-th coefficients, m in ``ms`` in order, of E_2^n f (text or an
-    expression) to norm ``norm_bound``, after every refusal: ``_poles``'s,
-    no or a negative m, and a norm bound below the floor at a pole."""
+    expression) to norm ``norm_bound``, after every refusal: first of no m,
+    an m not an int >= 0, a norm bound not an int or a precision not a
+    positive int, then ``_poles``'s and a norm bound below a pole's floor."""
+    if not ms or not all(isinstance(m, int) and m >= 0 for m in ms):
+        raise ValueError(f"ms: need one or more ints m >= 0, got {list(ms)}")
+    if not isinstance(norm_bound, int):
+        raise ValueError(f"norm_bound must be an int, got {norm_bound!r}")
+    if not isinstance(precision, int) or precision < 1:
+        raise ValueError(f"precision must be a positive int, got {precision!r}")
     expr = parse_form(form) if isinstance(form, str) else form
-    if not ms or min(ms) < 0:
-        raise ValueError(f"need one or more m >= 0, got {list(ms)}")
     n, f = split_e2_power(expr)
     _, poles = _poles(f, n)
     with workprec(precision + GUARD_BITS):

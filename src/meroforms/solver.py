@@ -7,8 +7,8 @@ element R^n[H_{2k}] at tau0 has principal part
     eps_{2k+2n}(tau0) n! sum_{j=0}^{n} (2k+n-1)!/((2k-1+j)!(n-j)!)
                                  (2i)^j / v0^(n-j) / (z-tau0)^(j+1)
 
-with residue constant eps_{2K}(tau0) = i omega/(2 pi) when K = 0 mod
-omega and 0 otherwise.  The solver eliminates a given principal part
+with residue constant eps_{2K}(tau0) = i omega/(2 pi), or 0 where
+``tau0.vanishes(2K)``.  The solver eliminates a given principal part
 from the top order down; orders whose residue constant vanishes carry
 no basis element and must be absorbed exactly by the tails of higher
 ones, which makes the solve self-checking.
@@ -33,15 +33,9 @@ class BasisResidualError(ArithmeticError):
     """Principal part inconsistent with the tails of higher basis elements."""
 
 
-def epsilon_is_zero(weight: int, point: EllipticPoint) -> bool:
-    if weight % 2:
-        raise ValueError("weight must be even")
-    return (weight // 2) % point.omega != 0
-
-
 def epsilon_tilde(weight: int, point: EllipticPoint, precision: int = DEFAULT_PRECISION) -> mpc:
     """Residue constant of H_weight at the point: i omega/(2 pi) or 0."""
-    if epsilon_is_zero(weight, point):
+    if point.vanishes(weight):
         return mpc(0)
     with workprec(precision + GUARD_BITS):
         return mpc(0, point.omega) / (2 * mp.pi)
@@ -63,7 +57,7 @@ class BasisRepresentation:
 
     def __post_init__(self):
         for t in self.terms:
-            if (self.k + t.n) % t.point.omega != 0:
+            if t.point.vanishes(2 * (self.k + t.n)):
                 raise ValueError(
                     f"inadmissible term: k+n = {self.k + t.n} not 0 mod {t.point.omega} at {t.point}"
                 )
@@ -79,7 +73,7 @@ def basis_principal_part(
     residue constant vanishes."""
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    if epsilon_is_zero(2 * k + 2 * n, point):
+    if point.vanishes(2 * k + 2 * n):
         return PrincipalPart(point, {}, frozenset(), precision)
     with workprec(precision + GUARD_BITS):
         v0 = point.v0(precision)
@@ -112,21 +106,20 @@ def solve_basis(
     with workprec(precision + GUARD_BITS):
         for pp in pp_list:
             point = pp.point
-            omega = point.omega
             live = [p for p, c in pp.coeffs.items() if c != 0]
             if not live:
                 continue
             top = max(live)
-            if (top - (1 - k)) % omega != 0:
+            if point.vanishes(2 * (k + top - 1)):
                 raise BasisCongruenceError(
                     f"no such meromorphic cusp form: pole order {top} at {point} "
-                    f"violates order = 1-k (mod {omega})"
+                    f"violates order = 1-k (mod {point.omega})"
                 )
             residual = {p: mpc(pp.coefficient(p)) for p in range(1, top + 1)}
             scale = {p: abs(c) for p, c in residual.items()}
             for p in range(top, 0, -1):
                 n = p - 1
-                if not epsilon_is_zero(2 * k + 2 * n, point):
+                if not point.vanishes(2 * k + 2 * n):
                     if p < top and abs(residual[p]) <= tol * scale[p]:
                         continue
                     bpp = basis_principal_part(k, n, point, precision)

@@ -193,6 +193,22 @@ def test_malformed_basis_request_is_usage_error(monkeypatch, capsys):
         assert err.startswith("error:"), request
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        # were "invalid literal for int() with base 10: 'x'" and "too many
+        # values to unpack (expected 2)", naming neither entry nor key
+        ({"1": ["0", "1"], "x": ["0", "1"]}, "principal_parts[1] at rho, order key 'x': the pole order is not an integer"),
+        ({"2": ["0", "1", "2"]}, "principal_parts[1] at rho, order key '2': coefficient must be [re, im], got ['0', '1', '2']"),
+    ],
+)
+def test_basis_request_errors_name_the_entry_and_the_order_key(monkeypatch, capsys, coeffs, message):
+    request = {"k": 6, "principal_parts": [{"point": "i", "coeffs": {"1": ["0", "1"]}}, {"point": "rho", "coeffs": coeffs}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    code, out, err = run(capsys, "basis", "--input", "-", "--precision", "96")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_pole_order_above_limit_is_usage_error(capsys):
     # every pole order lengthens every series: expand of 1/E6^2000 ran for
     # more than a minute, and verify of 1/E6^200 ended in a traceback

@@ -25,6 +25,23 @@ def test_closed_value_exact_zeros(prec):
     assert closed_value(4, POINT_RHO, prec) == 0
 
 
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=["i", "rho"])
+def test_eisenstein_series_vanishes_where_the_point_rule_says(point):
+    # E_w(tau0) from its q-series, not from the rule: an exact 0 (below
+    # 2^-120) exactly where 2 omega does not divide w, else about 2 or 3
+    for w in range(4, 62, 2):
+        bits = series_bits(w, 0, point.v0(128), 128)
+        value = eisenstein_derivatives(w, point.tau(bits), 0, bits)[0]
+        assert (abs(value) < mpf(2) ** -120) == point.vanishes(w), w
+
+
+def test_vanishes_refuses_an_odd_weight_and_never_holds_at_a_generic_point():
+    for point in (POINT_I, POINT_RHO, generic_point(mpc(0.3, 1.1))):
+        with pytest.raises(ValueError, match="weight must be even, got 5"):
+            point.vanishes(5)
+    assert not any(generic_point(mpc(0.3, 1.1)).vanishes(w) for w in range(2, 62, 2))
+
+
 def test_closed_value_examples(prec):
     v = closed_value(2, POINT_I, prec)
     assert abs(v - 0.954929658551372) < 1e-14

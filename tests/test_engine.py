@@ -33,8 +33,6 @@ from meroforms.lattice import (
     field_of,
     fixed_phasor,
     ideal_sum_data,
-    kernel_vanishes,
-    mu_trace,
     pair_rows,
     phasor_row,
     ring_mul,
@@ -171,7 +169,7 @@ def reference_ideal_sum(point, k, j, m, norm_bound, precision, rows=None, phasor
     |term|.  Every row counts once; ``rows`` with their ``phasors`` replace
     the ideals'."""
     field = field_of(point)
-    e = mu_trace(field)
+    e = field.e
     if rows is None:
         rows = ideal_sum_data(field, norm_bound)
     width = sum_width(norm_bound, precision)
@@ -267,7 +265,7 @@ def test_ideal_sums_fold_without_conjugate_partners(prec):
     # a representative and its mirror; over the representatives alone, each
     # counted once, it cannot, so these bits pin the fold at rho, where e = 1
     point, bound = POINT_RHO, 300
-    e = mu_trace(field_of(point))
+    e = field_of(point).e
     representatives = [(row, z) for row, z in zip(*phasor_row(point, bound, prec)) if row[3] == 2]
     rows = tuple((norm, x, y, 1) for (norm, x, y, _), _ in representatives)
     phasors = tuple(z for _, z in representatives)
@@ -291,7 +289,7 @@ def test_m0_ideal_sums_match_every_row_bit_for_bit(prec, point, bound):
     # alone; sum_rows over every ideal_sum_data row, mirrors included, each
     # with multiplicity 1, gives the very integers, so the very mpf
     field = field_of(point)
-    e, width, bits = mu_trace(field), sum_width(bound, prec), prec + GUARD_BITS
+    e, width, bits = field.e, sum_width(bound, prec), prec + GUARD_BITS
     rng = random.Random(bound + (0 if point is POINT_I else 1))
     step = 4 if point is POINT_I else 6
     ks = list(range(step, 61, step))
@@ -320,7 +318,7 @@ def test_m0_ideal_sums_stream_the_scan_bit_for_bit(prec, point):
     # an m = 0-only pass sums the sector scan in scan order as it runs: the
     # very mpf of sum_rows over the sorted table pair_rows
     field = field_of(point)
-    e, bits = mu_trace(field), prec + GUARD_BITS
+    e, bits = field.e, prec + GUARD_BITS
     rng = random.Random(61 if point is POINT_I else 62)
     step = 4 if point is POINT_I else 6
     ks = list(range(step, 61, step))
@@ -339,7 +337,7 @@ def test_sum_rows_totals_do_not_depend_on_row_order(prec, point):
     # every term is an exact integer, so a seeded shuffle of the rows, which
     # parts the rows of one norm, gives the very totals at m = 0 and m >= 1
     field = field_of(point)
-    e, bound = mu_trace(field), 3000
+    e, bound = field.e, 3000
     width = sum_width(bound, prec)
     rng = random.Random(71 if point is POINT_I else 72)
     step = 4 if point is POINT_I else 6
@@ -712,7 +710,7 @@ def test_admissible_terms_lie_on_the_kernel_class(point):
                 continue
             admitted += 1
             w = 2 * k + 2 * n
-            assert not kernel_vanishes(field_of(point), w), (k, n)
+            assert not point.vanishes(w), (k, n)
             family = ((0, w, n),) + tuple((1, w, j) for j in range(n + 1))
             assert engine.block_families([rep], (0, 1)) == {point: family}
     assert admitted > 2000

@@ -16,14 +16,13 @@ from meroforms import (
     enumerate_primitive,
 )
 import meroforms.lattice as lattice
-from meroforms.constants import GUARD_BITS, POINT_I, POINT_RHO
+from meroforms.constants import GUARD_BITS, POINT_I, POINT_RHO, generic_point
 from meroforms.lattice import (
     PrimitiveIdeal,
     b_kernel_with_completion,
     field_of,
     fixed_phasor,
     ideal_sum_data,
-    mu_trace,
     norm_form,
     pair_rows,
     pair_weight,
@@ -90,6 +89,35 @@ def brute_force_orbit_count(field: Field, bound: int) -> int:
 def test_enumerate_count_matches_brute_force(field):
     for bound in (1, 2, 10, 100, 10_000):
         assert len(enumerate_primitive(field, bound)) == brute_force_orbit_count(field, bound)
+
+
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_unit_sum_vanishes_where_the_point_rule_says(field):
+    # sum of u^-w over the reference units, exactly in Z[mu]: u^-1 = conj(u)
+    # = (x + e y) - y mu for u = x + y mu, and the sum is 0 exactly off the class
+    e = field.e
+    for w in range(2, 62, 2):
+        total = [0, 0]
+        for c, d in unit_orbit(field, 0, 1):
+            x, y = ring_power(e, (d + e * c, -c), w)
+            total[0] += x
+            total[1] += y
+        assert (total == [0, 0]) == field.point.vanishes(w), w
+
+
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_field_record_ties_to_its_point(field):
+    assert Field(field.value) is field
+    assert field_of(field.point) is field
+    with workprec(128):
+        tau = field.point.tau(128)
+        assert 2 * tau.real == field.e
+        assert abs(abs(tau) - 1) < mpf(2) ** -128
+
+
+def test_field_of_refuses_a_generic_point():
+    with pytest.raises(ValueError, match="ideal sums need an elliptic point"):
+        field_of(generic_point(mpc(0.3, 1.1)))
 
 
 def test_canonical_pair_is_stable():
@@ -209,7 +237,7 @@ def test_c_kernel_matches_angle_reference(precision):
 def _c_kernel_by_powers(field, weight, ideal, m, precision):
     """The cosine kernel with g^weight from ``ring_power`` times the phasor
     and 2 Re from ``twice_real``, floored and rounded as ``c_kernel`` does."""
-    e = mu_trace(field)
+    e = field.e
     width = precision + GUARD_BITS
     power = ring_power(e, (ideal.d, ideal.c), weight)
     phase = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
@@ -269,7 +297,7 @@ def test_sum_rows_ladder_matches_ring_powers_bit_for_bit(field):
     # doubling, k = 6 takes a unit step), and all of them in one pass take
     # the g^2 steps between weights; at m = 0 the term is V_k and at m = 1
     # it folds U_k into b, on random generators up to norm 10^6
-    e = mu_trace(field)
+    e = field.e
     rng = random.Random(41 + e)
     width = sum_width(10**6, 64)
     rows = _random_generators(rng, e, 12, 10**6)
@@ -324,7 +352,7 @@ def test_ideal_sum_data_matches_per_ideal_definition(field, bound):
 @pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
 def test_pair_weights_count_every_row_once(field, bound):
     # a representative counts for itself and its mirror at m = 0
-    e = mu_trace(field)
+    e = field.e
     rows = ideal_sum_data(field, bound)
     assert sum(pair_weight(e, x, y) for _, x, y, _ in rows) == len(rows)
 
@@ -336,7 +364,7 @@ def test_pair_rows_are_the_rows_of_positive_weight(field, bound):
     # two self-conjugate ideals, so half the table and one more; the
     # reference orbit scan pins them apart from the sector scan they share
     # with enumerate_primitive
-    e = mu_trace(field)
+    e = field.e
     rows = pair_rows(field, bound)
     assert [norm for norm, _, _, _ in rows] == sorted(norm for norm, _, _, _ in rows)
     assert all(w == pair_weight(e, x, y) for _, x, y, w in rows)
@@ -351,7 +379,7 @@ def test_each_representative_has_one_mirror(field):
     # the mirror -conj(g) of a representative's generator g is a row of the
     # same norm with the same 2 Re g^k for every even k; only the norms 1, 2
     # (i) and 1, 3 (rho) are self-conjugate
-    e = mu_trace(field)
+    e = field.e
     rows = ideal_sum_data(field, 5000)
     mirrors = [(norm, x, y) for norm, x, y, _ in rows if pair_weight(e, x, y) == 0]
     assert len(set(mirrors)) == len(mirrors)
@@ -417,7 +445,7 @@ def test_phasor_row_matches_per_ideal_construction(prec, point):
     # the rows of positive pair_weight, each with its weight, and for each
     # the very ints of one exp per ideal from one exp per distinct norm
     field = field_of(point)
-    e = mu_trace(field)
+    e = field.e
     width = sum_width(600, prec)
     rows = ideal_sum_data(field, 600)
     kept = [(norm, x, y, pair_weight(e, x, y), p) for norm, x, y, p in rows if pair_weight(e, x, y)]

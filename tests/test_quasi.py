@@ -277,3 +277,27 @@ def test_coefficients_refuse_before_expanding(form, ms, message, monkeypatch):
     monkeypatch.setattr(quasi, "laurent_at", expand)
     with pytest.raises(ValueError, match=message):
         coefficients(form, ms, norm_bound=120)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # each failed deep inside: ring_power's float-int TypeError, a
+        # str < int comparison, an AttributeError on float.bit_length, and a
+        # -5-bit run that returned a(0) = 0.99999999255 with tail 0
+        ({"ms": [0.5]}, r"^ms: need one or more ints m >= 0, got \[0\.5\]$"),
+        ({"ms": [1.0]}, r"^ms: need one or more ints m >= 0, got \[1\.0\]$"),
+        ({"ms": ["1"]}, r"^ms: need one or more ints m >= 0, got \['1'\]$"),
+        ({"norm_bound": 100.5}, r"^norm_bound must be an int, got 100\.5$"),
+        ({"precision": -5}, r"^precision must be a positive int, got -5$"),
+    ],
+)
+def test_coefficients_refuse_argument_types_before_parsing(kwargs, message, monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("parsed or expanded despite a bad argument")
+
+    monkeypatch.setattr(quasi, "parse_form", fail)
+    monkeypatch.setattr(quasi, "laurent_at", fail)
+    call = {"ms": [0], "norm_bound": 120, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        coefficients("1/E6", **call)
