@@ -22,25 +22,16 @@ import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import mpc, mpf, workprec
+# The float layers are read module-qualified, so each loads on its first use
+# (see the package docstring), and mpmath is imported only by the helpers
+# that format or parse reals: `oracle` runs without either.
+from . import __version__, constants, engine, expansion, lattice, quasi, solver
+from .qseries import MAX_POLE_ORDER, exact_str, oracle_coeffs, parse_form
 
-from . import __version__
-from .constants import (
-    DEFAULT_PRECISION,
-    GUARD_BITS,
-    POINT_I,
-    POINT_RHO,
-    derivative_jet,
-    point_from_tag,
-)
-from .engine import TruncatedSum, identity_check_m0
-from .expansion import PrincipalPart, laurent_at, valuation
-from .lattice import Field, enumerate_primitive
-from .qseries import exact_str, oracle_coeffs, parse_form
-from .quasi import MAX_POLE_ORDER, coefficients
-from .solver import solve_basis
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 ENV_PRECISION = "MEROFORMS_PRECISION"
 
@@ -65,11 +56,12 @@ MAX_NORM_BOUND = 10**6
 # over coefficients whose size grows linearly).  It grows with the form too:
 # a high power widens the divisor, and a product with a divided factor packs
 # coefficients thousands of bits wide.  On a 2-core x86-64 VM, in a fresh
-# process, `oracle --form "E2^4 * (1/E6^4)" --order N` takes 0.2-0.3 s at
-# N = 600 and 3.6-5.2 s and 26 MB at 2000, and the same oracle_coeffs call
-# 10-12 s and 32 MB at 3000; in-process the oracle takes 0.10-0.17 s at
-# order 600, 3.7-5.5 s at 2000 and 12-14 s at 3000.  At order 2000, `1/E6^64`
-# takes 27-31 s and 30 MB, and `D(1/E6)^2` 65-74 s and 111 MB.
+# process that loads no mpmath, `oracle --form "E2^4 * (1/E6^4)" --order N`
+# takes 0.16-0.19 s and 17 MB at N = 600 and 2.9-3.7 s and 22 MB at 2000,
+# and the same oracle_coeffs call 9.6-11.8 s and 27 MB at 3000; in-process
+# the oracle takes 0.09-0.10 s at order 600, 3.1-3.7 s at 2000 and 13 s at
+# 3000.  At order 2000, `1/E6^64` takes 23 s and 25 MB, and `D(1/E6)^2`
+# 48-53 s and 106 MB.
 MAX_ORACLE_ORDER = 2000
 
 # Jets and Laurent expansions cost about depth^2 products.  On a 2-core
@@ -100,7 +92,7 @@ def _check_precision(flag: int | None) -> int:
     checked to lie in 64..MAX_PRECISION bits."""
     source, raw = ("--precision", flag) if flag is not None else (ENV_PRECISION, os.environ.get(ENV_PRECISION))
     try:
-        precision = DEFAULT_PRECISION if raw is None else int(raw)
+        precision = constants.DEFAULT_PRECISION if raw is None else int(raw)
     except ValueError:
         raise UsageError(f"bad {ENV_PRECISION} value {raw!r}")
     if not 64 <= precision <= MAX_PRECISION:
@@ -109,8 +101,10 @@ def _check_precision(flag: int | None) -> int:
 
 
 def fmt_real(x, precision: int) -> str:
-    with workprec(precision + 8):
-        return mpmath.nstr(mpf(x), int(precision * 0.30103) + 2)
+    import mpmath
+
+    with mpmath.workprec(precision + 8):
+        return mpmath.nstr(mpmath.mpf(x), int(precision * 0.30103) + 2)
 
 
 def _complex_row(key: str, index: int, z, precision: int) -> dict:
@@ -144,22 +138,24 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _coefficients(args) -> Iterator[tuple[int, TruncatedSum, Fraction, mpf]]:
+def _coefficients(args) -> Iterator[tuple[int, engine.TruncatedSum, Fraction, mpf]]:
     """Check the ``coeffs``/``verify`` flags, then iterate ``(m, result, exact,
     rel_err)`` from ``coefficients`` and the oracle at the working precision;
     ``rel_err`` is absolute where the oracle is 0."""
+    import mpmath
+
     ms = parse_m_range(args.m)
     if args.norm_bound < 16:
         raise UsageError(f"--norm-bound must be >= 16, got {args.norm_bound}")
     _at_most(args.norm_bound, MAX_NORM_BOUND, "--norm-bound")
     expr = parse_form(args.form)
-    results = coefficients(expr, ms, norm_bound=args.norm_bound, precision=args.precision)
+    results = quasi.coefficients(expr, ms, norm_bound=args.norm_bound, precision=args.precision)
     oracle = oracle_coeffs(expr, max(ms))
-    with workprec(args.precision):
+    with mpmath.workprec(args.precision):
         for m, res in zip(ms, results):
             exact = oracle[m]
-            exact_mp = mpf(exact.numerator) / exact.denominator
-            denom = abs(exact_mp) if exact != 0 else mpf(1)
+            exact_mp = mpmath.mpf(exact.numerator) / exact.denominator
+            denom = abs(exact_mp) if exact != 0 else mpmath.mpf(1)
             yield m, res, exact, abs(res.value - exact_mp) / denom
 
 
@@ -206,8 +202,10 @@ def cmd_coeffs(args) -> int:
 
 
 def _parse_tol(text: str) -> mpf:
+    import mpmath
+
     try:
-        tol = mpf(text)
+        tol = mpmath.mpf(text)
         valid = mpmath.isfinite(tol) and tol > 0
     except ValueError:
         valid = False
@@ -246,7 +244,7 @@ def cmd_identity(args) -> int:
     if args.norm_bound < 100:
         raise UsageError(f"identity check needs --norm-bound >= 100, got {args.norm_bound}")
     _at_most(args.norm_bound, MAX_NORM_BOUND, "--norm-bound")
-    lhs, rhs, err = identity_check_m0(args.norm_bound, args.precision)
+    lhs, rhs, err = engine.identity_check_m0(args.norm_bound, args.precision)
     payload = {
         "norm_bound": args.norm_bound,
         "lhs": fmt_real(lhs, args.precision),
@@ -258,11 +256,11 @@ def cmd_identity(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    field = Field(args.field)
+    field = lattice.Field(args.field)
     if args.bound < 1:
         raise UsageError(f"--bound must be >= 1, got {args.bound}")
     _at_most(args.bound, MAX_NORM_BOUND, "--bound")
-    ideals = enumerate_primitive(field, args.bound)
+    ideals = lattice.enumerate_primitive(field, args.bound)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["field", "c", "d", "norm", "a", "b"])
@@ -274,29 +272,31 @@ def cmd_enumerate(args) -> int:
 
 def cmd_expand(args) -> int:
     _at_most(args.depth, MAX_DEPTH, "depth")
-    point = point_from_tag(args.point)
+    point = constants.point_from_tag(args.point)
     expr = parse_form(args.form)
-    _at_most(-valuation(expr, point), MAX_POLE_ORDER, "pole order")
-    series = laurent_at(expr, point, args.precision, depth=args.depth)
+    _at_most(-expansion.valuation(expr, point), MAX_POLE_ORDER, "pole order")
+    series = expansion.laurent_at(expr, point, args.precision, depth=args.depth)
     rows = [_complex_row("order", series.lowest_order + i, c, args.precision) for i, c in enumerate(series.coeffs)]
     payload = {"form": args.form, "point": args.point, "coefficients": rows}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
-def _basis_request(request, precision: int) -> tuple[int, list[PrincipalPart]]:
+def _basis_request(request, precision: int) -> tuple[int, list[expansion.PrincipalPart]]:
     """``k`` and the principal parts of a ``basis`` request, which must read
     {"k": 2..MAX_BASIS_K, "principal_parts": [{"point": "i" or "rho",
     "coeffs": {order: [re, im]}}]} with orders in 1..MAX_POLE_ORDER.  A bad
     order or coefficient is named by its entry's index and point and its key."""
+    import mpmath
+
     try:
         k = request["k"]
         if type(k) is not int or not 2 <= k <= MAX_BASIS_K:
             raise UsageError(f"k must be an integer in 2..{MAX_BASIS_K}, got {k!r}")
         pps = []
-        with workprec(precision + GUARD_BITS):
+        with mpmath.workprec(precision + constants.GUARD_BITS):
             for index, entry in enumerate(request["principal_parts"]):
-                point = point_from_tag(entry["point"])
+                point = constants.point_from_tag(entry["point"])
                 coeffs = {}
                 for key, value in entry["coeffs"].items():
                     where = f"principal_parts[{index}] at {point}, order key {key!r}"
@@ -308,12 +308,12 @@ def _basis_request(request, precision: int) -> tuple[int, list[PrincipalPart]]:
                         raise UsageError(f"{where}: pole order must be in 1..{MAX_POLE_ORDER}, got {order}")
                     try:
                         re, im = value
-                        coeffs[order] = mpc(mpf(re), mpf(im))
+                        coeffs[order] = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
                     except (ValueError, TypeError):
                         raise UsageError(f"{where}: coefficient must be [re, im], got {value!r}") from None
                     if not mpmath.isfinite(coeffs[order]):
                         raise UsageError(f"{where}: coefficient is not finite")
-                pps.append(PrincipalPart(point, coeffs, frozenset(), precision))
+                pps.append(expansion.PrincipalPart(point, coeffs, frozenset(), precision))
     except (KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed basis request: {exc!r}") from None
     return k, pps
@@ -326,7 +326,7 @@ def cmd_basis(args) -> int:
         with open(args.input) as fh:
             request = json.load(fh)
     k, pps = _basis_request(request, args.precision)
-    rep = solve_basis(pps, k, args.precision)
+    rep = solver.solve_basis(pps, k, args.precision)
     terms = [(t, fmt_real(t.a.real, args.precision), fmt_real(t.a.imag, args.precision)) for t in rep.terms]
     payload = {"k": rep.k, "terms": [{"point": t.point.tag, "n": t.n, "a_re": re, "a_im": im} for t, re, im in terms]}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -336,8 +336,8 @@ def cmd_basis(args) -> int:
 def cmd_constants(args) -> int:
     _at_most(args.depth, MAX_DEPTH, "depth")
     table = {}
-    for tag, point in (("i", POINT_I), ("rho", POINT_RHO)):
-        jet = derivative_jet(point, args.depth, args.precision)
+    for tag, point in (("i", constants.POINT_I), ("rho", constants.POINT_RHO)):
+        jet = constants.derivative_jet(point, args.depth, args.precision)
         table[tag] = {
             f"E{w}": [_complex_row("r", r, jet.value(w, r), args.precision) for r in range(args.depth + 1)]
             for w in (2, 4, 6, 10)

@@ -44,17 +44,8 @@ from .expansion import (
     valuation,
 )
 from .lattice import check_norm_bound
-from .qseries import FormExpression, Generator, contains_dee, parse_form, split_e2_power
+from .qseries import MAX_POLE_ORDER, FormExpression, Generator, contains_dee, parse_form, split_e2_power
 from .solver import BasisRepresentation, solve_basis
-
-# Each pole order, read from the exact valuation, adds a term to every
-# series and a basis element to every solve, and the auxiliary forms of
-# E2^n f have the pole order of f plus n.  On a 2-core x86-64 VM, in a
-# fresh process at 256 bits: `expand --form "1/E6^40" --point i --depth
-# 200` takes 3.1 s; `verify --m 0 --tol 1e-8` takes 1.1 s on "1/E6^40",
-# 4.7 s on "E2^29 * (1/E6^11)" and 9.1 s on "E2^20 * (1/E10^20)", and
-# `verify --form "1/E6^40" --m 0..3` 2.3-2.5 s.
-MAX_POLE_ORDER = 40
 
 
 def f_combination_coeff(k: int, n: int, l: int) -> Fraction:
@@ -220,12 +211,14 @@ def quasi_expansion(
 def coefficients(
     form: FormExpression | str, ms, *, norm_bound: int, precision: int = DEFAULT_PRECISION
 ) -> list[TruncatedSum]:
-    """The m-th coefficients, m in ``ms`` in order, of E_2^n f (text or an
-    expression) to norm ``norm_bound``, after every refusal: first of no m,
-    an m not an int >= 0, a norm bound not an int or a precision not a
-    positive int, then ``_poles``'s and a norm bound below a pole's floor."""
+    """The m-th coefficients, m in ``ms`` (any iterable, read once) in
+    order, of E_2^n f (text or an expression) to norm ``norm_bound``, after
+    every refusal: first of no m, an m not an int >= 0, a norm bound not an
+    int or a precision not a positive int, then ``_poles``'s and a norm
+    bound below a pole's floor."""
+    ms = list(ms)
     if not ms or not all(isinstance(m, int) and m >= 0 for m in ms):
-        raise ValueError(f"ms: need one or more ints m >= 0, got {list(ms)}")
+        raise ValueError(f"ms: need one or more ints m >= 0, got {ms}")
     if not isinstance(norm_bound, int):
         raise ValueError(f"norm_bound must be an int, got {norm_bound!r}")
     if not isinstance(precision, int) or precision < 1:

@@ -1,10 +1,23 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
 PREC = 256
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` run in a new interpreter with the package on its
+    path; stdout and stderr are captured as bytes.  A test that asks what
+    importing loads needs one: in the test process every layer is loaded."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=300)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+from conftest import fresh_python
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -17,6 +19,18 @@ def _load_bench(name):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def test_cli_import_registers_the_traced_layers_without_mpmath():
+    # install() reads sys.modules["meroforms.<layer>"] right after `import
+    # meroforms.cli`: each layer is registered there, and none has run, so
+    # mpmath is not loaded
+    layers = {f"meroforms.{layer}" for layer in _load_bench("traced_cli").LAYER_FUNCTIONS}
+    run = fresh_python("-c", "import json, sys, meroforms.cli; print(json.dumps(sorted(sys.modules)))")
+    assert run.returncode == 0, run.stderr
+    modules = set(json.loads(run.stdout))
+    assert "mpmath" not in modules
+    assert layers <= modules
 
 
 def test_layer_functions_resolve():

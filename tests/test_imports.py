@@ -1,9 +1,13 @@
 """Every import in the package is used, and every top-level function and
 class, every method but the dunders, and every field or attribute a class
 sets, is referenced: a name left behind when its last user goes is dead
-weight.  ``__init__.py`` only re-exports,
-so it is skipped.  A test does not count as a user, except for the listed
-reference definitions."""
+weight.  A test does not count as a user, except for the listed reference
+definitions.  ``__init__.py`` is checked for unused imports and dead
+definitions like every module; a top-level dunder, such as its module
+``__getattr__`` or ``__dir__`` (PEP 562), is called by Python rather than
+by name, so like a dunder method it is not checked.  The check for
+definitions only tests read skips ``__init__.py``, whose table of
+re-exported names would count as a read of each of them."""
 
 import ast
 import re
@@ -29,8 +33,6 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_no_unused_imports():
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         assert _unused_imports(path.read_text()) == [], path.name
 
 
@@ -41,13 +43,17 @@ def test_unused_import_is_reported():
 
 def _dead_definitions(sources: dict, corpus: str) -> list[str]:
     """Top-level functions and classes of each source whose name occurs as
-    a word in the corpus no more than once, i.e. only where defined."""
+    a word in the corpus no more than once, i.e. only where defined.  A
+    dunder such as a module ``__getattr__`` is called by Python, not by
+    name, so it is not checked."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return [
         f"{filename}: {node.name}"
         for filename, source in sources.items()
         for node in ast.parse(source).body
-        if isinstance(node, kinds) and len(re.findall(rf"\b{node.name}\b", corpus)) < 2
+        if isinstance(node, kinds)
+        and not node.name.startswith("__")
+        and len(re.findall(rf"\b{node.name}\b", corpus)) < 2
     ]
 
 
@@ -60,7 +66,10 @@ def test_no_dead_definitions():
 
 
 def test_dead_definition_is_reported():
-    source = "def used():\n    pass\ndef dead():\n    pass\nclass Box:\n    def method(self):\n        pass\n"
+    source = (
+        "def used():\n    pass\ndef dead():\n    pass\nclass Box:\n    def method(self):\n        pass\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
     assert _dead_definitions({"m.py": source}, source + "used()\nBox()\n") == ["m.py: dead"]
 
 

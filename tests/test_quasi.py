@@ -248,6 +248,14 @@ def test_coefficients_match_quasi_expansion(prec, form, f, n, norm_bound):
     assert [(r.value, r.tail_bound) for r in got] == [(r.value, r.tail_bound) for r in want]
 
 
+def test_coefficients_read_ms_once(prec):
+    # a one-shot iterator was consumed by the type check, and the call ended
+    # in "max() arg is an empty sequence"
+    want = coefficients("1/E6", [0, 1], norm_bound=200, precision=prec)
+    got = coefficients("1/E6", (m for m in [0, 1]), norm_bound=200, precision=prec)
+    assert [(r.value, r.tail_bound) for r in got] == [(r.value, r.tail_bound) for r in want]
+
+
 def test_coefficients_check_the_floor_at_the_form_poles(prec):
     # 1/E4 has its one pole at rho, where m = 10 needs a norm bound of 109;
     # at i it needs 126
