@@ -115,11 +115,14 @@ def raising_expansion_stepped(expansion: RaisingExpansion) -> RaisingExpansion:
     return RaisingExpansion(k, n1, terms)
 
 
-def _ideal_tail_bound(k_half_minus_j, B, four_pi_m_r, v0_pow_j) -> mpf:
-    # omitted ideals per norm N bounded by d(N) <= 2 sqrt(N); terms carry
-    # e^{2 pi m v0/N} <= e^{1/2} once B >= 4 pi m v0
-    s = k_half_minus_j - mpf(3) / 2
-    return 2 * mpmath.exp(mpf(1) / 2) * four_pi_m_r / v0_pow_j * mpf(B) ** (-s) / s
+@lru_cache(maxsize=1024)
+def _tail_constants(k: int, j: int, B: int, prec: int) -> tuple[mpf, mpf, mpf]:
+    """2 e^(1/2), B^-s and s = k/2 - j - 3/2 at working precision prec, of
+    the tail bound 2 e^(1/2) (4 pi m)^r v0^-j B^-s / s: d(N) <= 2 sqrt(N)
+    omitted ideals per norm N, each term at most e^(1/2) once B >= 4 pi m v0."""
+    with workprec(prec):
+        s = mpf(k) / 2 - j - mpf(3) / 2
+        return 2 * mpmath.exp(mpf(1) / 2), mpf(B) ** (-s), s
 
 
 @lru_cache(maxsize=8192)
@@ -163,7 +166,8 @@ def f_series_coeff(
         four_pi_m_r = (4 * mp.pi * m) ** r if r else mpf(1)
         v0_pow_j = v0**j
         value = total * four_pi_m_r / v0_pow_j
-        tail = _ideal_tail_bound(mpf(k) / 2 - j, norm_bound, four_pi_m_r, v0_pow_j)
+        scale, power, s = _tail_constants(k, j, norm_bound, mp.prec)
+        tail = scale * four_pi_m_r / v0_pow_j * power / s
         return TruncatedSum(mpc(value), tail, norm_bound)
 
 

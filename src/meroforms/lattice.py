@@ -53,13 +53,13 @@ so with P the phase numerator above
     C_s(b, m) = Re[g^s e^(i pi m P/N)] / N^(s/2).
 
 No angle is ever formed.  Ideal sums take Z_b = e^(i pi P/N) e^(2 pi v0/N)
-(v0 = Im mu) from ``phasor_row``, a pair of fixed-point ints, so that a
-term of weight k, index m and norm power N^(j-k/2) is
-Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, in any order,
-``sum_rows``, fills a whole family of (m, k, j) blocks: g^k exactly from
-the Lucas sequences (U, V) of the trace and norm of g, Z_b^m stepped in
-fixed point, every term floored to a fixed number of fractional bits and
-added w times as Python ints, so that no order of the rows changes a
+(v0 = Im mu) from ``phasor_row``, fixed-point ints from the table kernel
+``fixed_phasor``, so that a term of weight k, index m and norm power
+N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, in any
+order, ``sum_rows``, fills a whole family of (m, k, j) blocks: g^k exactly
+from the Lucas sequences (U, V) of the trace and norm of g, Z_b^m stepped
+in fixed point, every term floored to a fixed number of fractional bits
+and added w times as Python ints, so that no order of the rows changes a
 total.  ``ideal_sums`` makes that pass over the ideals of norm <= B, a
 mirror's term taken as its representative's, at ``sum_width`` bits and
 rounds each total once: with some m >= 1 over the cached ``phasor_row``,
@@ -80,7 +80,7 @@ from typing import Iterator, NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, pi_fixed, round_nearest, to_fixed
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, POINT_RHO, EllipticPoint
 
@@ -251,20 +251,42 @@ def twice_real(e: int, p: tuple[int, int]) -> int:
     return 2 * p[0] + e * p[1]
 
 
+@lru_cache(maxsize=16)
+def _cis_tables(bits: int) -> tuple:
+    """e^(i pi h/64) (h < 128) and e^(i pi h/4096) (h < 64) as (cos, sin),
+    then pi and 2/sqrt(3), each floored to ``bits`` bits from bits + 8."""
+    cis = [mpf_cos_sin_pi(from_man_exp(h, -log), bits + 8) for log, top in ((6, 128), (12, 64)) for h in range(top)]
+    cis = tuple((to_fixed(cos, bits), to_fixed(sin, bits)) for cos, sin in cis)
+    return cis[:128], cis[128:], pi_fixed(bits), isqrt((4 << 2 * bits) // 3)
+
+
 def fixed_phasor(field: Field, num: int, den: int, width: int, growth: mpf | None = None) -> tuple[int, int]:
-    """growth * e^(i pi num/den) in mu-coordinates, each floored to
-    ``width`` fractional bits; growth defaults to 1.  The turn num/den is
-    reduced exactly modulo 2 before one ``cospi``/``sinpi`` evaluation."""
-    prec = width + 16
-    with workprec(prec):
-        turn = from_rational(num % (2 * den), den, prec, round_nearest)
-        cos, sin = (mp.make_mpf(v) for v in mpf_cos_sin_pi(turn, prec))
-        if growth is not None:
-            cos, sin = cos * growth, sin * growth
-        if field.e:  # u + iv = (u - e y/2) + y mu, y = 2v/sqrt(4 - e^2); the identity at i
-            sin = 2 * sin / mpmath.sqrt(4 - field.e**2)
-            cos -= field.e * sin / 2
-        return to_fixed(cos._mpf_, width), to_fixed(sin._mpf_, width)
+    """growth * e^(i pi num/den) in mu-coordinates (growth defaults to 1),
+    each floored to ``width`` fractional bits from an integer kernel at
+    width + 24 bits: num/den mod 2 is h/4096 plus an exact r < 1/4096,
+    e^(i pi h/4096) a product of two ``_cis_tables`` entries, sin(pi r) a
+    Taylor series and cos(pi r) an isqrt.  Each component is within
+    (1 + growth)(width + 24) 2^-(width+24) of the exact one before the
+    last floor, so within 2^-width (1 + (1 + growth)(width + 24) 2^-24)."""
+    bits = width + 24
+    coarse, fine, pi, root = _cis_tables(bits)
+    h, rest = divmod((num % (2 * den)) << 12, den)
+    term = sin = pi * rest // (den << 12)  # pi r
+    square, n = sin * sin >> bits, 2
+    while term:  # sin(pi r) = sum of (-1)^i (pi r)^(2i+1)/(2i+1)!
+        term = (term * square >> bits) // (n * (n + 1))
+        sin, n = sin - term if n & 2 else sin + term, n + 2
+    cos = isqrt((1 << 2 * bits) - sin * sin)
+    (cx, sx), (cf, sf) = coarse[h >> 6], fine[h & 63]
+    cx, sx = (cx * cf - sx * sf) >> bits, (cx * sf + sx * cf) >> bits
+    cos, sin = (cx * cos - sx * sin) >> bits, (cx * sin + sx * cos) >> bits
+    if growth is not None:
+        scale = to_fixed(growth._mpf_, bits)
+        cos, sin = cos * scale >> bits, sin * scale >> bits
+    if field.e:  # u + iv = (u - y/2) + y mu with y = 2v/sqrt(3); the identity at i
+        sin = sin * root >> bits
+        cos = (2 * cos - sin) >> 1
+    return cos >> 24, sin >> 24
 
 
 def phase_numerator(field: Field, ideal: PrimitiveIdeal) -> int:
@@ -367,7 +389,7 @@ def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[t
     each ``ideal_sum_data`` row of the point's field with ``pair_weight``
     w > 0, none for a mirror, and its Z_b = e^(i pi P/N) e^(2 pi v0/N)
     (v0 = Im point) in mu-coordinates floored to ``sum_width`` bits: one
-    ``cospi``/``sinpi`` per row and one ``exp`` per distinct norm, so
+    ``fixed_phasor`` per row and one ``exp`` per distinct norm, so
     Re[g^k Z^m] / N^k = cos(pi m P/N + k theta) N^(-k/2) e^(2 pi m v0/N)."""
     field = field_of(point)
     e = field.e
@@ -414,20 +436,21 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
     b = e x_k + (e^2 - 2) y_k = (e V_k + (e^2 - 4) y U_k)/2, so that
     2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  An m = 0 term is
     one floor of the integer a; for each m >= 1 in ascending order, Z^m is
-    stepped from the previous m by ``ring_power``(Z, gap) and one floored
-    ``ring_mul``.  The numerator of each k is floored by 2 N^(k-j) for its
-    largest j and then by N^(j'-j) down to each smaller j; since
-    floor(floor(x/a)/b) = floor(x/(ab)) for positive integers a, b, every
-    term is the one its block would get alone with the same Z^m, and every
-    job adds it w times.  ``ideal_sums`` passes a representative with w = 2
-    for its mirror, whose term is taken as the representative's: for even
-    k, (-conj g)^k = conj(g^k) and the mirror's Z is conj(Z), so the exact
-    terms agree, and the doubled term carries twice one term's floor and
-    Z^m error, the pair's budget.  A lone m gets ``ring_power``(Z, m), so a
-    one-m family is bit-identical to a pass of its own.  Every floored
-    product of a product tree of m factors Z (|Z| >= 1, relative error eps)
-    adds at most 5 * 2^-width, so the stepped Z^m is within
-    m eps + (m - 1) 5 * 2^-width, the first-order bound of ``ring_power``."""
+    stepped from the previous m by ``ring_power``(Z, gap), Z itself at gap
+    1, and one floored ``ring_mul``, inlined.  The numerator of each k is
+    floored by 2 N^(k-j) for its largest j, then by N^(j'-j) down to each
+    smaller j; as floor(floor(x/a)/b) = floor(x/(ab)) for positive integers
+    a, b, every term is the one its block would get alone with the same
+    Z^m, and every job adds it w times.  ``ideal_sums`` passes a
+    representative with w = 2 for its mirror, whose term is taken as the
+    representative's: for even k, (-conj g)^k = conj(g^k) and the mirror's
+    Z is conj(Z), so the exact terms agree, and the doubled term carries
+    twice one term's floor and Z^m error, the pair's budget.  A lone m gets
+    ``ring_power``(Z, m), so a one-m family is bit-identical to a pass of
+    its own.  A ``fixed_phasor`` Z (|Z| >= 1, growth <= e^(2 pi), width
+    below 31000) has relative error eps < 4 * 2^-width, and every floored
+    product of a product tree of m factors Z adds at most 5 * 2^-width, so
+    the stepped Z^m is within m eps + (m - 1) 5 * 2^-width < 9 m 2^-width."""
     _check_blocks(blocks)
     ks = sorted({k for _, k, _ in blocks})
     js_of: dict = {}
@@ -490,9 +513,11 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
         if plan:
             last = 0
             for m, m_jobs in plan:
-                step = ring_power(e, z, m - last, width)
-                wx, wy = step if last == 0 else ring_mul(e, (wx, wy), step, width)
-                last = m
+                sx, sy = z if m - last == 1 else ring_power(e, z, m - last, width)
+                if last:  # ring_mul(e, (wx, wy), (sx, sy), width), inlined
+                    yy = wy * sy
+                    sx, sy = (wx * sx - yy) >> width, (wx * sy + sx * wy + e * yy) >> width
+                wx, wy, last = sx, sy, m
                 for index, links in m_jobs:
                     a, b = folded[index]
                     q = (a * wx + b * wy) >> 1  # then // N^(k-j), as at m = 0
@@ -512,13 +537,14 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     bits over the representative and self-conjugate rows alone, each
     counted ``pair_weight`` (2 or 1) times at every m: those of
     ``phasor_row`` if some m >= 1, else those of ``scan_rows``, streamed
-    from the sector scan into the pass with no table, sort or cache.  The
-    mirror's term is taken as its representative's, of the same exact
-    value, so a doubled term carries the pair's rounding budget.  With
-    m < norm_bound (``check_norm_bound`` of the largest m, checked here),
-    the rounding stays below 2^-(precision+GUARD_BITS) of the sum of |term|
-    over every ideal, which the unit ideal's term (at least 1) dominates.
-    The cache holds one entry per pass, not per (4 pi m)^r scaling.
+    from the sector scan into the pass with no table, sort or cache.  A
+    mirror's term is its representative's, of the same exact value, so a
+    doubled term carries the pair's rounding budget.  With m < norm_bound
+    (``check_norm_bound`` of the largest m, checked here) and Z^m within
+    9 m 2^-width (``sum_rows``), the rounding stays below
+    2^-(precision+GUARD_BITS) of the sum of |term| over every ideal, which
+    the unit ideal's term (at least 1) dominates.  The cache holds one
+    entry per pass, not per (4 pi m)^r scaling.
 
     An empty family is refused, as is, before any row is read, a block
     outside the contract of ``sum_rows`` or off the kernel's divisibility

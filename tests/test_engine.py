@@ -435,6 +435,31 @@ def test_ideal_sums_refuse_a_norm_bound_below_the_largest_m(prec):
         engine.ideal_sums.__wrapped__(POINT_I, 100, prec, ((0, 12, 0), (10, 12, 0)))
 
 
+def _direct_tail_bound(k, j, B, four_pi_m_r, v0_pow_j):
+    """The ideal-sum tail bound written out in one expression, every
+    constant recomputed, in the operation order of ``f_series_coeff``."""
+    s = mpf(k) / 2 - j - mpf(3) / 2
+    return 2 * mpmath.exp(mpf(1) / 2) * four_pi_m_r / v0_pow_j * mpf(B) ** (-s) / s
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
+def test_tail_bound_has_the_bits_of_the_direct_formula(point):
+    # the cached constants change no bit of any tail bound, on a grid of
+    # (k, j, r, m, B, P)
+    for precision in (64, 256):
+        for bound in (100, 600):
+            with workprec(precision + GUARD_BITS):
+                v0 = point.v0(precision)
+            for k in (12, 24, 36):
+                for j in (0, 1, 2, k // 2 - 2):
+                    for m, r in ((0, 0), (1, 0), (1, 1), (7, 2)):
+                        got = f_series_coeff(k, j, r, point, m, bound, precision).tail_bound
+                        with workprec(precision + GUARD_BITS):
+                            four_pi_m_r = (4 * mp.pi * m) ** r if r else mpf(1)
+                            want = _direct_tail_bound(k, j, bound, four_pi_m_r, v0**j)
+                        assert got._mpf_ == want._mpf_, (k, j, r, m, bound, precision)
+
+
 def test_lattice_sum_shared_across_r(prec):
     # (4 pi m)^r only scales the lattice sum, and the blocks of one family
     # come from the same pass, so r = 1, r = 2 and j = 1 share one pass

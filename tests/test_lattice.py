@@ -6,7 +6,7 @@ from math import gcd, isqrt
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, round_nearest, to_fixed
 
 from meroforms import (
     Field,
@@ -458,18 +458,67 @@ def test_phasor_row_matches_per_ideal_construction(prec, point):
 @pytest.mark.parametrize("bound", [300, 5000])
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 def test_phasor_row_evaluates_no_mirror(monkeypatch, point, bound):
-    # one cospi/sinpi per representative or self-conjugate row: half the
-    # ideals and one more (1189 of 2376 at i, B = 5000)
-    calls = []
-    inner = lattice.mpf_cos_sin_pi
-
-    def counting(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(lattice, "mpf_cos_sin_pi", counting)
+    # one fixed_phasor per representative or self-conjugate row: half the
+    # ideals and one more (1189 of 2376 at i, B = 5000); once the kernel's
+    # tables of this width are built, a pass makes no cospi/sinpi call
+    field = field_of(point)
+    bits = sum_width(bound, 64) + 24
+    phasors_made, cis_made = [], []
+    phasor, cis = lattice.fixed_phasor, lattice.mpf_cos_sin_pi
+    monkeypatch.setattr(lattice, "fixed_phasor", lambda *args: phasors_made.append(args) or phasor(*args))
+    monkeypatch.setattr(lattice, "mpf_cos_sin_pi", lambda *args: cis_made.append(args) or cis(*args))
+    lattice._cis_tables.__wrapped__(bits)
+    assert len(cis_made) == 192  # the table build: 128 + 64 entries
+    lattice._cis_tables(bits)
+    cis_made.clear()
     rows, phasors = phasor_row.__wrapped__(point, bound, 64)
-    assert len(calls) == len(rows) == len(phasors) == len(ideal_sum_data(field_of(point), bound)) // 2 + 1
+    assert len(phasors_made) == len(rows) == len(phasors) == len(ideal_sum_data(field, bound)) // 2 + 1
+    assert cis_made == []
+
+
+def _mpmath_phasor(field, num, den, width, growth=None):
+    """The construction that the table kernel replaced: one ``cospi``/``sinpi``
+    of the turn reduced modulo 2, at width + 16 bits, scaled by growth, taken
+    to mu-coordinates and floored to ``width`` bits."""
+    prec = width + 16
+    with workprec(prec):
+        turn = from_rational(num % (2 * den), den, prec, round_nearest)
+        cos, sin = (mp.make_mpf(v) for v in mpf_cos_sin_pi(turn, prec))
+        if growth is not None:
+            cos, sin = cos * growth, sin * growth
+        if field.e:
+            sin = 2 * sin / mpmath.sqrt(4 - field.e**2)
+            cos -= field.e * sin / 2
+        return to_fixed(cos._mpf_, width), to_fixed(sin._mpf_, width)
+
+
+@pytest.mark.parametrize("width", [96, 288, 1056, 4128])
+@pytest.mark.parametrize("field", list(Field), ids=str)
+def test_fixed_phasor_within_its_stated_bound(field, width):
+    # against e^(i pi num/den) at twice the bits, each component is within
+    # 2^-width (1 + (1 + growth)(width + 24) 2^-24), the docstring's bound,
+    # and within one unit at width of the mpmath construction it replaced
+    rng = random.Random(width + field.e)
+    with workprec(width + 16):
+        two_pi_v0 = 2 * mp.pi * field.point.v0(width)
+    cases = [(0, 1), (1, 1), (-1, 1), (7, 1), (2 * 10**4, 1), (-2 * 10**4, 1)]  # den = 1
+    for den in (2, 3, 5000, *(rng.randint(1, 5000) for _ in range(12 if width < 1000 else 4))):
+        top = 2 * 10**4 * den  # |num| up to 10^4 * 2N
+        cases += [(den * rng.randint(-(10**4), 10**4), den), (rng.randint(-top, top), den), (-top, den), (top - 1, den)]
+    for num, den in cases:
+        with workprec(width + 16):
+            scale = mpmath.exp(two_pi_v0 / den)
+        for growth in (None, scale):
+            got = fixed_phasor(field, num, den, width, growth)
+            assert max(abs(a - b) for a, b in zip(got, _mpmath_phasor(field, num, den, width, growth))) <= 1
+            with workprec(2 * width):
+                g = 1 if growth is None else growth
+                u, v = g * mpmath.cospi(mpf(num) / den), g * mpmath.sinpi(mpf(num) / den)
+                y = 2 * v / mpmath.sqrt(3) if field.e else v
+                exact = (u - field.e * y / 2, y)
+                bound = 1 + (1 + g) * (width + 24) * mpf(2) ** -24
+                for component, value in zip(got, exact):
+                    assert abs(component - value * 2**width) < bound, (num, den, growth is not None)
 
 
 def test_b_kernel_identities(prec):
