@@ -469,7 +469,7 @@ def test_phasor_row_evaluates_no_mirror(monkeypatch, point, bound):
     monkeypatch.setattr(lattice, "mpf_cos_sin_pi", lambda *args: cis_made.append(args) or cis(*args))
     lattice._cis_tables.__wrapped__(bits)
     assert len(cis_made) == 192  # the table build: 128 + 64 entries
-    lattice._cis_tables(bits)
+    lattice._cis_tables(bits)  # built and cached, if no earlier test did
     cis_made.clear()
     rows, phasors = phasor_row.__wrapped__(point, bound, 64)
     assert len(phasors_made) == len(rows) == len(phasors) == len(ideal_sum_data(field, bound)) // 2 + 1
