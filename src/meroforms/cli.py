@@ -43,9 +43,9 @@ EXIT_VERIFY = 3
 
 # Enumeration and ideal sums are pure Python, so the bound caps time and
 # memory.  On a 2-core x86-64 VM, in fresh processes at 10^6, ``enumerate``
-# takes 2.5-2.7 s and 168 MB peak (Gaussian, 477k ideals) or 1.8-2.5 s and
+# takes 1.9-2.2 s and 168 MB peak (Gaussian, 477k ideals) or 1.35-1.6 s and
 # 133 MB (Eisenstein, 368k); ``verify --form "1/E10" --m 0 --tol 1e-8``
-# takes 1.0-1.7 s and 21 MB, its m = 0 pass streaming the sector scan
+# takes 0.76-0.78 s and 22 MB, its m = 0 pass streaming the sector scan
 # (1.7-2.6 s and 56 MB when it sorted a table of the scan's rows, 5.6-6.3 s
 # and 284 MB when it read the whole ideal table).  Time grows linearly in
 # the bound, and so does memory where a table is built.

@@ -26,7 +26,10 @@ at m = 0 the scan's rows (``scan_rows``), with no mirror, completion or
 phase numerator, and at m >= 1 those of ``phasor_row``, one phasor each.
 
 Bulk construction.  ``scan_rows`` yields the scan's rows one column c at
-a time, so an m = 0 pass holds one column and never a table.  The tables,
+a time, so an m = 0 pass holds one column and never a table.  A column's
+d coprime to c come from a sieve, not a gcd per d: the multiples of each
+prime of c are struck from a bytearray mask, which ``itertools.compress``
+applies to the column's range of d.  The tables,
 ``pair_rows`` (the same rows, sorted), ``enumerate_primitive`` and
 ``ideal_sum_data``, build one tuple per ideal, none of which can be part of
 a reference cycle, so they run with the cyclic garbage collector paused
@@ -56,16 +59,17 @@ No angle is ever formed.  Ideal sums take Z_b = e^(i pi P/N) e^(2 pi v0/N)
 (v0 = Im mu) from ``phasor_row``, fixed-point ints from the table kernel
 ``fixed_phasor``, so that a term of weight k, index m and norm power
 N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, in any
-order, ``sum_rows``, fills a whole family of (m, k, j) blocks: g^k exactly
-from the Lucas sequences (U, V) of the trace and norm of g, Z_b^m stepped
-in fixed point, every term floored to a fixed number of fractional bits
-and added w times as Python ints, so that no order of the rows changes a
-total.  ``ideal_sums`` makes that pass over the ideals of norm <= B, a
-mirror's term taken as its representative's, at ``sum_width`` bits and
-rounds each total once: with some m >= 1 over the cached ``phasor_row``,
-at m = 0 alone over ``scan_rows`` while the scan runs.  ``c_kernel`` makes
-it over one ideal (w = 1), with the phasor e^(i pi m P/N) of
-``fixed_phasor`` as Z and (1, s, s/2) as its one block.
+order, ``sum_rows``, fills a whole family of (m, k, j) blocks: 2 Re g^k
+exactly as the Lucas sequence V of the trace and norm of g, all that an
+m = 0 term reads and, with V_(k+1), all that an m >= 1 term folds in,
+Z_b^m stepped in fixed point, every term floored to a fixed number of
+fractional bits and added w times as Python ints, so that no order of the
+rows changes a total.  ``ideal_sums`` makes that pass over the ideals of
+norm <= B, a mirror's term taken as its representative's, at
+``sum_width`` bits and rounds each total once: with some m >= 1 over the
+cached ``phasor_row``, at m = 0 alone over ``scan_rows`` while the scan
+runs.  ``c_kernel`` makes it over one ideal (w = 1), with the phasor
+e^(i pi m P/N) of ``fixed_phasor`` as Z and (1, s, s/2) as its one block.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ import enum
 import gc
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
@@ -83,6 +87,9 @@ from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, pi_fixed, round_nearest, to_fixed
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, POINT_RHO, EllipticPoint
+
+Pair = tuple[int, int]  # x + y mu, or an (x, y) fixed-point phasor
+Row = tuple[int, int, int, int]  # (N, x, y, w) of a pass, or (N, x, y, P) of ideal_sum_data
 
 
 class Field(enum.Enum):
@@ -106,12 +113,10 @@ def field_of(point: EllipticPoint) -> Field:
 
 
 def norm_form(field: Field, c: int, d: int) -> int:
-    if field is Field.GAUSSIAN:
-        return c * c + d * d
-    return c * c + c * d + d * d
+    return c * c + field.e * c * d + d * d
 
 
-def unit_orbit(field: Field, c: int, d: int) -> list[tuple[int, int]]:
+def unit_orbit(field: Field, c: int, d: int) -> list[Pair]:
     """All coprime pairs generating the same ideal."""
     if field is Field.GAUSSIAN:
         return [(c, d), (-c, -d), (d, -c), (-d, c)]
@@ -122,7 +127,7 @@ def unit_orbit(field: Field, c: int, d: int) -> list[tuple[int, int]]:
     return orbit
 
 
-def complete_unimodular(c: int, d: int) -> tuple[int, int]:
+def complete_unimodular(c: int, d: int) -> Pair:
     """Deterministic (a, b) with ad - bc = 1; 0 <= b < |d| when d != 0."""
     if gcd(c, d) != 1:
         raise ValueError(f"gcd({c}, {d}) != 1")
@@ -167,7 +172,7 @@ def _collector_paused():
             gc.enable()
 
 
-def scan_rows(field: Field, norm_bound: int) -> Iterator[tuple[int, int, int, int]]:
+def scan_rows(field: Field, norm_bound: int) -> Iterator[Row]:
     """(N, x, y, w) of the self-conjugate ideals (w = 1) and every
     representative (d > c >= 1, w = 2) of norm N <= norm_bound, with
     generator x + y mu = d + c mu, in scan order: the two self-conjugate
@@ -179,18 +184,23 @@ def scan_rows(field: Field, norm_bound: int) -> Iterator[tuple[int, int, int, in
     return chain.from_iterable(_scan_columns(field.e, norm_bound))
 
 
-def _scan_columns(e: int, norm_bound: int) -> Iterator[list[tuple[int, int, int, int]]]:
+def _scan_columns(e: int, norm_bound: int) -> Iterator[list[Row]]:
     yield [(1, 1, 0, 1), (2 + e, -1 - e, 1, 1)] if norm_bound >= 2 + e else [(1, 1, 0, 1)]
     c = 1
     while c * c + e * c * (c + 1) + (c + 1) ** 2 <= norm_bound:  # N(c, c + 1)
         top = (isqrt(4 * norm_bound - (4 - e * e) * c * c) - e * c) // 2  # (2d + e c)^2 <= 4B - (4 - e^2) c^2
-        cc, ec = c * c, e * c
-        yield [(cc + d * (d + ec), d, c, 2) for d in range(c + 1, top + 1) if gcd(c, d) == 1]
+        # coprime[d] stays 1 while no prime of c divides d; a divisor p of c
+        # that no smaller prime has struck is itself a prime of c
+        cc, ec, coprime = c * c, e * c, bytearray(b"\1") * (top + 1)
+        for p in range(2, c + 1):
+            if c % p == 0 and coprime[p]:
+                coprime[::p] = bytes(top // p + 1)
+        yield [(cc + d * (d + ec), d, c, 2) for d in compress(range(c + 1, top + 1), coprime[c + 1 :])]
         c += 1
 
 
 @_collector_paused()
-def pair_rows(field: Field, norm_bound: int) -> list[tuple[int, int, int, int]]:
+def pair_rows(field: Field, norm_bound: int) -> list[Row]:
     """The rows of ``scan_rows`` as one sorted list: the ``ideal_sum_data``
     rows of ``pair_weight`` w > 0, from which ``enumerate_primitive``
     derives every ideal."""
@@ -222,7 +232,7 @@ def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, 
 # trace e = ``Field.e``, 0 at i and 1 at rho, so 2 Re(x + y mu) = 2x + e y.
 
 
-def ring_mul(e: int, p: tuple[int, int], q: tuple[int, int], shift: int = 0) -> tuple[int, int]:
+def ring_mul(e: int, p: Pair, q: Pair, shift: int = 0) -> Pair:
     """p q in Z[mu]; with shift > 0 both factors are fixed point with
     ``shift`` fractional bits and the product is floored to that width."""
     (x1, y1), (x2, y2) = p, q
@@ -230,7 +240,7 @@ def ring_mul(e: int, p: tuple[int, int], q: tuple[int, int], shift: int = 0) -> 
     return (x1 * x2 - yy) >> shift, (x1 * y2 + x2 * y1 + e * yy) >> shift
 
 
-def ring_power(e: int, p: tuple[int, int], k: int, shift: int = 0) -> tuple[int, int]:
+def ring_power(e: int, p: Pair, k: int, shift: int = 0) -> Pair:
     """p^k by binary powering: exact for shift 0, else in fixed point as
     ``ring_mul``.  A floor moves a fixed-point value by less than
     2 * 2^-shift, so for |p| >= 1 the relative error of p^k is at most
@@ -247,7 +257,7 @@ def ring_power(e: int, p: tuple[int, int], k: int, shift: int = 0) -> tuple[int,
         p = ring_mul(e, p, p, shift)
 
 
-def twice_real(e: int, p: tuple[int, int]) -> int:
+def twice_real(e: int, p: Pair) -> int:
     return 2 * p[0] + e * p[1]
 
 
@@ -260,7 +270,7 @@ def _cis_tables(bits: int) -> tuple:
     return cis[:128], cis[128:], pi_fixed(bits), isqrt((4 << 2 * bits) // 3)
 
 
-def fixed_phasor(field: Field, num: int, den: int, width: int, growth: mpf | None = None) -> tuple[int, int]:
+def fixed_phasor(field: Field, num: int, den: int, width: int, growth: mpf | None = None) -> Pair:
     """growth * e^(i pi num/den) in mu-coordinates (growth defaults to 1),
     each floored to ``width`` fractional bits from an integer kernel at
     width + 24 bits: num/den mod 2 is h/4096 plus an exact r < 1/4096,
@@ -371,7 +381,7 @@ def sum_width(norm_bound: int, precision: int) -> int:
 
 @lru_cache(maxsize=16)
 @_collector_paused()
-def ideal_sum_data(field: Field, norm_bound: int) -> tuple[tuple[int, int, int, int], ...]:
+def ideal_sum_data(field: Field, norm_bound: int) -> tuple[Row, ...]:
     """(N, x, y, P) of every primitive ideal of norm <= norm_bound: its norm,
     its generator g = x + y mu = d + c mu and its phase numerator
     P = 2(ac + bd) + e(ad + bc) (``phase_numerator``, inlined).  Exact ints,
@@ -421,109 +431,119 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
     otherwise), each a fixed-point int with ``width`` fractional bits; Z is
     the row's entry of ``phasors``, pairs at ``width`` bits, which an
     m = 0-only family does not read (None).  ``rows`` is any iterable, in
-    any order: every term is an exact integer, so no order changes a total,
-    and the powers of N are raised again whenever the norm differs from the
-    previous row's.
+    any order: every term is an exact integer, so no order changes a total.
 
-    With t = 2x + e y and N the trace and norm of g, and D = t^2 - 4N, the
-    Lucas sequences U_n = (g^n - conj(g)^n)/(g - conj(g)) and
-    V_n = g^n + conj(g)^n are integers with U_2n = U_n V_n,
-    V_2n = V_n^2 - 2 N^n, U_(n+1) = (t U_n + V_n)/2 and
-    V_(n+1) = (D U_n + t V_n)/2.  Per row, a ladder of these from
-    (U_1, V_1, N^1) = (1, t, N) reaches the smallest k, and steps by g^2
-    (trace V_2 = t^2 - 2N, U_2 = t) reach the larger ones.  g^k = x_k + y_k mu
-    is folded into the integers a = 2 x_k + e y_k = V_k and
-    b = e x_k + (e^2 - 2) y_k = (e V_k + (e^2 - 4) y U_k)/2, so that
-    2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu.  An m = 0 term is
-    one floor of the integer a; for each m >= 1 in ascending order, Z^m is
-    stepped from the previous m by ``ring_power``(Z, gap), Z itself at gap
-    1, and one floored ``ring_mul``, inlined.  The numerator of each k is
-    floored by 2 N^(k-j) for its largest j, then by N^(j'-j) down to each
-    smaller j; as floor(floor(x/a)/b) = floor(x/(ab)) for positive integers
-    a, b, every term is the one its block would get alone with the same
-    Z^m, and every job adds it w times.  ``ideal_sums`` passes a
-    representative with w = 2 for its mirror, whose term is taken as the
-    representative's: for even k, (-conj g)^k = conj(g^k) and the mirror's
-    Z is conj(Z), so the exact terms agree, and the doubled term carries
-    twice one term's floor and Z^m error, the pair's budget.  A lone m gets
-    ``ring_power``(Z, m), so a one-m family is bit-identical to a pass of
-    its own.  A ``fixed_phasor`` Z (|Z| >= 1, growth <= e^(2 pi), width
-    below 31000) has relative error eps < 4 * 2^-width, and every floored
-    product of a product tree of m factors Z adds at most 5 * 2^-width, so
-    the stepped Z^m is within m eps + (m - 1) 5 * 2^-width < 9 m 2^-width."""
+    Only the Lucas sequence V_n = g^n + conj(g)^n = 2 Re g^n is carried:
+    with t = 2x + e y and N the trace and norm of g, V_2n = V_n^2 - 2 N^n,
+    V_(2n+1) = V_n V_(n+1) - t N^n and V_(n+1) = t V_n - N V_(n-1).  Per
+    row, a ladder of (V_n, V_(n+1), N^n) from (t, t^2 - 2N, N) along the
+    bits of the smallest k reaches it, and unit steps reach each larger k.
+    Where nothing reads V_(k+1), one k and no m >= 1, the last step to the
+    odd part of k and the halvings over its trailing zero bits carry V
+    alone.
+
+    An m = 0-only family floors V_k 2^(width-1) once per block, by
+    N^(k-j).  Any other family folds g^k = x_k + y_k mu into
+    a = 2 x_k + e y_k = V_k and b = e x_k + (e^2 - 2) y_k, so that
+    2 Re[g^k w] = a w_x + b w_y for any w = w_x + w_y mu; at w = g this
+    reads V_(k+1) = a x + b y, so b = (V_(k+1) - x V_k)/y exactly, and
+    b = e V_k/2 at y = 0, where g^k = x^k.  For each m in ascending order,
+    Z^m is stepped from the previous m by ``ring_power``(Z, gap), Z itself
+    at gap 1 and (2^width, 0) at m = 0, and one floored ``ring_mul``,
+    inlined.
+    The numerator a Z^m_x + b Z^m_y of each k is floored by 2 N^(k-j) for
+    its largest j, then by N^(j'-j) down to each smaller j.  As
+    floor(floor(x/a)/b) = floor(x/(ab)) for positive integers a, b, every
+    term is the one its block would get alone with the same Z^m, the same
+    at m = 0 in either kind of family, and every job adds it w times.
+
+    ``ideal_sums`` passes a representative with w = 2 for its mirror, whose
+    term is taken as the representative's: for even k,
+    (-conj g)^k = conj(g^k) and the mirror's Z is conj(Z), so the exact
+    terms agree, and the doubled term carries twice one term's floor and
+    Z^m error, the pair's budget.  A lone m gets ``ring_power``(Z, m), so a
+    one-m family is bit-identical to a pass of its own.  A ``fixed_phasor``
+    Z (|Z| >= 1, growth <= e^(2 pi), width below 31000) has relative error
+    eps < 4 * 2^-width, and every floored product of a product tree of m
+    factors Z adds at most 5 * 2^-width, so the stepped Z^m is within
+    m eps + (m - 1) 5 * 2^-width < 9 m 2^-width."""
     _check_blocks(blocks)
     ks = sorted({k for _, k, _ in blocks})
-    js_of: dict = {}
-    for m, k, j in blocks:
-        js_of.setdefault((m, k), set()).add(j)
-    order, exponents = [], []
-
-    def links_of(m, k):
-        # the (position of the N power, slot) of each j at (m, k), largest j
-        # first: N^(k - j) for it, then N^(j' - j) down to each smaller j
-        js = sorted(js_of.get((m, k), ()), reverse=True)
-        out = []
-        for above, j in zip([k, *js], js):
-            if above - j not in exponents:
-                exponents.append(above - j)
-            out.append((exponents.index(above - j), len(order)))
-            order.append((m, k, j))
-        return tuple(out)
-
-    # per k, ascending: the g^2 steps from the previous k and its m = 0 links
-    per_k = tuple((range((k - last) // 2), links_of(0, k)) for last, k in zip([ks[0], *ks], ks))
-    ladder = tuple(bit == "1" for bit in bin(ks[0])[3:])  # doubling, then a unit step if set
-    # per m >= 1, ascending: (index of k, its links) for each k with blocks at m
-    plan = tuple(
-        (m, tuple((index, links) for index, k in enumerate(ks) if (links := links_of(m, k))))
-        for m in sorted({m for m, _, _ in blocks})
-        if m
-    )
-    exponents = tuple(exponents)
-    single = exponents[0] if len(exponents) == 1 else None  # one power per row, no map
-    totals = [0] * len(order)
-    shift, e4, stepped = width - 1, e * e - 4, len(ks) > 1
-    row_norm = None
-    for (norm, x, y, w), z in zip(rows, phasors if plan else repeat(None)):
+    # per m, ascending: (index of k, its links) for each k with blocks at m,
+    # and a link (position of the N power, slot) for each j at (m, k),
+    # largest j first: N^(k - j) for it, then N^(j' - j) down to each
+    # smaller j
+    order, positions, jobs = [], {}, {}
+    for m, k, j in sorted(set(blocks), key=lambda block: (block[0], block[1], -block[2])):
+        links = jobs.setdefault(m, {}).setdefault(ks.index(k), [])
+        above = order[-1][2] if links else k
+        links.append((positions.setdefault(above - j, len(positions)), len(order)))
+        order.append((m, k, j))
+    plan = [(m, list(m_jobs.items())) for m, m_jobs in jobs.items()]
+    # V_(k+1) is read by a step to a larger k or an m >= 1 fold (plan[-1][0],
+    # the largest m, is not 0).  With neither, the last step of the odd part
+    # of k and the halvings over its trailing zero bits carry V alone.
+    low = 0 if plan[-1][0] or len(ks) > 1 else (ks[0] & -ks[0]).bit_length() - 1
+    ladder, tail = [bit == "1" for bit in bin(ks[0] >> low)[3:]], [False] * low
+    if low and ladder:
+        tail.insert(0, ladder.pop())
+    totals, shift, row_norm = [0] * len(order), width - 1, None
+    if not plan[-1][0]:  # m = 0 alone: no phasor, and each block floored once
+        # the first block inline, then per block its unit steps from the
+        # previous block's k, its power of N and its slot
+        more = [(range(b[1] - a[1]), b[1] - b[2], slot) for slot, (a, b) in enumerate(zip(order, order[1:]), 1)]
+        exponent, total = order[0][1] - order[0][2], 0
+        for norm, x, y, w in rows:
+            t = 2 * x + e * y
+            v, v1, nn = t, t * t - 2 * norm, norm
+            for odd in ladder:  # (V_n, V_(n+1), N^n) from n to 2n + odd
+                if odd:
+                    v, v1, nn = v * v1 - t * nn, v1 * v1 - 2 * nn * norm, nn * nn * norm
+                else:
+                    v, v1, nn = v * v - 2 * nn, v * v1 - t * nn, nn * nn
+            for odd in tail:  # (V_n, N^n) alone
+                if odd:
+                    v, nn = v * v1 - t * nn, nn * nn * norm
+                else:
+                    v, nn = v * v - 2 * nn, nn * nn
+            total += w * ((v << shift) // norm**exponent)
+            for unit_steps, power, slot in more:
+                for _ in unit_steps:
+                    v, v1 = v1, t * v1 - norm * v
+                totals[slot] += w * ((v << shift) // norm**power)
+        totals[0] = total
+        return dict(zip(order, totals))
+    steps = tuple(range(k - last) for last, k in zip([ks[0], *ks], ks))  # unit steps to each k
+    for (norm, x, y, w), z in zip(rows, phasors):
         if norm != row_norm:
-            row_norm = norm
-            powers = (norm**single,) if single is not None else tuple(map(pow, repeat(norm), exponents))
+            row_norm, powers = norm, tuple(map(pow, repeat(norm), positions))
         t = 2 * x + e * y
-        disc = t * t - 4 * norm
-        u, v, nn = 1, t, norm  # (U_n, V_n, N^n) from n = 1 to ks[0]
-        for odd in ladder:
-            u, v, nn = u * v, v * v - 2 * nn, nn * nn
+        v, v1, nn = t, t * t - 2 * norm, norm
+        for odd in ladder:  # as at m = 0
             if odd:
-                u, v, nn = (t * u + v) >> 1, (disc * u + t * v) >> 1, nn * norm
-        if stepped:
-            t2, dt = t * t - 2 * norm, disc * t  # V_2 and D U_2
-        if plan:
-            folded = []
-        for steps, links in per_k:
-            for _ in steps:  # (U, V)_(n+2) = (V_2 U + U_2 V, V_2 V + D U_2 U)/2
-                u, v = (t2 * u + t * v) >> 1, (t2 * v + dt * u) >> 1
-            # (V_k 2^width) // (2 N^(k-j)), the 2 taken off the shift, then
-            # floored down the chain: floor(floor(x/a)/b) = floor(x/(ab))
-            q = v << shift
-            for position, slot in links:
-                q //= powers[position]
-                totals[slot] += w * q
-            if plan:
-                folded.append((v, (e * v + e4 * y * u) >> 1))
-        if plan:
-            last = 0
-            for m, m_jobs in plan:
-                sx, sy = z if m - last == 1 else ring_power(e, z, m - last, width)
-                if last:  # ring_mul(e, (wx, wy), (sx, sy), width), inlined
-                    yy = wy * sy
-                    sx, sy = (wx * sx - yy) >> width, (wx * sy + sx * wy + e * yy) >> width
-                wx, wy, last = sx, sy, m
-                for index, links in m_jobs:
-                    a, b = folded[index]
-                    q = (a * wx + b * wy) >> 1  # then // N^(k-j), as at m = 0
-                    for position, slot in links:
-                        q //= powers[position]
-                        totals[slot] += w * q
+                v, v1, nn = v * v1 - t * nn, v1 * v1 - 2 * nn * norm, nn * nn * norm
+            else:
+                v, v1, nn = v * v - 2 * nn, v * v1 - t * nn, nn * nn
+        folded = []
+        for unit_steps in steps:
+            for _ in unit_steps:
+                v, v1 = v1, t * v1 - norm * v
+            folded.append((v, (v1 - x * v) // y if y else e * v >> 1))
+        last = 0
+        for m, m_jobs in plan:
+            sx, sy = z if m - last == 1 else ring_power(e, z, m - last, width)  # (2^width, 0) at m = 0
+            if last:  # ring_mul(e, (wx, wy), (sx, sy), width), inlined
+                yy = wy * sy
+                sx, sy = (wx * sx - yy) >> width, (wx * sy + sx * wy + e * yy) >> width
+            wx, wy, last = sx, sy, m
+            for index, links in m_jobs:
+                a, b = folded[index]
+                # (2 Re[g^k Z^m] 2^width) // (2 N^(k-j)), then floored down the
+                # chain: floor(floor(x/a)/b) = floor(x/(ab))
+                q = (a * wx + b * wy) >> 1
+                for position, slot in links:
+                    q //= powers[position]
+                    totals[slot] += w * q
     return dict(zip(order, totals))
 
 

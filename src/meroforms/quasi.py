@@ -208,6 +208,10 @@ def quasi_expansion(
     return QuasiExpansion(k, n, f_rep, aux_reps, precision)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def coefficients(
     form: FormExpression | str, ms, *, norm_bound: int, precision: int = DEFAULT_PRECISION
 ) -> list[TruncatedSum]:
@@ -215,13 +219,14 @@ def coefficients(
     order, of E_2^n f (text or an expression) to norm ``norm_bound``, after
     every refusal: first of no m, an m not an int >= 0, a norm bound not an
     int or a precision not a positive int, then ``_poles``'s and a norm
-    bound below a pole's floor."""
+    bound below a pole's floor.  A bool is an int to Python but none of
+    these: True would read as m = 1 or as a 1-bit precision."""
     ms = list(ms)
-    if not ms or not all(isinstance(m, int) and m >= 0 for m in ms):
+    if not ms or not all(_is_int(m) and m >= 0 for m in ms):
         raise ValueError(f"ms: need one or more ints m >= 0, got {ms}")
-    if not isinstance(norm_bound, int):
+    if not _is_int(norm_bound):
         raise ValueError(f"norm_bound must be an int, got {norm_bound!r}")
-    if not isinstance(precision, int) or precision < 1:
+    if not _is_int(precision) or precision < 1:
         raise ValueError(f"precision must be a positive int, got {precision!r}")
     expr = parse_form(form) if isinstance(form, str) else form
     n, f = split_e2_power(expr)

@@ -91,6 +91,34 @@ def test_enumerate_count_matches_brute_force(field):
         assert len(enumerate_primitive(field, bound)) == brute_force_orbit_count(field, bound)
 
 
+def gcd_scan(field: Field, bound: int) -> list[tuple[int, int, int, int]]:
+    """Reference sector scan: the self-conjugate rows, then for each column
+    c >= 1 every d > c of norm <= bound with gcd(c, d) = 1, one gcd per d."""
+    e = field.e
+    rows = [(1, 1, 0, 1), (2 + e, -1 - e, 1, 1)][: 1 + (bound >= 2 + e)]
+    c = 1
+    while norm_form(field, c, c + 1) <= bound:
+        d = c + 1
+        while norm_form(field, c, d) <= bound:
+            if gcd(c, d) == 1:
+                rows.append((norm_form(field, c, d), d, c, 2))
+            d += 1
+        c += 1
+    return rows
+
+
+@pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
+def test_scan_rows_match_a_gcd_scan(field):
+    # the scan strikes the multiples of each prime of c from a mask; column
+    # c = 210 = 2 * 3 * 5 * 7 has four of them and first appears at norm
+    # N(210, 211), 88621 at i and 132931 at rho
+    first_210 = norm_form(field, 210, 211)
+    for bound in (1, 2, 3, 4, 5000, first_210 - 1, first_210, 140_000):
+        got = list(lattice.scan_rows(field, bound))
+        assert got == gcd_scan(field, bound), bound
+        assert any(y == 210 for _, _, y, _ in got) is (bound >= first_210)
+
+
 @pytest.mark.parametrize("field", [Field.GAUSSIAN, Field.EISENSTEIN])
 def test_unit_sum_vanishes_where_the_point_rule_says(field):
     # sum of u^-w over the reference units, exactly in Z[mu]: u^-1 = conj(u)
@@ -308,6 +336,23 @@ def test_sum_rows_ladder_matches_ring_powers_bit_for_bit(field):
     together = tuple(block for family in alone for block in family)
     for family in (*alone, together):
         totals = sum_rows(e, rows, phasors, family, width)
+        assert set(totals) == set(family)
+        for block in family:
+            assert totals[block] == _sum_rows_by_powers(e, rows, phasors, block, width), block
+    # rows with y = 0, where the fold takes b = e V_k/2, and with negative x
+    rows += [(x * x, x, 0, rng.randint(1, 2)) for x in (1, -1, 2, -7, 31)]
+    rows += [(norm_form(field, y, x), x, y, 2) for x, y in ((-3, 2), (-500, 301), (-1, -1), (4, -9))]
+    phasors += [(rng.getrandbits(width + 8) - half, rng.getrandbits(width + 8) - half) for _ in rows[len(phasors) :]]
+    totals = sum_rows(e, rows, phasors, together, width)
+    for block in together:
+        assert totals[block] == _sum_rows_by_powers(e, rows, phasors, block, width), block
+    # m = 0 alone reads V_k and no phasor: one block halving V over the
+    # trailing zero bits of k, several j, and every k stepped in one pass
+    one_block = [((0, k, rng.randint(0, k)),) for k in ks]
+    several_j = [tuple((0, k, j) for j in rng.sample(range(k + 1), min(3, k + 1))) for k in ks]
+    every_k = tuple(block for family in several_j for block in family)
+    for family in (*one_block, *several_j, every_k):
+        totals = sum_rows(e, rows, None, family, width)
         assert set(totals) == set(family)
         for block in family:
             assert totals[block] == _sum_rows_by_powers(e, rows, phasors, block, width), block

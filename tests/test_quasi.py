@@ -298,6 +298,13 @@ def test_coefficients_refuse_before_expanding(form, ms, message, monkeypatch):
         ({"ms": ["1"]}, r"^ms: need one or more ints m >= 0, got \['1'\]$"),
         ({"norm_bound": 100.5}, r"^norm_bound must be an int, got 100\.5$"),
         ({"precision": -5}, r"^precision must be a positive int, got -5$"),
+        # a bool is an int to Python: True ran the formula at 1 bit (1/E6 at
+        # m = 1 came back as 504.000000059605), read as m = 1, and met the
+        # norm-bound floor as 1
+        ({"precision": True}, r"^precision must be a positive int, got True$"),
+        ({"ms": [True]}, r"^ms: need one or more ints m >= 0, got \[True\]$"),
+        ({"ms": [0, False]}, r"^ms: need one or more ints m >= 0, got \[0, False\]$"),
+        ({"norm_bound": True}, r"^norm_bound must be an int, got True$"),
     ],
 )
 def test_coefficients_refuse_argument_types_before_parsing(kwargs, message, monkeypatch):
