@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -72,9 +71,11 @@ MAX_DEPTH = 200
 
 # Run time grows faster than linearly in the precision.  On a 2-core
 # x86-64 VM, in a fresh process at 4096 bits, `verify --form "1/E10"
-# --m 0..3 --tol 1e-8` takes 29.6 s, `constants --depth 200` 19.0 s and
-# `constants --depth 3` 11.0 s; at 1024 bits the first two take 2.5 s
-# and 2.6 s.
+# --m 0..3 --tol 1e-8` takes 4.1-6.5 s, `constants --depth 200` 4.2-5.2 s
+# and `constants --depth 3` 0.10-0.11 s (10.2-11.4 s, 10.3-12.0 s and
+# 6.3-8.1 s while E_4(i) and E_6(rho) came from mpmath's gamma); at 1024
+# bits the first two take 0.38 s and 1.3-1.4 s.  Every ideal's term is still summed at the full
+# precision, so the lattice pass bounds the cap.
 MAX_PRECISION = 4096
 
 # The basis solve's factorials grow with k.  On the same VM, solving
@@ -130,12 +131,19 @@ def _at_most(value: int, limit: int, what: str) -> None:
         raise UsageError(f"{what} must be <= {limit}, got {value}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(payload: dict | str, out_path: str | None) -> None:
+    """Write text as it is, or a payload as indented JSON and a newline,
+    streamed by ``json.dump`` rather than built as one string first."""
+    fh = open(out_path, "w") if out_path else sys.stdout
+    try:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    finally:
+        if out_path:
+            fh.close()
 
 
 def _coefficients(args) -> Iterator[tuple[int, engine.TruncatedSum, Fraction, mpf]]:
@@ -168,7 +176,7 @@ def cmd_oracle(args) -> int:
     _at_most(order, MAX_ORACLE_ORDER, "oracle order")
     coeffs = oracle_coeffs(expr, order)
     rows = [{"m": m, "coefficient": exact_str(coeffs[m])} for m in ms]
-    _emit(json.dumps({"form": str(expr), "coefficients": rows}, indent=2) + "\n", args.out)
+    _emit({"form": str(expr), "coefficients": rows}, args.out)
     return EXIT_OK
 
 
@@ -191,8 +199,10 @@ def cmd_coeffs(args) -> int:
             "precision": args.precision,
             "rows": rows,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(payload, args.out)
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -236,7 +246,7 @@ def cmd_verify(args) -> int:
         "rows": rows,
         "verdict": "pass" if failures == 0 else f"fail ({failures} of {len(rows)})",
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -251,7 +261,7 @@ def cmd_identity(args) -> int:
         "rhs": fmt_real(rhs, args.precision),
         "abs_err": fmt_real(err, 64),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -261,6 +271,8 @@ def cmd_enumerate(args) -> int:
         raise UsageError(f"--bound must be >= 1, got {args.bound}")
     _at_most(args.bound, MAX_NORM_BOUND, "--bound")
     ideals = lattice.enumerate_primitive(field, args.bound)
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["field", "c", "d", "norm", "a", "b"])
@@ -278,7 +290,7 @@ def cmd_expand(args) -> int:
     series = expansion.laurent_at(expr, point, args.precision, depth=args.depth)
     rows = [_complex_row("order", series.lowest_order + i, c, args.precision) for i, c in enumerate(series.coeffs)]
     payload = {"form": args.form, "point": args.point, "coefficients": rows}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -329,7 +341,7 @@ def cmd_basis(args) -> int:
     rep = solver.solve_basis(pps, k, args.precision)
     terms = [(t, fmt_real(t.a.real, args.precision), fmt_real(t.a.imag, args.precision)) for t in rep.terms]
     payload = {"k": rep.k, "terms": [{"point": t.point.tag, "n": t.n, "a_re": re, "a_im": im} for t, re, im in terms]}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -343,7 +355,7 @@ def cmd_constants(args) -> int:
             for w in (2, 4, 6, 10)
         }
     payload = {"precision": args.precision, "depth": args.depth, "points": table}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 

@@ -2,8 +2,19 @@
 
 Values of E_2, E_4, E_6 (and E_10 = E_4 E_6) together with their
 z-derivatives at i, rho = exp(pi i/3), or arbitrary points, computed two
-independent ways: Gamma-quotient closed forms and direct q-series
-evaluation.  Derivative jets come from the closed first-order system
+independent ways: closed forms and direct q-series evaluation.  The
+closed forms of E_4(i) and E_6(rho) come from the AGM,
+
+    E_4(i) = 3 / agm(1, sqrt 2)^4,
+    E_6(rho) = 3 sqrt 3 / (2 agm(1, cos(pi/12))^6),
+
+which are the Gamma quotients 3 Gamma(1/4)^8 / (2 pi)^6 and
+27 Gamma(1/3)^18 / (512 pi^12) rewritten by
+Gamma(1/4)^2 = (2 pi)^(3/2) / agm(1, sqrt 2) and
+Gamma(1/3)^3 = 2^(7/3) pi^2 / (2 3^(1/4) agm(1, cos(pi/12))).  An AGM
+takes O(log P) square roots, where mpmath's gamma first builds Taylor
+coefficients at each new precision (5.7 s at 4096 bits).  Derivative
+jets come from the closed first-order system
 
     dE_2/dz = (pi i/6)(E_2^2 - E_4)
     dE_4/dz = (2 pi i/3)(E_2 E_4 - E_6)
@@ -23,7 +34,7 @@ derivatives straight from the q-series (``eisenstein_derivatives``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 from math import ceil, factorial, log2
 from typing import Optional
 
@@ -101,7 +112,9 @@ def closed_value(weight: int, point: EllipticPoint, precision: int = DEFAULT_PRE
     """Closed-form value of E_weight at i or rho, rounded to ``precision`` bits.
 
     E_2(i) = 3/pi, E_2(rho) = 2 sqrt(3)/pi, 0 where the point ``vanishes``
-    (E_6(i), E_4(rho)), and Gamma-quotient expressions for E_4(i), E_6(rho).
+    (E_6(i), E_4(rho)), E_4(i) = 3 / agm(1, sqrt 2)^4 and
+    E_6(rho) = 3 sqrt 3 / (2 agm(1, cos(pi/12))^6), the Gamma quotients of
+    the module docstring.
     """
     if point.tag not in ("i", "rho") or weight not in (2, 4, 6):
         raise ValueError(f"no closed form for weight {weight} at {point}")
@@ -112,9 +125,9 @@ def closed_value(weight: int, point: EllipticPoint, precision: int = DEFAULT_PRE
         elif point.vanishes(weight):
             value = mpf(0)
         elif point.tag == "i":
-            value = 12 / (8 * pi) ** 2 * (mpmath.gamma(Fraction(1, 4)) / mpmath.gamma(Fraction(3, 4))) ** 4
+            value = 3 / mpmath.agm(1, mpmath.sqrt(2)) ** 4
         else:
-            value = 24 * mpmath.sqrt(3) / (6 * pi) ** 3 * (mpmath.gamma(Fraction(1, 3)) / mpmath.gamma(Fraction(2, 3))) ** 9
+            value = 3 * mpmath.sqrt(3) / (2 * mpmath.agm(1, mpmath.cos(pi / 12)) ** 6)
     return _round_to(value, precision)
 
 
@@ -139,33 +152,40 @@ def series_bits(weight: int, depth: int, v0, precision: int) -> int:
 def eisenstein_derivatives(weight: int, tau, depth: int, bits: int) -> list:
     """d^r/dz^r E_w(tau) = [r = 0] + c_w sum sigma_(w-1)(n) (2 pi i n)^r q^n,
     c_w = -2w/B_w, for r = 0..depth and any even weight w >= 2, summed at
-    ``bits`` bits (``series_bits``; ``tau`` should carry them).  The r-th
-    terms peak at n = (w-1+r)/(2 pi Im tau), so only terms past the last
-    peak end the sum: three in a row below 2^-bits of max(1, |sum|).
+    ``bits`` bits (``series_bits``; ``tau`` should carry them).  Each sum
+    steps by the real 2 pi n and takes its i^r once at the end; q is real
+    where 2 Re tau is an integer, as at i and rho.  The r-th terms peak at
+    n = (w-1+r)/(2 pi Im tau), so only terms past the last peak end the
+    sum: three in a row below 2^-bits of max(1, |sum|).
     """
     c = -2 * weight / bernoulli(weight)
     with workprec(bits):
         tau = mpc(tau)
-        q = mpmath.exp(2j * mp.pi * tau)
+        two_pi = 2 * mp.pi
+        turns = 2 * tau.real
+        if turns == int(turns):
+            q = (-1) ** int(turns) * mpmath.exp(-two_pi * tau.imag)
+        else:
+            q = mpmath.exp(1j * two_pi * tau)
         c_w = mpf(c.numerator) / c.denominator
-        peak = (weight + depth) / (2 * mp.pi * tau.imag)
+        peak = (weight + depth) / (two_pi * tau.imag)
         cutoff = mpf(2) ** -bits
-        totals = [mpc(1)] + [mpc(0)] * depth
-        qn = mpc(1)
+        totals = [mpf(1)] + [mpf(0)] * depth
+        qn = mpf(1)
         small_streak = 0
         n = 0
         while small_streak < 3:
             n += 1
             qn *= q
             term = c_w * sigma(n, weight - 1) * qn
-            step = mpc(0, 2 * mp.pi * n)
+            step = two_pi * n
             small = n > peak
             for r in range(depth + 1):
                 totals[r] += term
                 small = small and abs(term) < cutoff * max(1, abs(totals[r]))
                 term *= step
             small_streak = small_streak + 1 if small else 0
-    return totals
+        return [mpc(total * (1, 1j, -1, -1j)[r % 4]) for r, total in enumerate(totals)]
 
 
 def qseries_eval(weight: int, tau, precision: int = DEFAULT_PRECISION) -> mpc:
@@ -209,22 +229,33 @@ def _base_values(point: EllipticPoint, precision: int) -> dict:
         return {w: qseries_eval(w, tau, wide) for w in (2, 4, 6)}
 
 
+@lru_cache(maxsize=32)
+def _jet_series(point: EllipticPoint, precision: int) -> tuple:
+    """The Taylor series of E_2, E_4, E_6 and E_10 at the point, lists that
+    ``derivative_jet`` extends to the deepest order asked for so far."""
+    base = _base_values(point, precision)
+    return [base[2]], [base[4]], [base[6]], []
+
+
 def derivative_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PRECISION) -> DerivativeJet:
     """Jet of z-derivatives of E_2, E_4, E_6 at the point, and of
-    E_10 = E_4 E_6 as the Cauchy product of the E_4 and E_6 series."""
+    E_10 = E_4 E_6 as the Cauchy product of the E_4 and E_6 series.  One
+    jet is kept per point and precision and deepened on demand: the
+    recurrence runs order by order, so a shallower jet is the prefix of a
+    deeper one, bit for bit."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    base = _base_values(point, precision)
+    a, b, c, e10 = _jet_series(point, precision)
     with workprec(precision + GUARD_BITS):
         pi_i = mpc(0, mp.pi)
-        a, b, c = [base[2]], [base[4]], [base[6]]
-        for r in range(depth):
+        for r in range(len(a) - 1, depth):
             # order r + 1 of each series from orders <= r of all three
             a.append(pi_i / 6 * (cauchy(a, a, r) - b[r]) / (r + 1))
             b.append(2 * pi_i / 3 * (cauchy(a, b, r) - c[r]) / (r + 1))
             c.append(pi_i * (cauchy(a, c, r) - cauchy(b, b, r)) / (r + 1))
-        e10 = [cauchy(b, c, r) for r in range(depth + 1)]
-    return DerivativeJet(precision, {2: a, 4: b, 6: c, 10: e10})
+        e10 += [cauchy(b, c, r) for r in range(len(e10), depth + 1)]
+    n = depth + 1
+    return DerivativeJet(precision, {2: a[:n], 4: b[:n], 6: c[:n], 10: e10[:n]})
 
 
 def e10_jet(point: EllipticPoint, depth: int, precision: int = DEFAULT_PRECISION) -> DerivativeJet:

@@ -189,12 +189,18 @@ def _scan_columns(e: int, norm_bound: int) -> Iterator[list[Row]]:
     c = 1
     while c * c + e * c * (c + 1) + (c + 1) ** 2 <= norm_bound:  # N(c, c + 1)
         top = (isqrt(4 * norm_bound - (4 - e * e) * c * c) - e * c) // 2  # (2d + e c)^2 <= 4B - (4 - e^2) c^2
-        # coprime[d] stays 1 while no prime of c divides d; a divisor p of c
-        # that no smaller prime has struck is itself a prime of c
+        # coprime[d] stays 1 while no prime of c divides d; trial division
+        # finds the primes p <= sqrt(c), and what it leaves above 1 is prime
         cc, ec, coprime = c * c, e * c, bytearray(b"\1") * (top + 1)
-        for p in range(2, c + 1):
-            if c % p == 0 and coprime[p]:
+        rest, p = c, 2
+        while rest > 1:
+            if p * p > rest:
+                p = rest
+            if rest % p == 0:
                 coprime[::p] = bytes(top // p + 1)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
         yield [(cc + d * (d + ec), d, c, 2) for d in compress(range(c + 1, top + 1), coprime[c + 1 :])]
         c += 1
 

@@ -26,6 +26,7 @@ cross-checked, and ``QuasiExpansion.coefficient`` picks one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 
@@ -93,19 +94,47 @@ def simple_pole_quasi_coeff(
 
 @dataclass(frozen=True)
 class QuasiExpansion:
-    """Coefficient machine for E_2^n f with all pole data precomputed.
+    """Coefficient machine for E_2^n f from its pole data.
 
-    ``f_rep`` is the raised-basis representation of f itself;
-    ``aux_reps[j]`` is the representation of the weight 2-2(k-j)
-    auxiliary form F_j, solved from principal parts computed by local
-    series arithmetic at each pole.
+    ``laurents`` maps each pole to the Laurent series of f there, to order
+    n + 6; ``f_rep`` is the raised-basis representation of f itself, solved
+    from their principal parts.  ``aux_reps`` is built from them the first
+    time it is read, which only the auxiliary-form recursion does.
     """
 
     k: int
     n: int
     f_rep: BasisRepresentation
-    aux_reps: dict
+    laurents: dict
     precision: int
+
+    @cached_property
+    def aux_reps(self) -> dict:
+        """``aux_reps[j]`` is the representation of the weight 2-2(k-j)
+        auxiliary form F_j, j = 1..n, solved from principal parts computed
+        by local series arithmetic at each pole.  Each pole keeps
+        E_2^(j-1) f and the (j-1-d)-th derivatives of E_2^d f for d < j;
+        step j multiplies the first by E_2 and differentiates each of the
+        others once more: n products and n(n+1)/2 derivatives per pole."""
+        k, n = self.k, self.n
+        pps = {j: [] for j in range(1, n + 1)}
+        with workprec(self.precision + GUARD_BITS):
+            pi_third = mp.pi / 3
+            two_i = mpc(0, 2)
+            for point, lf in self.laurents.items():
+                e2 = taylor_at(Generator("E2"), point, -lf.lowest_order + n + 6, self.precision)
+                power, derivs = lf, [lf]
+                for j in range(1, n + 1):
+                    power = _mul(e2, power)
+                    derivs = [_dz(s) for s in derivs] + [power]
+                    combo = None
+                    for l in range(j + 1):
+                        coeff = f_combination_coeff(k, j, l)
+                        factor = mpf(coeff.numerator) / coeff.denominator * pi_third ** (j - l) * two_i**l
+                        piece = _scale(derivs[j - l], factor)
+                        combo = piece if combo is None else _add(combo, piece)
+                    pps[j].append(principal_part_from_laurent(combo))
+        return {j: solve_basis(parts, k - j, self.precision) for j, parts in pps.items()}
 
     def coefficients(self, ms, norm_bound: int) -> list[TruncatedSum]:
         """The m-th coefficients of E_2^n f for m in ``ms``, in that order:
@@ -178,34 +207,14 @@ def quasi_expansion(
     precision: int = DEFAULT_PRECISION,
 ) -> QuasiExpansion:
     """Build the quasi-coefficient machine for E_2^n times the expression,
-    an E_2-free and D-free form with a pole at i or rho.  Each pole keeps
-    E_2^(j-1) f and the (j-1-d)-th derivatives of E_2^d f for d < j; step
-    j multiplies the first by E_2 and differentiates each of the others
-    once more: n products and n(n+1)/2 derivatives per pole in all."""
+    an E_2-free and D-free form with a pole at i or rho: the Laurent
+    series of f at each pole and f's own basis solve.  The auxiliary forms
+    wait for their first reader (``QuasiExpansion.aux_reps``)."""
     expr = parse_form(expr) if isinstance(expr, str) else expr
     k, poles = _poles(expr, n)
     laurents = {point: laurent_at(expr, point, precision, depth=n + 6) for point in poles}
-
     f_rep = solve_basis([principal_part_from_laurent(s) for s in laurents.values()], k, precision)
-    aux_pps = {j: [] for j in range(1, n + 1)}
-    with workprec(precision + GUARD_BITS):
-        pi_third = mp.pi / 3
-        two_i = mpc(0, 2)
-        for point, lf in laurents.items():
-            e2 = taylor_at(Generator("E2"), point, -lf.lowest_order + n + 6, precision)
-            power, derivs = lf, [lf]
-            for j in range(1, n + 1):
-                power = _mul(e2, power)
-                derivs = [_dz(s) for s in derivs] + [power]
-                combo = None
-                for l in range(j + 1):
-                    coeff = f_combination_coeff(k, j, l)
-                    factor = mpf(coeff.numerator) / coeff.denominator * pi_third ** (j - l) * two_i**l
-                    piece = _scale(derivs[j - l], factor)
-                    combo = piece if combo is None else _add(combo, piece)
-                aux_pps[j].append(principal_part_from_laurent(combo))
-    aux_reps = {j: solve_basis(pps, k - j, precision) for j, pps in aux_pps.items()}
-    return QuasiExpansion(k, n, f_rep, aux_reps, precision)
+    return QuasiExpansion(k, n, f_rep, laurents, precision)
 
 
 def _is_int(value) -> bool:

@@ -43,6 +43,23 @@ def test_oracle_subcommand(capsys):
     assert [row["coefficient"] for row in payload["coefficients"]] == ["1", "2016"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("oracle", "--form", "1/E6^4", "--m", "0..40"), ("enumerate", "--field", "gaussian", "--bound", "30")],
+    ids=["json", "csv"],
+)
+def test_out_file_holds_the_printed_bytes(capsys, tmp_path, argv):
+    # a JSON payload is streamed by json.dump and a CSV table written whole;
+    # either reaches a file as it reaches stdout, JSON as
+    # json.dumps(indent=2) + "\n"
+    code, out, _ = run(capsys, *argv)
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert code == 0 and path.read_bytes().decode() == out
+    if argv[0] == "oracle":
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_enumerate_subcommand(capsys):
     code, out, _ = run(capsys, "enumerate", "--field", "gaussian", "--bound", "5")
     assert code == 0

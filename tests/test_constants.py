@@ -1,4 +1,5 @@
-from math import factorial
+from fractions import Fraction
+from math import ceil, factorial, log
 
 import mpmath
 import pytest
@@ -14,8 +15,8 @@ from meroforms import (
     qseries_eval,
 )
 
-from meroforms.constants import eisenstein_derivatives, series_bits
-from meroforms.qseries import eisenstein_qseries
+from meroforms.constants import GUARD_BITS, _jet_series, eisenstein_derivatives, series_bits
+from meroforms.qseries import bernoulli, eisenstein_qseries, sigma
 
 from conftest import rel_err
 
@@ -182,3 +183,115 @@ def test_jet_keeps_guard_bits(precision):
                     v = want.value(w, r)
                     scale = max(abs(v), mpf(factorial(r)) / 1000)
                     assert abs(got.value(w, r) - v) <= mpf(2) ** -(precision + 16) * scale, (point.tag, w, r)
+
+
+def _gamma_series(s: Fraction, bits: int) -> mpf:
+    """Gamma(s), 0 < s < 1, from the incomplete gamma function: Gamma(s) =
+    X^s e^-X sum_k X^k / (s)_(k+1) + Gamma(s, X), every term positive and
+    the tail Gamma(s, X) < X^(s-1) e^-X below 2^-(bits+8) for the X below.
+    The sum peaks near e^X, so it is summed in fixed point with 2X more
+    bits.  mpmath's own gamma first builds Taylor coefficients at each new
+    precision, about 40 s at 16384 bits, so the references above 256 bits
+    come from this series."""
+    X = ceil((bits + 8) * log(2)) + 1
+    a, b = s.numerator, s.denominator
+    W = bits + 2 * X + 64
+    one = 1 << W
+    term, total, k = one * b // a, 0, 0
+    while term:  # term k is X^k / (s)_(k+1) in units of 2^-W
+        total += term
+        k += 1
+        term = term * X * b // (a + k * b)
+    with workprec(bits):
+        return mpf(total) / one * mpf(X) ** (mpf(a) / b) * mpmath.exp(-X)
+
+
+def _gamma_quotient(weight: int, bits: int) -> mpf:
+    """E_4(i) or E_6(rho) as the Gamma quotient it was once computed by."""
+    low, high = (Fraction(1, 4), Fraction(3, 4)) if weight == 4 else (Fraction(1, 3), Fraction(2, 3))
+    with workprec(bits):
+        ratio = _gamma_series(low, bits) / _gamma_series(high, bits)
+        if weight == 4:
+            return 12 / (8 * mp.pi) ** 2 * ratio**4
+        return 24 * mpmath.sqrt(3) / (6 * mp.pi) ** 3 * ratio**9
+
+
+def test_gamma_series_matches_mpmath_gamma():
+    # the reference's Gamma values against mpmath's where its gamma is cheap
+    for bits in (64, 256):
+        with workprec(bits + 32):
+            for s in map(Fraction, ("1/4", "3/4", "1/3", "2/3")):
+                want = mpmath.gamma(mpf(s.numerator) / s.denominator)
+                assert abs(_gamma_series(s, bits + 32) - want) <= mpf(2) ** -(bits + 16) * want, (bits, s)
+
+
+@pytest.mark.parametrize("precision", (64, 256, 4096, 16384))
+def test_closed_value_agm_matches_gamma_quotient(precision):
+    for weight, point in ((4, POINT_I), (6, POINT_RHO)):
+        want = _gamma_quotient(weight, precision + 32)
+        with workprec(precision + 32):
+            assert abs(closed_value(weight, point, precision) - want) <= mpf(2) ** -precision * want, weight
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO, generic_point(mpc("0.3", "1.1"))], ids=str)
+def test_derivative_jet_reuse_is_bit_for_bit(point):
+    # a later request at the same point and precision reads or deepens the
+    # kept jet; a fresh computation of either depth gives the same numbers
+    def fresh(depth):
+        _jet_series.cache_clear()
+        return derivative_jet(point, depth, 128).table
+
+    deep = fresh(12)
+    shallow = derivative_jet(point, 5, 128).table  # read from the kept jet
+    assert _jet_series.cache_info().hits == 1
+    assert shallow == fresh(5) == {w: series[:6] for w, series in deep.items()}
+    assert derivative_jet(point, 12, 128).table == deep  # deepened from order 5
+    assert _jet_series.cache_info().hits == 1
+
+
+def _complex_step_derivatives(weight, tau, depth, bits):
+    """``eisenstein_derivatives`` as it was: every step by the complex
+    2 pi i n, on the complex q = exp(2 pi i tau) at every point."""
+    c = -2 * weight / bernoulli(weight)
+    with workprec(bits):
+        tau = mpc(tau)
+        q = mpmath.exp(2j * mp.pi * tau)
+        c_w = mpf(c.numerator) / c.denominator
+        peak = (weight + depth) / (2 * mp.pi * tau.imag)
+        cutoff = mpf(2) ** -bits
+        totals = [mpc(1)] + [mpc(0)] * depth
+        qn = mpc(1)
+        small_streak = 0
+        n = 0
+        while small_streak < 3:
+            n += 1
+            qn *= q
+            term = c_w * sigma(n, weight - 1) * qn
+            step = mpc(0, 2 * mp.pi * n)
+            small = n > peak
+            for r in range(depth + 1):
+                totals[r] += term
+                small = small and abs(term) < cutoff * max(1, abs(totals[r]))
+                term *= step
+            small_streak = small_streak + 1 if small else 0
+    return totals
+
+
+@pytest.mark.parametrize("point", [POINT_I, POINT_RHO, generic_point(mpc("0.3", "1.1"))], ids=str)
+def test_real_step_tables_match_complex_step_reference(point):
+    # both sums round N terms at ``series_bits``, whose margin above
+    # P + GUARD_BITS covers that rounding; at rho the two differ by up to
+    # about 2^25 of 2^-bits (q there was complex with a rounded imaginary
+    # part), so they are held to the guard bits, not to 2^-bits
+    precision, depth = 256, 12
+    for weight in (2, 4, 6, 10, 12):
+        bits = series_bits(weight, depth, point.v0(precision), precision)
+        tau = point.tau(bits)
+        got = eisenstein_derivatives(weight, tau, depth, bits)
+        want = _complex_step_derivatives(weight, tau, depth, bits)
+        with workprec(bits + 64):
+            for r in range(depth + 1):
+                scale = max(1, abs(want[r]))
+                assert abs(got[r] - want[r]) <= mpf(2) ** -(precision + GUARD_BITS) * scale, (weight, r)
+                if point.tag != "generic":  # a real sum times i^r
+                    assert (got[r] * (1, -1j, -1, 1j)[r % 4]).imag == 0, (weight, r)

@@ -10,6 +10,10 @@ ORACLE = ("oracle", "--form", "E2^4 * (1/E6^4)", "--m", "0..80", "--order", "80"
 # runs the command line of its arguments with mpmath unimportable
 WITHOUT_MPMATH = "import sys; sys.modules['mpmath'] = None; from meroforms.cli import main; sys.exit(main())"
 
+# the same with the csv module unimportable
+WITHOUT_CSV = WITHOUT_MPMATH.replace("'mpmath'", "'csv'")
+VERIFY = ("verify", "--form", "1/E10", "--m", "0..1", "--tol", "1e-8", "--norm-bound", "100")
+
 # the names the package re-exports, by the layer that defines them
 REEXPORTS = {
     "constants": (
@@ -72,6 +76,18 @@ def test_a_float_command_needs_mpmath():
     blocked = fresh_python("-c", WITHOUT_MPMATH, "constants", "--depth", "0")
     assert blocked.returncode != 0 and blocked.stdout == b""
     assert b"mpmath" in blocked.stderr
+
+
+def test_only_csv_output_loads_csv():
+    # JSON commands never import csv; `--output csv` does, so blocking it
+    # stops that command alone
+    for command in (ORACLE, VERIFY):
+        plain = fresh_python("-m", "meroforms", *command)
+        blocked = fresh_python("-c", WITHOUT_CSV, *command)
+        assert plain.returncode == 0 and plain.stdout.startswith(b"{")
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (0, plain.stdout, b"")
+    blocked = fresh_python("-c", WITHOUT_CSV, "coeffs", *VERIFY[1:5], "--norm-bound", "100", "--output", "csv")
+    assert blocked.returncode != 0 and b"csv" in blocked.stderr
 
 
 def test_reexports_resolve_to_their_layers():

@@ -95,7 +95,7 @@ def test_quasi_expansion_multiplies_each_e2_power_once(prec, monkeypatch):
             return inner(a, *rest)
 
         monkeypatch.setattr(quasi, name, counting)
-    quasi.quasi_expansion("1/E10^3", 6, prec)
+    quasi.quasi_expansion("1/E10^3", 6, prec).aux_reps  # the first read builds F_1..F_6
     for point in (POINT_I, POINT_RHO):
         assert calls["_mul"].count(point) == 6
         assert calls["_dz"].count(point) == 21
@@ -127,7 +127,7 @@ def _aux_reps_from_scratch(form, n, precision):
 
 
 @pytest.mark.parametrize("precision", [128, 256])
-@pytest.mark.parametrize("form, n", [("1/E10^3", 6), ("1/E6^4", 3)])
+@pytest.mark.parametrize("form, n", [("1/E10^3", 6), ("1/E6^4", 3), ("1/E10", 4)])
 def test_aux_reps_match_construction_from_scratch(form, n, precision):
     # the running product changes only E_2^d f for d >= 2, in trailing bits
     got = quasi_expansion(form, n, precision).aux_reps
@@ -316,3 +316,36 @@ def test_coefficients_refuse_argument_types_before_parsing(kwargs, message, monk
     call = {"ms": [0], "norm_bound": 120, **kwargs}
     with pytest.raises(ValueError, match=message):
         coefficients("1/E6", **call)
+
+
+def test_simple_route_solves_f_alone(prec, monkeypatch):
+    # supp's form E_2^4 / E_10 takes the simple-pole route, which reads f's
+    # own representation only: one basis solve, no E_2 expansion, no F_j
+    calls = {"solve_basis": 0, "taylor_at": 0}
+    for name in calls:
+        inner = getattr(quasi, name)
+
+        def counting(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(quasi, name, counting)
+    qe = quasi.quasi_expansion("1/E10", 4, prec)
+    qe.coefficients((0, 1), 400)
+    assert calls == {"solve_basis": 1, "taylor_at": 0}
+    assert "aux_reps" not in vars(qe)
+
+
+def test_aux_reps_are_built_on_first_read(prec):
+    # the machine that took the simple route builds F_1..F_4 when the
+    # recursion first asks, the same numbers as a machine that reads them
+    # at once (which the construction from scratch checks above)
+    qe = quasi_expansion("1/E10", 4, prec)
+    qe.coefficients((0, 1), 400)
+    assert "aux_reps" not in vars(qe)
+    got = qe.coefficient_of_power(2, 1, 400)
+    assert "aux_reps" in vars(qe)
+    at_once = quasi_expansion("1/E10", 4, prec)
+    assert at_once.aux_reps == qe.aux_reps
+    want = at_once.coefficient_of_power(2, 1, 400)
+    assert (got.value, got.tail_bound) == (want.value, want.tail_bound)
