@@ -44,10 +44,9 @@ EXIT_VERIFY = 3
 # memory.  On a 2-core x86-64 VM, in fresh processes at 10^6, ``enumerate``
 # takes 1.9-2.2 s and 168 MB peak (Gaussian, 477k ideals) or 1.35-1.6 s and
 # 133 MB (Eisenstein, 368k); ``verify --form "1/E10" --m 0 --tol 1e-8``
-# takes 0.76-0.78 s and 22 MB, its m = 0 pass streaming the sector scan
-# (1.7-2.6 s and 56 MB when it sorted a table of the scan's rows, 5.6-6.3 s
-# and 284 MB when it read the whole ideal table).  Time grows linearly in
-# the bound, and so does memory where a table is built.
+# takes 0.76-0.78 s and 22 MB, its m = 0 pass streaming the sector scan.
+# Time grows linearly in the bound, and so does memory where a table is
+# built.
 MAX_NORM_BOUND = 10**6
 
 # The exact oracle's cost is its divisions, one per form and one more per
@@ -72,9 +71,8 @@ MAX_DEPTH = 200
 # Run time grows faster than linearly in the precision.  On a 2-core
 # x86-64 VM, in a fresh process at 4096 bits, `verify --form "1/E10"
 # --m 0..3 --tol 1e-8` takes 4.1-6.5 s, `constants --depth 200` 4.2-5.2 s
-# and `constants --depth 3` 0.10-0.11 s (10.2-11.4 s, 10.3-12.0 s and
-# 6.3-8.1 s while E_4(i) and E_6(rho) came from mpmath's gamma); at 1024
-# bits the first two take 0.38 s and 1.3-1.4 s.  Every ideal's term is still summed at the full
+# and `constants --depth 3` 0.10-0.11 s; at 1024 bits the first two take
+# 0.38 s and 1.3-1.4 s.  Every ideal's term is still summed at the full
 # precision, so the lattice pass bounds the cap.
 MAX_PRECISION = 4096
 

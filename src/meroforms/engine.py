@@ -49,7 +49,7 @@ from .constants import (
     eisenstein_derivatives,
     series_bits,
 )
-from .lattice import b_kernel, check_norm_bound, field_of, ideal_sums
+from .lattice import _FIELD_AT, b_kernel, check_norm_bound, field_of, ideal_sums
 from .solver import BasisRepresentation
 
 
@@ -332,7 +332,7 @@ def block_families(reps, ms) -> dict:
     for rep in reps:
         for t in rep.terms:
             w = 2 * rep.k + 2 * t.n
-            if t.point.tag in ("i", "rho"):
+            if t.point in _FIELD_AT:
                 family = families.setdefault(t.point, set())
                 for m in ms:
                     family.update((m, w, j) for j in (range(t.n + 1) if m else (t.n,)))
@@ -343,7 +343,7 @@ def _raised_blocks(k: int, n: int, point: EllipticPoint, m: int, norm_bound: int
     """(weight, block) pairs whose combination is the m-th coefficient of R^n[H_{2k}]."""
     for rt in raising_expansion(k, n).terms:
         w, j, r = 2 * k + 2 * n, rt.j, rt.derivative_order
-        if point.tag in ("i", "rho"):
+        if point in _FIELD_AT:
             block = elliptic_block_coeff(w, j, r, point, m, norm_bound, precision, blocks=blocks)
             yield point.omega * rt.coefficient, block
         else:

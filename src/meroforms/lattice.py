@@ -22,17 +22,18 @@ and ``enumerate_primitive`` derives each mirror.  For even k,
 (-conj g)^k = conj(g^k) and the mirror's phase numerator is -P mod 2N, so
 a representative and its mirror have the same term Re[g^k Z^m] at every m.
 Every pass sums the rows of ``pair_weight`` w > 0 alone, w = 2 or 1 times:
-at m = 0 the scan's rows (``scan_rows``), with no mirror, completion or
-phase numerator, and at m >= 1 those of ``phasor_row``, one phasor each.
+at m = 0 the scan's rows (N, x, y, w) (``scan_rows``), with no mirror,
+completion or phase numerator, and at m >= 1 the rows (N, x, y, w, Z) of
+``phasor_row``, each carrying its phasor Z.
 
 Bulk construction.  ``scan_rows`` yields the scan's rows one column c at
 a time, so an m = 0 pass holds one column and never a table.  A column's
 d coprime to c come from a sieve, not a gcd per d: the multiples of each
 prime of c are struck from a bytearray mask, which ``itertools.compress``
-applies to the column's range of d.  The tables,
-``pair_rows`` (the same rows, sorted), ``enumerate_primitive`` and
-``ideal_sum_data``, build one tuple per ideal, none of which can be part of
-a reference cycle, so they run with the cyclic garbage collector paused
+applies to the column's range of d.  The tables ``enumerate_primitive``,
+which sorts the scan's rows and their mirrors once, and ``ideal_sum_data``
+build one tuple per ideal, none of which can be part of a reference cycle,
+so they run with the cyclic garbage collector paused
 (``_collector_paused``); at norm bound 2e5 it would otherwise run hundreds
 of collections over the growing tables.
 
@@ -56,19 +57,19 @@ so with P the phase numerator above
     C_s(b, m) = Re[g^s e^(i pi m P/N)] / N^(s/2).
 
 No angle is ever formed.  Ideal sums take Z_b = e^(i pi P/N) e^(2 pi v0/N)
-(v0 = Im mu) from ``phasor_row``, fixed-point ints from the table kernel
-``fixed_phasor``, so that a term of weight k, index m and norm power
-N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).  One pass over the rows, in any
-order, ``sum_rows``, fills a whole family of (m, k, j) blocks: 2 Re g^k
-exactly as the Lucas sequence V of the trace and norm of g, all that an
-m = 0 term reads and, with V_(k+1), all that an m >= 1 term folds in,
+(v0 = Im mu) from the rows of ``phasor_row``, fixed-point ints from the
+table kernel ``fixed_phasor``, so that a term of weight k, index m and
+norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).  One pass over the rows,
+in any order, ``sum_rows``, fills a whole family of (m, k, j) blocks:
+2 Re g^k exactly as the Lucas sequence V of the trace and norm of g, all
+that an m = 0 term reads and, with V_(k+1), all that an m >= 1 term folds in,
 Z_b^m stepped in fixed point, every term floored to a fixed number of
 fractional bits and added w times as Python ints, so that no order of the
 rows changes a total.  ``ideal_sums`` makes that pass over the ideals of
 norm <= B, a mirror's term taken as its representative's, at
 ``sum_width`` bits and rounds each total once: with some m >= 1 over the
 cached ``phasor_row``, at m = 0 alone over ``scan_rows`` while the scan
-runs.  ``c_kernel`` makes it over one ideal (w = 1), with the phasor
+runs.  ``c_kernel`` makes it over one row (N, d, c, 1, Z), with the phasor
 e^(i pi m P/N) of ``fixed_phasor`` as Z and (1, s, s/2) as its one block.
 """
 
@@ -89,7 +90,7 @@ from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, pi_fixed, round_nearest, 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, POINT_RHO, EllipticPoint
 
 Pair = tuple[int, int]  # x + y mu, or an (x, y) fixed-point phasor
-Row = tuple[int, int, int, int]  # (N, x, y, w) of a pass, or (N, x, y, P) of ideal_sum_data
+Row = tuple[int, int, int, int]  # (N, x, y, w) of the sector scan
 
 
 class Field(enum.Enum):
@@ -104,12 +105,15 @@ class Field(enum.Enum):
         return member
 
 
+# the points with ideal sums, i and rho, and their orders
+_FIELD_AT = {field.point: field for field in Field}
+
+
 def field_of(point: EllipticPoint) -> Field:
     """The order at the point; ideal sums exist only at i and rho."""
-    for field in Field:
-        if field.point == point:
-            return field
-    raise ValueError(f"ideal sums need an elliptic point, got {point}")
+    if point not in _FIELD_AT:
+        raise ValueError(f"ideal sums need an elliptic point, got {point}")
+    return _FIELD_AT[point]
 
 
 def norm_form(field: Field, c: int, d: int) -> int:
@@ -205,20 +209,12 @@ def _scan_columns(e: int, norm_bound: int) -> Iterator[list[Row]]:
         c += 1
 
 
-@_collector_paused()
-def pair_rows(field: Field, norm_bound: int) -> list[Row]:
-    """The rows of ``scan_rows`` as one sorted list: the ``ideal_sum_data``
-    rows of ``pair_weight`` w > 0, from which ``enumerate_primitive``
-    derives every ideal."""
-    return sorted(scan_rows(field, norm_bound))
-
-
 @lru_cache(maxsize=32)
 @_collector_paused()
 def enumerate_primitive(field: Field, norm_bound: int) -> tuple[PrimitiveIdeal, ...]:
     """All primitive ideals of norm <= norm_bound, sorted by (norm, c, d)."""
     e = field.e
-    rows = [(norm, c, d) for norm, d, c, _ in pair_rows(field, norm_bound)]
+    rows = [(norm, c, d) for norm, d, c, _ in scan_rows(field, norm_bound)]
     rows += [(norm, c, -d - e * c) for norm, c, d in rows if d > c > 0]  # the mirrors
     rows.sort()
     # no call per ideal: tuple.__new__ skips the NamedTuple's __new__, and
@@ -321,17 +317,17 @@ def c_kernel(
     """Cosine kernel C_weight(ideal, m) = Re[g^weight e^(i pi m P/N)] / N^(weight/2)
     with g = d + c mu, rounded to precision + GUARD_BITS; exact 0 off the
     divisibility class.  It is the one-ideal case of ``sum_rows``, the pass
-    of ``ideal_sums``, and refuses a weight <= 0, which the pass's Lucas
+    of ``ideal_sums``, over one row that carries the phasor e^(i pi m P/N)
+    at index 1, and refuses a weight <= 0, which the pass's Lucas
     ladder cannot reach."""
     if weight <= 0:
         raise ValueError(f"kernel weight must be positive, got {weight}")
     if field.point.vanishes(weight):
         return mpf(0)
     width = precision + GUARD_BITS
-    row = (ideal.norm, ideal.d, ideal.c, 1)
     block = (1, weight, weight // 2)
     phasor = fixed_phasor(field, m * phase_numerator(field, ideal), ideal.norm, width)
-    total = sum_rows(field.e, (row,), (phasor,), (block,), width)[block]
+    total = sum_rows(field.e, ((ideal.norm, ideal.d, ideal.c, 1, phasor),), (block,), width)[block]
     return mp.make_mpf(from_man_exp(total, -width, width, round_nearest))
 
 
@@ -387,7 +383,7 @@ def sum_width(norm_bound: int, precision: int) -> int:
 
 @lru_cache(maxsize=16)
 @_collector_paused()
-def ideal_sum_data(field: Field, norm_bound: int) -> tuple[Row, ...]:
+def ideal_sum_data(field: Field, norm_bound: int) -> tuple:
     """(N, x, y, P) of every primitive ideal of norm <= norm_bound: its norm,
     its generator g = x + y mu = d + c mu and its phase numerator
     P = 2(ac + bd) + e(ad + bc) (``phase_numerator``, inlined).  Exact ints,
@@ -400,26 +396,25 @@ def ideal_sum_data(field: Field, norm_bound: int) -> tuple[Row, ...]:
 
 
 @lru_cache(maxsize=16)
-def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple[tuple, tuple]:
-    """The rows of an m >= 1 pass and their phasors, aligned: (N, x, y, w) of
-    each ``ideal_sum_data`` row of the point's field with ``pair_weight``
-    w > 0, none for a mirror, and its Z_b = e^(i pi P/N) e^(2 pi v0/N)
+def phasor_row(point: EllipticPoint, norm_bound: int, precision: int) -> tuple:
+    """The rows (N, x, y, w, Z) of an m >= 1 pass: one for each
+    ``ideal_sum_data`` row of the point's field with ``pair_weight`` w > 0,
+    none for a mirror, carrying its Z_b = e^(i pi P/N) e^(2 pi v0/N)
     (v0 = Im point) in mu-coordinates floored to ``sum_width`` bits: one
     ``fixed_phasor`` per row and one ``exp`` per distinct norm, so
     Re[g^k Z^m] / N^k = cos(pi m P/N + k theta) N^(-k/2) e^(2 pi m v0/N)."""
     field = field_of(point)
     e = field.e
     width = sum_width(norm_bound, precision)
-    rows, phasors, last = [], [], None
+    rows, last = [], None
     with workprec(width + 16):
         two_pi_v0 = 2 * mp.pi * point.v0(width)
         for norm, x, y, phase_num in ideal_sum_data(field, norm_bound):
             if w := pair_weight(e, x, y):
                 if norm != last:  # the rows are sorted by norm
                     growth, last = mpmath.exp(two_pi_v0 / norm), norm
-                rows.append((norm, x, y, w))
-                phasors.append(fixed_phasor(field, phase_num, norm, width, growth))
-    return tuple(rows), tuple(phasors)
+                rows.append((norm, x, y, w, fixed_phasor(field, phase_num, norm, width, growth)))
+    return tuple(rows)
 
 
 def _check_blocks(blocks) -> None:
@@ -430,14 +425,14 @@ def _check_blocks(blocks) -> None:
             raise ValueError(f"ideal-sum block (m, k, j) = {block} needs m >= 0, even k >= 2 and 0 <= j <= k")
 
 
-def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
+def sum_rows(e: int, rows, blocks, width: int) -> dict:
     """(m, k, j) -> sum of w times the floored term Re[g^k Z^m] / N^(k-j)
-    over ``rows`` (N, x, y, w) with generator g = x + y mu, for every
-    (m, k, j) in ``blocks`` (m >= 0, even k >= 2, 0 <= j <= k, refused
-    otherwise), each a fixed-point int with ``width`` fractional bits; Z is
-    the row's entry of ``phasors``, pairs at ``width`` bits, which an
-    m = 0-only family does not read (None).  ``rows`` is any iterable, in
-    any order: every term is an exact integer, so no order changes a total.
+    over ``rows`` with generator g = x + y mu, for every (m, k, j) in
+    ``blocks`` (m >= 0, even k >= 2, 0 <= j <= k, refused otherwise), each
+    a fixed-point int with ``width`` fractional bits.  An m = 0-only family
+    reads rows (N, x, y, w), any other rows (N, x, y, w, Z) with the phasor
+    Z a pair at ``width`` bits.  ``rows`` is any iterable, in any order:
+    every term is an exact integer, so no order changes a total.
 
     Only the Lucas sequence V_n = g^n + conj(g)^n = 2 Re g^n is carried:
     with t = 2x + e y and N the trace and norm of g, V_2n = V_n^2 - 2 N^n,
@@ -520,7 +515,7 @@ def sum_rows(e: int, rows, phasors, blocks, width: int) -> dict:
         totals[0] = total
         return dict(zip(order, totals))
     steps = tuple(range(k - last) for last, k in zip([ks[0], *ks], ks))  # unit steps to each k
-    for (norm, x, y, w), z in zip(rows, phasors):
+    for norm, x, y, w, z in rows:
         if norm != row_norm:
             row_norm, powers = norm, tuple(map(pow, repeat(norm), positions))
         t = 2 * x + e * y
@@ -561,11 +556,12 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
 
     One ``sum_rows`` pass fills every block at ``sum_width`` fractional
     bits over the representative and self-conjugate rows alone, each
-    counted ``pair_weight`` (2 or 1) times at every m: those of
-    ``phasor_row`` if some m >= 1, else those of ``scan_rows``, streamed
-    from the sector scan into the pass with no table, sort or cache.  A
-    mirror's term is its representative's, of the same exact value, so a
-    doubled term carries the pair's rounding budget.  With m < norm_bound
+    counted ``pair_weight`` (2 or 1) times at every m: if some m >= 1, the
+    rows (N, x, y, w, Z) of ``phasor_row``, each with its phasor, else the
+    rows (N, x, y, w) of ``scan_rows``, streamed from the sector scan into
+    the pass with no table, sort or cache.  A mirror's term is its
+    representative's, of the same exact value, so a doubled term carries
+    the pair's rounding budget.  With m < norm_bound
     (``check_norm_bound`` of the largest m, checked here) and Z^m within
     9 m 2^-width (``sum_rows``), the rounding stays below
     2^-(precision+GUARD_BITS) of the sum of |term| over every ideal, which
@@ -588,10 +584,10 @@ def ideal_sums(point: EllipticPoint, norm_bound: int, precision: int, blocks: tu
     if top:
         with workprec(precision + GUARD_BITS):
             check_norm_bound(norm_bound, top, point.v0(precision))
-        rows, phasors = phasor_row(point, norm_bound, precision)
+        rows = phasor_row(point, norm_bound, precision)
     else:
-        rows, phasors = scan_rows(field, norm_bound), None
+        rows = scan_rows(field, norm_bound)
     width = sum_width(norm_bound, precision)
-    totals = sum_rows(field.e, rows, phasors, blocks, width)
+    totals = sum_rows(field.e, rows, blocks, width)
     bits = precision + GUARD_BITS
     return {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in totals.items()}

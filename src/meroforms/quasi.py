@@ -44,7 +44,7 @@ from .expansion import (
     taylor_at,
     valuation,
 )
-from .lattice import check_norm_bound
+from .lattice import _FIELD_AT, check_norm_bound
 from .qseries import MAX_POLE_ORDER, FormExpression, Generator, contains_dee, parse_form, split_e2_power
 from .solver import BasisRepresentation, solve_basis
 
@@ -62,7 +62,7 @@ def simple_route_error(f_rep: BasisRepresentation, j: int) -> str | None:
     for t in f_rep.terms:
         if t.n != 0:
             return "representation must contain only simple poles (n = 0)"
-        if t.point.tag not in ("i", "rho"):
+        if t.point not in _FIELD_AT:
             return "simple-pole route needs poles at i or rho"
     return None
 

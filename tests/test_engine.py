@@ -33,10 +33,10 @@ from meroforms.lattice import (
     field_of,
     fixed_phasor,
     ideal_sum_data,
-    pair_rows,
     phasor_row,
     ring_mul,
     ring_power,
+    scan_rows,
     sum_rows,
     sum_width,
     twice_real,
@@ -162,23 +162,25 @@ def reference_phasors(point, norm_bound, precision):
         )
 
 
-def reference_ideal_sum(point, k, j, m, norm_bound, precision, rows=None, phasors=None):
+def reference_ideal_sum(point, k, j, m, norm_bound, precision, rows=None):
     """The reference definition of one ideal sum: a pass over every ideal,
     mirrors included, for this (m, k, j) alone, with Z^m by binary powering,
     rounded once to precision + GUARD_BITS.  Returns the sum and the sum of
-    |term|.  Every row counts once; ``rows`` with their ``phasors`` replace
-    the ideals'."""
+    |term|.  Every row counts once; ``rows`` (N, x, y, w, Z) replace the
+    ideals' rows and phasors."""
     field = field_of(point)
     e = field.e
     if rows is None:
         rows = ideal_sum_data(field, norm_bound)
+        if m:
+            rows = [(*row, z) for row, z in zip(rows, reference_phasors(point, norm_bound, precision))]
     width = sum_width(norm_bound, precision)
     terms = []
     if m == 0:
-        for norm, x, y, _ in rows:
+        for norm, x, y, *_ in rows:
             terms.append((twice_real(e, ring_power(e, (x, y), k)) << width) // (2 * norm ** (k - j)))
     else:
-        for (norm, x, y, _), z in zip(rows, phasors or reference_phasors(point, norm_bound, precision)):
+        for norm, x, y, _, z in rows:
             w = ring_power(e, z, m, width)
             terms.append(twice_real(e, ring_mul(e, ring_power(e, (x, y), k), w)) // (2 * norm ** (k - j)))
     bits = precision + GUARD_BITS
@@ -266,19 +268,17 @@ def test_ideal_sums_fold_without_conjugate_partners(prec):
     # counted once, it cannot, so these bits pin the fold at rho, where e = 1
     point, bound = POINT_RHO, 300
     e = field_of(point).e
-    representatives = [(row, z) for row, z in zip(*phasor_row(point, bound, prec)) if row[3] == 2]
-    rows = tuple((norm, x, y, 1) for (norm, x, y, _), _ in representatives)
-    phasors = tuple(z for _, z in representatives)
+    rows = tuple((norm, x, y, 1, z) for norm, x, y, w, z in phasor_row(point, bound, prec) if w == 2)
     width = sum_width(bound, prec)
     rng = random.Random(29)
     ks = list(range(6, 61, 6))
     for ms in ((1,), (3,), (2, 5)):
         for _ in range(2):
             family = tuple(sorted((m, k, j) for m in ms for k, j in random_blocks(rng, ks)))
-            totals = sum_rows(e, rows, phasors, family, width)
+            totals = sum_rows(e, rows, family, width)
             for m, k, j in family:
                 got = mp.make_mpf(from_man_exp(totals[m, k, j], -width, prec + GUARD_BITS, round_nearest))
-                want = reference_ideal_sum(point, k, j, m, bound, prec, rows, phasors)[0]
+                want = reference_ideal_sum(point, k, j, m, bound, prec, rows)[0]
                 assert got == want, (m, k, j)
 
 
@@ -297,7 +297,7 @@ def test_m0_ideal_sums_match_every_row_bit_for_bit(prec, point, bound):
         family = tuple(sorted((0, k, j) for k, j in random_blocks(rng, ks)))
         got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
         every_row = [(norm, x, y, 1) for norm, x, y, _ in ideal_sum_data(field, bound)]
-        totals = sum_rows(e, every_row, None, family, width)
+        totals = sum_rows(e, every_row, family, width)
         assert set(got) == set(totals) == set(family)
         for block, total in totals.items():
             assert got[block] == mp.make_mpf(from_man_exp(total, -width, bits, round_nearest)), block
@@ -316,7 +316,7 @@ def test_m0_ideal_sums_build_no_ideal_table(prec):
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
 def test_m0_ideal_sums_stream_the_scan_bit_for_bit(prec, point):
     # an m = 0-only pass sums the sector scan in scan order as it runs: the
-    # very mpf of sum_rows over the sorted table pair_rows
+    # very mpf of sum_rows over the scan's rows, sorted
     field = field_of(point)
     e, bits = field.e, prec + GUARD_BITS
     rng = random.Random(61 if point is POINT_I else 62)
@@ -327,7 +327,7 @@ def test_m0_ideal_sums_stream_the_scan_bit_for_bit(prec, point):
         for _ in range(2):
             family = tuple(sorted((0, k, j) for k, j in random_blocks(rng, ks)))
             got = engine.ideal_sums.__wrapped__(point, bound, prec, family)
-            totals = sum_rows(e, pair_rows(field, bound), None, family, width)
+            totals = sum_rows(e, sorted(scan_rows(field, bound)), family, width)
             want = {block: mp.make_mpf(from_man_exp(t, -width, bits, round_nearest)) for block, t in totals.items()}
             assert got == want, (bound, family)
 
@@ -342,25 +342,26 @@ def test_sum_rows_totals_do_not_depend_on_row_order(prec, point):
     rng = random.Random(71 if point is POINT_I else 72)
     step = 4 if point is POINT_I else 6
     ks = list(range(step, 61, step))
-    rows = pair_rows(field, bound)
+    rows = sorted(scan_rows(field, bound))
     shuffled = rng.sample(rows, len(rows))
     for _ in range(3):
         family = tuple(sorted((0, k, j) for k, j in random_blocks(rng, ks)))
-        assert sum_rows(e, shuffled, None, family, width) == sum_rows(e, rows, None, family, width)
-    rows, phasors = phasor_row(point, bound, prec)
-    pairs = rng.sample(list(zip(rows, phasors)), len(rows))
+        assert sum_rows(e, shuffled, family, width) == sum_rows(e, rows, family, width)
+    rows = phasor_row(point, bound, prec)
+    shuffled = rng.sample(rows, len(rows))
     family = tuple(sorted((m, k, j) for m in (0, 1, 3) for k, j in random_blocks(rng, ks)))
-    want = sum_rows(e, rows, phasors, family, width)
-    assert sum_rows(e, [row for row, _ in pairs], [z for _, z in pairs], family, width) == want
+    assert sum_rows(e, shuffled, family, width) == sum_rows(e, rows, family, width)
 
 
 def test_m0_ideal_sums_read_no_row_table(prec, monkeypatch):
-    # the m = 0 route streams the scan: with the sorted table refused, a
+    # the m = 0 route streams the scan: with every table build refused, a
     # pass still sums every block at both points
-    def refuse(*args):
-        raise AssertionError("pair_rows built the row table")
+    for name in ("enumerate_primitive", "ideal_sum_data", "phasor_row"):
 
-    monkeypatch.setattr(lattice, "pair_rows", refuse)
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} built a row table")
+
+        monkeypatch.setattr(lattice, name, refuse)
     family = ((0, 12, 0), (0, 24, 3))
     for point in (POINT_I, POINT_RHO):
         assert set(engine.ideal_sums.__wrapped__(point, 3000, prec, family)) == set(family)
@@ -368,7 +369,7 @@ def test_m0_ideal_sums_read_no_row_table(prec, monkeypatch):
 
 def test_m0_ideal_sums_hold_a_column_not_the_table(prec):
     # the streamed pass holds one column of the scan at a time: its traced
-    # peak stays below a tenth of building the table pair_rows
+    # peak stays below a tenth of building the sorted table of its rows
     def peak(build):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -378,7 +379,7 @@ def test_m0_ideal_sums_hold_a_column_not_the_table(prec):
     tracemalloc.start()
     try:
         streamed = peak(lambda: engine.ideal_sums.__wrapped__(POINT_I, 50000, prec, ((0, 12, 4),)))
-        table = peak(lambda: pair_rows(Field.GAUSSIAN, 50000))
+        table = peak(lambda: sorted(scan_rows(Field.GAUSSIAN, 50000)))
     finally:
         tracemalloc.stop()
     assert streamed < table / 10, (streamed, table)

@@ -24,12 +24,12 @@ from meroforms.lattice import (
     fixed_phasor,
     ideal_sum_data,
     norm_form,
-    pair_rows,
     pair_weight,
     phase_numerator,
     phasor_row,
     ring_mul,
     ring_power,
+    scan_rows,
     sum_rows,
     sum_width,
     twice_real,
@@ -305,12 +305,13 @@ def _random_generators(rng, e, count, norm_bound):
     return rows
 
 
-def _sum_rows_by_powers(e, rows, phasors, block, width):
-    """One block's total with g^k from ``ring_power`` and 2 Re from
-    ``twice_real``, each term floored as ``sum_rows`` documents."""
+def _sum_rows_by_powers(e, rows, block, width):
+    """One block's total over rows (N, x, y, w, Z) with g^k from
+    ``ring_power`` and 2 Re from ``twice_real``, each term floored as
+    ``sum_rows`` documents."""
     m, k, j = block
     total = 0
-    for (norm, x, y, w), z in zip(rows, phasors):
+    for norm, x, y, w, z in rows:
         power = ring_power(e, (x, y), k)
         if m:
             power = ring_mul(e, power, ring_power(e, z, m, width))
@@ -328,34 +329,36 @@ def test_sum_rows_ladder_matches_ring_powers_bit_for_bit(field):
     e = field.e
     rng = random.Random(41 + e)
     width = sum_width(10**6, 64)
-    rows = _random_generators(rng, e, 12, 10**6)
     half = 1 << (width + 7)
-    phasors = [(rng.getrandbits(width + 8) - half, rng.getrandbits(width + 8) - half) for _ in rows]
+
+    def with_phasors(rows):
+        return [(*row, (rng.getrandbits(width + 8) - half, rng.getrandbits(width + 8) - half)) for row in rows]
+
+    rows = with_phasors(_random_generators(rng, e, 12, 10**6))
     ks = range(2, 65, 2)
     alone = [((0, k, rng.randint(0, k)), (1, k, rng.randint(0, k))) for k in ks]
     together = tuple(block for family in alone for block in family)
     for family in (*alone, together):
-        totals = sum_rows(e, rows, phasors, family, width)
+        totals = sum_rows(e, rows, family, width)
         assert set(totals) == set(family)
         for block in family:
-            assert totals[block] == _sum_rows_by_powers(e, rows, phasors, block, width), block
+            assert totals[block] == _sum_rows_by_powers(e, rows, block, width), block
     # rows with y = 0, where the fold takes b = e V_k/2, and with negative x
-    rows += [(x * x, x, 0, rng.randint(1, 2)) for x in (1, -1, 2, -7, 31)]
-    rows += [(norm_form(field, y, x), x, y, 2) for x, y in ((-3, 2), (-500, 301), (-1, -1), (4, -9))]
-    phasors += [(rng.getrandbits(width + 8) - half, rng.getrandbits(width + 8) - half) for _ in rows[len(phasors) :]]
-    totals = sum_rows(e, rows, phasors, together, width)
+    rows += with_phasors([(x * x, x, 0, rng.randint(1, 2)) for x in (1, -1, 2, -7, 31)])
+    rows += with_phasors([(norm_form(field, y, x), x, y, 2) for x, y in ((-3, 2), (-500, 301), (-1, -1), (4, -9))])
+    totals = sum_rows(e, rows, together, width)
     for block in together:
-        assert totals[block] == _sum_rows_by_powers(e, rows, phasors, block, width), block
+        assert totals[block] == _sum_rows_by_powers(e, rows, block, width), block
     # m = 0 alone reads V_k and no phasor: one block halving V over the
     # trailing zero bits of k, several j, and every k stepped in one pass
     one_block = [((0, k, rng.randint(0, k)),) for k in ks]
     several_j = [tuple((0, k, j) for j in rng.sample(range(k + 1), min(3, k + 1))) for k in ks]
     every_k = tuple(block for family in several_j for block in family)
     for family in (*one_block, *several_j, every_k):
-        totals = sum_rows(e, rows, None, family, width)
+        totals = sum_rows(e, [row[:4] for row in rows], family, width)
         assert set(totals) == set(family)
         for block in family:
-            assert totals[block] == _sum_rows_by_powers(e, rows, phasors, block, width), block
+            assert totals[block] == _sum_rows_by_powers(e, rows, block, width), block
 
 
 @pytest.mark.parametrize(
@@ -371,7 +374,7 @@ def test_sum_rows_refuses_blocks_outside_its_contract(block):
         yield
 
     with pytest.raises(ValueError, match=re.escape(f"block (m, k, j) = {block} needs")):
-        sum_rows(0, unread(), None, ((0, 12, 0), block), 64)
+        sum_rows(0, unread(), ((0, 12, 0), block), 64)
 
 
 def test_negative_exponents_are_refused():
@@ -410,7 +413,7 @@ def test_pair_rows_are_the_rows_of_positive_weight(field, bound):
     # reference orbit scan pins them apart from the sector scan they share
     # with enumerate_primitive
     e = field.e
-    rows = pair_rows(field, bound)
+    rows = sorted(scan_rows(field, bound))
     assert [norm for norm, _, _, _ in rows] == sorted(norm for norm, _, _, _ in rows)
     assert all(w == pair_weight(e, x, y) for _, x, y, w in rows)
     got = sorted((norm, x, y) for norm, x, y, _ in rows)
@@ -454,9 +457,9 @@ def test_table_builds_leave_the_collector_as_found(enabled):
             assert gc.isenabled() is enabled
             ideal_sum_data.__wrapped__(field, 50)
             assert gc.isenabled() is enabled
-            pair_rows(field, 50)
+            sorted(scan_rows(field, 50))
             assert gc.isenabled() is enabled
-            for build in (enumerate_primitive.__wrapped__, pair_rows):
+            for build in (enumerate_primitive.__wrapped__, scan_rows):
                 with pytest.raises(ValueError, match="norm_bound must be >= 1"):
                     build(field, 0)
                 assert gc.isenabled() is enabled
@@ -496,8 +499,11 @@ def test_phasor_row_matches_per_ideal_construction(prec, point):
     kept = [(norm, x, y, pair_weight(e, x, y), p) for norm, x, y, p in rows if pair_weight(e, x, y)]
     with workprec(width + 16):
         two_pi_v0 = 2 * mp.pi * point.v0(width)
-        want = tuple(fixed_phasor(field, p, norm, width, mpmath.exp(two_pi_v0 / norm)) for norm, _, _, _, p in kept)
-    assert phasor_row.__wrapped__(point, 600, prec) == (tuple(row[:4] for row in kept), want)
+        want = tuple(
+            (norm, x, y, w, fixed_phasor(field, p, norm, width, mpmath.exp(two_pi_v0 / norm)))
+            for norm, x, y, w, p in kept
+        )
+    assert phasor_row.__wrapped__(point, 600, prec) == want
 
 
 @pytest.mark.parametrize("bound", [300, 5000])
@@ -516,8 +522,8 @@ def test_phasor_row_evaluates_no_mirror(monkeypatch, point, bound):
     assert len(cis_made) == 192  # the table build: 128 + 64 entries
     lattice._cis_tables(bits)  # built and cached, if no earlier test did
     cis_made.clear()
-    rows, phasors = phasor_row.__wrapped__(point, bound, 64)
-    assert len(phasors_made) == len(rows) == len(phasors) == len(ideal_sum_data(field, bound)) // 2 + 1
+    rows = phasor_row.__wrapped__(point, bound, 64)
+    assert len(phasors_made) == len(rows) == len(ideal_sum_data(field, bound)) // 2 + 1
     assert cis_made == []
 
 

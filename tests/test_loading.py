@@ -4,6 +4,8 @@ process earlier tests have loaded every layer."""
 
 import json
 
+import pytest
+
 from conftest import fresh_python
 
 ORACLE = ("oracle", "--form", "E2^4 * (1/E6^4)", "--m", "0..80", "--order", "80")
@@ -13,6 +15,35 @@ WITHOUT_MPMATH = "import sys; sys.modules['mpmath'] = None; from meroforms.cli i
 # the same with the csv module unimportable
 WITHOUT_CSV = WITHOUT_MPMATH.replace("'mpmath'", "'csv'")
 VERIFY = ("verify", "--form", "1/E10", "--m", "0..1", "--tol", "1e-8", "--norm-bound", "100")
+
+# runs the command line of its arguments, then prints a line of JSON: its
+# exit code, the layers that ran (a lazy layer's placeholder is no plain
+# module until it runs) and whether mpmath was loaded
+PROBE_LAYERS = """
+import json, sys, types
+from meroforms.cli import main
+code = main()
+ran = [name[10:] for name, module in sorted(sys.modules.items())
+       if name.startswith("meroforms.") and name != "meroforms.cli" and type(module) is types.ModuleType]
+print()
+print(json.dumps({"code": code, "ran": ran, "mpmath": "mpmath" in sys.modules}))
+"""
+LAYERS = ("constants", "engine", "expansion", "lattice", "qseries", "quasi", "solver")
+BASIS_REQUEST = {"k": 6, "principal_parts": [{"point": "i", "coeffs": {"1": ["0", "0.10323759943705595"]}}]}
+
+# README's "What a command loads" table: a command, the layers it runs
+# besides cli and whether it loads mpmath; "<request>" is a file holding
+# BASIS_REQUEST
+COMMAND_LOADS = [
+    (ORACLE, ("qseries",), False),
+    (("constants", "--depth", "0"), ("constants", "qseries"), True),
+    (("enumerate", "--field", "gaussian", "--bound", "50"), ("constants", "lattice", "qseries"), True),
+    (("expand", "--form", "1/E6", "--point", "i", "--depth", "2"), ("constants", "expansion", "qseries"), True),
+    (("basis", "--input", "<request>", "--precision", "96"), ("constants", "expansion", "qseries", "solver"), True),
+    (("identity", "--norm-bound", "100"), tuple(layer for layer in LAYERS if layer != "quasi"), True),
+    (("coeffs", *VERIFY[1:5], "--norm-bound", "100"), LAYERS, True),
+    (VERIFY, LAYERS, True),
+]
 
 # the names the package re-exports, by the layer that defines them
 REEXPORTS = {
@@ -102,3 +133,13 @@ def test_reexports_resolve_to_their_layers():
     assert set(REEXPORTS) <= set(probe["dir"])
     assert probe["same"] == names
     assert not probe["unknown"]
+
+
+@pytest.mark.parametrize("command, layers, mpmath", COMMAND_LOADS, ids=[loads[0][0] for loads in COMMAND_LOADS])
+def test_each_command_runs_the_layers_of_its_table_row(tmp_path, command, layers, mpmath):
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(BASIS_REQUEST))
+    run = fresh_python("-c", PROBE_LAYERS, *(str(request) if arg == "<request>" else arg for arg in command))
+    assert run.returncode == 0, run.stderr
+    probe = json.loads(run.stdout.splitlines()[-1])
+    assert probe == {"code": 0, "ran": list(layers), "mpmath": mpmath}

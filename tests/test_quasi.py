@@ -11,12 +11,13 @@ from meroforms import (
     quasi_expansion,
     simple_pole_quasi_coeff,
 )
+import meroforms.engine as engine
 import meroforms.quasi as quasi
-from meroforms.constants import GUARD_BITS
+from meroforms.constants import GUARD_BITS, generic_point
 from meroforms.expansion import _add, _dz, _mul, _pow, _scale, laurent_at, principal_part_from_laurent, taylor_at, valuation
 from meroforms.qseries import Generator, oracle_coeffs, parse_form
 from meroforms.quasi import f_combination_coeff
-from meroforms.solver import solve_basis
+from meroforms.solver import BasisRepresentation, BasisTerm, solve_basis
 
 from conftest import rel_err
 
@@ -148,6 +149,17 @@ def test_simple_route_validity_window(prec):
     rep6 = quasi_expansion("1/E6^4", 0, prec).f_rep
     with pytest.raises(ValueError, match="simple"):
         simple_pole_quasi_coeff(rep6, 1, 0, 800, prec)
+
+
+def test_simple_route_refuses_a_generic_pole(prec):
+    # ideal sums exist only at i and rho: a simple pole elsewhere has no
+    # simple route and no ideal-sum family
+    rep = BasisRepresentation(6, (BasisTerm(generic_point(mpc(0.3, 1.1)), 0, mpc(1)),))
+    message = "simple-pole route needs poles at i or rho"
+    assert quasi.simple_route_error(rep, 0) == message
+    with pytest.raises(ValueError, match=message):
+        simple_pole_quasi_coeff(rep, 0, 0, 800, prec)
+    assert engine.block_families([rep], (0, 1)) == {}
 
 
 def test_general_route_aux_structure(prec):
