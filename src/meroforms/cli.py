@@ -64,8 +64,8 @@ MAX_ORACLE_ORDER = 2000
 
 # Jets and Laurent expansions cost about depth^2 products.  On a 2-core
 # x86-64 VM, in a fresh process at the default 256 bits, `constants
-# --depth 200` takes 3.4 s and `expand --form "E2^8 * (1/E6^8)" --point i
-# --depth 200` takes 2.5 s; `constants --depth 500` takes 19 s.
+# --depth 200` takes 1.0 s and `expand --form "E2^8 * (1/E6^8)" --point i
+# --depth 200` 1.4 s; the jets of `constants --depth 500` take 5.5 s in-process.
 MAX_DEPTH = 200
 
 # Run time grows faster than linearly in the precision.  On a 2-core

@@ -14,13 +14,15 @@ on its omitted tail, using the per-norm ideal count bound d(N) <= 2
 sqrt(N) (a circle-packing count for pair sums), which keeps the bound
 finite on the whole validity range k >= j + 2 of the F-series exponent.
 
-Ideal sums come from ``lattice.ideal_sums``, whose module documents the
-term arithmetic: one pass over the ideals fills every (m, k, j) block that
-the coefficients of an m range need at one pole (``block_families``), and
-each total is rounded once.  Pair sums go through ``b_kernel`` and
-``mpmath.fsum``, which adds exactly and rounds once.
+A representation's blocks are listed once (``representation_blocks``).
+Assembly reads them from one table per pole (``block_table``), which maps
+each block (k, j, r, m) to its value: one pass of ``lattice.ideal_sums``,
+whose module documents the term arithmetic, fills every ideal sum that the
+coefficients of an m range need there, and each total is rounded once.
+Pair sums go through ``b_kernel`` and ``mpmath.fsum``, which adds exactly
+and rounds once.
 
-At m = 0 the ideal sum has a closed form (``elliptic_block_coeff``):
+At m = 0 the ideal sum has a closed form, which the table holds:
 with w = k - 2j, the Maass raising operator R_w = 2i d/dz + w/y and the
 rising factorial (w)_j,
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, gcd, perm
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
@@ -90,10 +92,7 @@ def raising_expansion(k: int, n: int) -> RaisingExpansion:
     orders of the weight 2k+2n family."""
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    terms = []
-    for j in range(n + 1):
-        coeff = factorial(2 * k + n - 1) // factorial(2 * k + n - 1 - j) * comb(n, j)
-        terms.append(RaisingTerm(j, coeff, n - j))
+    terms = (RaisingTerm(j, perm(2 * k + n - 1, j) * comb(n, j), n - j) for j in range(n + 1))
     return RaisingExpansion(k, n, tuple(terms))
 
 
@@ -144,8 +143,8 @@ def f_series_coeff(
     the cosine kernel's class, the sum is an exact 0 with tail 0, as
     ``c_kernel`` has it.
     ``blocks`` is the tuple of (m, k, j) whose ideal sums at this point
-    share one ``ideal_sums`` pass (``block_families``); it must hold
-    (m, k, j), and None sums (m, k, j) alone.
+    share one ``ideal_sums`` pass (the family of a ``block_table``); it
+    must hold (m, k, j), and None sums (m, k, j) alone.
     """
     if k % 2 or k < 4:
         raise ValueError("k must be an even integer >= 4")
@@ -171,63 +170,52 @@ def f_series_coeff(
         return TruncatedSum(mpc(value), tail, norm_bound)
 
 
-@lru_cache(maxsize=256)
-def _eisenstein_table(w: int, point: EllipticPoint, depth: int, precision: int) -> tuple:
-    """(bits, d^r/dz^r E_w(tau0) for r = 0..depth) at the ``series_bits`` of depth."""
-    bits = series_bits(w, depth, point.v0(precision), precision)
-    return bits, tuple(eisenstein_derivatives(w, point.tau(bits), depth, bits))
+def block_table(point: EllipticPoint, keys, norm_bound: int, precision: int = DEFAULT_PRECISION) -> dict:
+    """(k, j, r, m) -> the block ``f_series_coeff`` (k, j, r, point, m) for
+    each key in ``keys``, at the pole ``point`` (i or rho), every lattice sum
+    from one ``ideal_sums`` pass.
 
-
-def elliptic_block_coeff(
-    k: int,
-    j: int,
-    r: int,
-    point: EllipticPoint,
-    m: int,
-    norm_bound: int,
-    precision: int = DEFAULT_PRECISION,
-    blocks: tuple | None = None,
-) -> TruncatedSum:
-    """The building block of ``f_series_coeff``, exact at m = 0.
-
-    For m = 0 and r = 0 the value is the closed form
-    Re[R^j E_w(tau0)] / (omega (w)_j), w = k - 2j, with tail bound 0.
-    The lattice partial sum is still computed as a check: if it differs
-    from the closed form by more than its tail bound plus
-    2^-(precision/2), ``ClosedFormMismatch`` is raised.  Every other
-    case, and the exact 0 off the kernel's divisibility class, returns
-    ``f_series_coeff`` unchanged.  ``blocks`` passes through to
-    ``f_series_coeff``.  The q-series derivatives of E_w come from one
-    table per (w, point) (``_eisenstein_table``), taken at the largest j of
-    an m = 0 block of weight w in ``blocks`` and raised at that j's
-    ``constants.series_bits``: the bits grow with j, so every smaller j
-    reads values within 2^-precision of v0^-j as well.
+    Each m = 0, r = 0 block on the kernel's class is exact: the closed form
+    Re[R^j E_w(tau0)] / (omega (w)_j), w = k - 2j, with tail bound 0.  Its
+    lattice partial sum is still computed as a check: if it differs from
+    the closed form by more than its tail bound plus 2^-(precision/2),
+    ``ClosedFormMismatch`` is raised.  The blocks of one weight w read one
+    list of q-series derivatives of E_w, taken at their largest j and
+    raised at that j's ``constants.series_bits``: the bits grow with j, so
+    every smaller j reads values within 2^-precision of v0^-j as well.
     """
-    partial = f_series_coeff(k, j, r, point, m, norm_bound, precision, blocks=blocks)
-    if m or r or point.vanishes(k):
-        return partial
-    w = k - 2 * j
-    depth = max([j2 for m2, k2, j2 in blocks or () if m2 == 0 and k2 - 2 * j2 == w] + [j])
-    bits, derivatives = _eisenstein_table(w, point, depth, precision)
-    with workprec(bits):
-        v0 = point.v0(bits)
-        # R^j f = sum_t coefficient_t v0^-t.j (2i)^r f^(r) with r = j - t.j;
-        # raising_expansion(w/2, j) holds these coefficients for weight w
-        raised = mpc(0)
-        for t in raising_expansion(w // 2, j).terms:
-            order = t.derivative_order
-            raised += t.coefficient * mpc(0, 2) ** order * derivatives[order] / v0**t.j
-        closed = raised.real / (point.omega * mpmath.rf(w, j))
-    with workprec(precision + GUARD_BITS):
-        diff = abs(partial.value - closed)
-        slack = partial.tail_bound + mpf(2) ** (-(precision // 2))
-        if diff > slack:
-            raise ClosedFormMismatch(
-                f"m = 0 block (k={k}, j={j}) at {point}: lattice partial sum at norm bound "
-                f"{norm_bound} is {mpmath.nstr(diff, 6)} from the closed form, beyond "
-                f"its tail bound {mpmath.nstr(partial.tail_bound, 6)}"
-            )
-        return TruncatedSum(mpc(closed), mpf(0), norm_bound)
+    keys = sorted(set(keys))
+    family = tuple(sorted({(m, k, j) for k, j, r, m in keys if not (m == 0 and r) and not point.vanishes(k)}))
+    table = {(k, j, r, m): f_series_coeff(k, j, r, point, m, norm_bound, precision, family) for k, j, r, m in keys}
+    weights: dict = {}
+    for k, j, r, m in keys:
+        if not (m or r or point.vanishes(k)):
+            weights.setdefault(k - 2 * j, []).append(j)
+    for w, js in weights.items():
+        bits = series_bits(w, max(js), point.v0(precision), precision)
+        derivatives = eisenstein_derivatives(w, point.tau(bits), max(js), bits)
+        for j in js:
+            partial = table[w + 2 * j, j, 0, 0]
+            with workprec(bits):
+                v0 = point.v0(bits)
+                # R^j f = sum_t coefficient_t v0^-t.j (2i)^r f^(r) with r = j - t.j;
+                # raising_expansion(w/2, j) holds these coefficients for weight w
+                raised = mpc(0)
+                for t in raising_expansion(w // 2, j).terms:
+                    order = t.derivative_order
+                    raised += t.coefficient * mpc(0, 2) ** order * derivatives[order] / v0**t.j
+                closed = raised.real / (point.omega * mpmath.rf(w, j))
+            with workprec(precision + GUARD_BITS):
+                diff = abs(partial.value - closed)
+                slack = partial.tail_bound + mpf(2) ** (-(precision // 2))
+                if diff > slack:
+                    raise ClosedFormMismatch(
+                        f"m = 0 block (k={w + 2 * j}, j={j}) at {point}: lattice partial sum at norm bound "
+                        f"{norm_bound} is {mpmath.nstr(diff, 6)} from the closed form, beyond "
+                        f"its tail bound {mpmath.nstr(partial.tail_bound, 6)}"
+                    )
+                table[w + 2 * j, j, 0, 0] = TruncatedSum(mpc(closed), mpf(0), norm_bound)
+    return table
 
 
 def _lattice_min_distance(tau: mpc) -> mpf:
@@ -321,33 +309,28 @@ def linear_combination(terms, norm_bound: int) -> TruncatedSum:
     return TruncatedSum(value, tail, norm_bound)
 
 
-def block_families(reps, ms) -> dict:
-    """point -> the sorted (m, k, j) ideal sums that the m-th coefficients,
-    m in ``ms``, of the representations' raised blocks read there, for one
-    ``ideal_sums`` pass per point.  At m = 0 only the r = 0 block (j = n) of
-    each term reaches a sum.  Every term lies on the kernel's divisibility
-    class: ``BasisRepresentation`` admits a term only where its point does
-    not ``vanishes`` at w = 2k + 2n, the one rule ``ideal_sums`` checks."""
-    families: dict = {}
+def representation_blocks(rep: BasisRepresentation):
+    """(term, c, (k, j, r)) for each block that the m-th coefficient of
+    sum a R^n[H_{2k}] per the representation reads: the term's R^n[H_{2k}]
+    combines the blocks (2k + 2n, j, n - j) of its ``raising_expansion``
+    with the coefficients c.  Every block lies on the kernel's class:
+    ``BasisRepresentation`` admits a term only where its point does not
+    ``vanishes`` at w = 2k + 2n."""
+    for t in rep.terms:
+        for rt in raising_expansion(rep.k, t.n).terms:
+            yield t, rt.coefficient, (2 * rep.k + 2 * t.n, rt.j, rt.derivative_order)
+
+
+def block_tables(reps, ms, norm_bound: int, precision: int = DEFAULT_PRECISION) -> dict:
+    """pole -> ``block_table`` of every block that the m-th coefficients,
+    m in ``ms``, of the representations read there; a point without ideal
+    sums gets no table."""
+    keys: dict = {}
     for rep in reps:
-        for t in rep.terms:
-            w = 2 * rep.k + 2 * t.n
+        for t, _, block in representation_blocks(rep):
             if t.point in _FIELD_AT:
-                family = families.setdefault(t.point, set())
-                for m in ms:
-                    family.update((m, w, j) for j in (range(t.n + 1) if m else (t.n,)))
-    return {point: tuple(sorted(family)) for point, family in families.items()}
-
-
-def _raised_blocks(k: int, n: int, point: EllipticPoint, m: int, norm_bound: int, precision: int, blocks=None):
-    """(weight, block) pairs whose combination is the m-th coefficient of R^n[H_{2k}]."""
-    for rt in raising_expansion(k, n).terms:
-        w, j, r = 2 * k + 2 * n, rt.j, rt.derivative_order
-        if point in _FIELD_AT:
-            block = elliptic_block_coeff(w, j, r, point, m, norm_bound, precision, blocks=blocks)
-            yield point.omega * rt.coefficient, block
-        else:
-            yield rt.coefficient * mpc(0, -2) ** r / 2, general_coeff_sum(w, point, j, r, m, norm_bound, precision)
+                keys.setdefault(t.point, set()).update((*block, m) for m in ms)
+    return {point: block_table(point, blocks, norm_bound, precision) for point, blocks in keys.items()}
 
 
 def assemble_coefficient(
@@ -355,26 +338,25 @@ def assemble_coefficient(
     m: int,
     norm_bound: int,
     precision: int = DEFAULT_PRECISION,
-    blocks: dict | None = None,
+    tables: dict | None = None,
 ) -> TruncatedSum:
     """m-th Fourier coefficient of sum a R^n[H_{2k}] per the representation.
 
     Elliptic points use the grouped ideal sums with prefactor omega; the
     residue-constant convention eps = i omega/(2 pi) pairs with exactly
     this prefactor (the raw pair sum counts each ideal 2 omega times and
-    the basis normalization absorbs the remaining factor 2).  ``blocks``
-    maps a point to the (m, k, j) family its ideal sums share
-    (``block_families``); a point it omits sums each block alone.
+    the basis normalization absorbs the remaining factor 2).  ``tables``
+    maps each pole to a ``block_table`` that holds its blocks at this m,
+    by default ``block_tables`` of this representation at this m alone.
     """
-    blocks = blocks or {}
+    tables = tables or block_tables((rep,), (m,), norm_bound, precision)
     with workprec(precision + GUARD_BITS):
         return linear_combination(
             (
-                (t.a * c, block)
-                for t in rep.terms
-                for c, block in _raised_blocks(
-                    rep.k, t.n, t.point, m, norm_bound, precision, blocks.get(t.point)
-                )
+                (t.a * (t.point.omega * c), tables[t.point][k, j, r, m])
+                if t.point in _FIELD_AT
+                else (t.a * (c * mpc(0, -2) ** r / 2), general_coeff_sum(k, t.point, j, r, m, norm_bound, precision))
+                for t, c, (k, j, r) in representation_blocks(rep)
             ),
             norm_bound,
         )

@@ -260,9 +260,9 @@ GENERATOR_WEIGHTS = {"E2": 2, "E4": 4, "E6": 6, "E10": 10}
 # every series and a basis element to every solve, and the auxiliary forms
 # of E2^n f have the pole order of f plus n.  On a 2-core x86-64 VM, in a
 # fresh process at 256 bits: `expand --form "1/E6^40" --point i --depth
-# 200` takes 3.1 s; `verify --m 0 --tol 1e-8` takes 1.1 s on "1/E6^40",
-# 4.7 s on "E2^29 * (1/E6^11)" and 9.1 s on "E2^20 * (1/E10^20)", and
-# `verify --form "1/E6^40" --m 0..3` 2.3-2.5 s.  It is stated here, with
+# 200` takes 1.7 s; `verify --m 0 --tol 1e-8` takes 0.5 s on "1/E6^40",
+# 1.6 s on "E2^29 * (1/E6^11)" and 3.5 s on "E2^20 * (1/E10^20)", and
+# `verify --form "1/E6^40" --m 0..3` 1.0 s.  It is stated here, with
 # the grammar of forms, so that the CLI checks it without loading mpmath.
 MAX_POLE_ORDER = 40
 

@@ -33,7 +33,7 @@ from math import comb, factorial
 from mpmath import mp, mpc, mpf, workprec
 
 from .constants import DEFAULT_PRECISION, GUARD_BITS, POINT_I, POINT_RHO, EllipticPoint
-from .engine import TruncatedSum, assemble_coefficient, block_families, elliptic_block_coeff, linear_combination
+from .engine import TruncatedSum, assemble_coefficient, block_table, block_tables, linear_combination
 from .expansion import (
     _add,
     _dz,
@@ -67,29 +67,34 @@ def simple_route_error(f_rep: BasisRepresentation, j: int) -> str | None:
     return None
 
 
+def simple_pole_tables(f_rep: BasisRepresentation, j: int, ms, norm_bound: int, precision: int) -> dict:
+    """pole -> ``block_table`` of the blocks (2k, j, 0, m), m in ``ms``, that
+    the simple-pole route reads there."""
+    keys = {(2 * f_rep.k, j, 0, m) for m in ms}
+    return {t.point: block_table(t.point, keys, norm_bound, precision) for t in f_rep.terms}
+
+
 def simple_pole_quasi_coeff(
     f_rep: BasisRepresentation,
     j: int,
     m: int,
     norm_bound: int,
     precision: int = DEFAULT_PRECISION,
-    blocks: dict | None = None,
+    tables: dict | None = None,
 ) -> TruncatedSum:
     """m-th coefficient of E_2^j f for f given by a simple-pole
-    representation at elliptic points.  ``blocks`` maps a point to the
-    (m, k, j) family its ideal sums share, as in ``assemble_coefficient``;
-    a point it omits sums its block alone."""
+    representation at elliptic points.  ``tables`` maps each pole to a
+    ``block_table`` that holds its block at this m, by default
+    ``simple_pole_tables`` at this m alone."""
     reason = simple_route_error(f_rep, j)
     if reason:
         raise ValueError(reason)
-    blocks = blocks or {}
+    tables = tables or simple_pole_tables(f_rep, j, (m,), norm_bound, precision)
     with workprec(precision + GUARD_BITS):
         scale = (3 / mp.pi) ** j
-        sums = (
-            (t, elliptic_block_coeff(2 * f_rep.k, j, 0, t.point, m, norm_bound, precision, blocks.get(t.point)))
-            for t in f_rep.terms
+        return linear_combination(
+            ((scale * t.point.omega * t.a, tables[t.point][2 * f_rep.k, j, 0, m]) for t in f_rep.terms), norm_bound
         )
-        return linear_combination(((scale * t.point.omega * t.a, block) for t, block in sums), norm_bound)
 
 
 @dataclass(frozen=True)
@@ -139,14 +144,13 @@ class QuasiExpansion:
     def coefficients(self, ms, norm_bound: int) -> list[TruncatedSum]:
         """The m-th coefficients of E_2^n f for m in ``ms``, in that order:
         the simple-pole route when n >= 1 and f qualifies, the
-        auxiliary-form recursion otherwise.  The ideal sums of every m at
-        each pole come from one pass over the ideals."""
+        auxiliary-form recursion otherwise.  The blocks of every m at each
+        pole come from one table, filled by one pass over the ideals."""
         if self.n and simple_route_error(self.f_rep, self.n) is None:
-            w = 2 * self.f_rep.k
-            blocks = {t.point: tuple((m, w, self.n) for m in sorted(set(ms))) for t in self.f_rep.terms}
-            return [simple_pole_quasi_coeff(self.f_rep, self.n, m, norm_bound, self.precision, blocks) for m in ms]
-        blocks = block_families(self._reps(self.n), ms)
-        return [self.coefficient_of_power(self.n, m, norm_bound, blocks) for m in ms]
+            tables = simple_pole_tables(self.f_rep, self.n, ms, norm_bound, self.precision)
+            return [simple_pole_quasi_coeff(self.f_rep, self.n, m, norm_bound, self.precision, tables) for m in ms]
+        tables = block_tables(self._reps(self.n), ms, norm_bound, self.precision)
+        return [self.coefficient_of_power(self.n, m, norm_bound, tables) for m in ms]
 
     def coefficient(self, m: int, norm_bound: int) -> TruncatedSum:
         """m-th coefficient of E_2^n f (``coefficients``)."""
@@ -155,20 +159,18 @@ class QuasiExpansion:
     def _reps(self, j: int) -> list[BasisRepresentation]:
         return [self.f_rep] + [self.aux_reps[i] for i in range(1, j + 1)]
 
-    def coefficient_of_power(self, j: int, m: int, norm_bound: int, blocks: dict | None = None) -> TruncatedSum:
+    def coefficient_of_power(self, j: int, m: int, norm_bound: int, tables: dict | None = None) -> TruncatedSum:
         """m-th coefficient of E_2^j f for any power j <= n by the
         auxiliary-form recursion, from the powers 0..j bottom-up.  The
-        ideal sums of f and of F_1..F_j at each pole come from one pass;
-        ``blocks`` is their family (``block_families``), by default for
-        this m alone."""
+        blocks of f and of F_1..F_j at each pole come from one table,
+        ``tables`` (``block_tables``), by default for this m alone."""
         if not 0 <= j <= self.n:
             raise ValueError(f"power {j} outside 0..{self.n}")
-        if blocks is None:
-            blocks = block_families(self._reps(j), (m,))
+        tables = tables or block_tables(self._reps(j), (m,), norm_bound, self.precision)
         with workprec(self.precision + GUARD_BITS):
-            sums = [assemble_coefficient(self.f_rep, m, norm_bound, self.precision, blocks)]
+            sums = [assemble_coefficient(self.f_rep, m, norm_bound, self.precision, tables)]
             for i in range(1, j + 1):
-                aux = assemble_coefficient(self.aux_reps[i], m, norm_bound, self.precision, blocks)
+                aux = assemble_coefficient(self.aux_reps[i], m, norm_bound, self.precision, tables)
                 earlier = []
                 for l in range(1, i + 1):
                     coeff = f_combination_coeff(self.k, i, l)

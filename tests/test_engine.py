@@ -16,7 +16,7 @@ from meroforms import (
     ClosedFormMismatch,
     TruncatedSum,
     assemble_coefficient,
-    elliptic_block_coeff,
+    block_table,
     f_series_coeff,
     general_coeff_sum,
     identity_check_m0,
@@ -618,6 +618,11 @@ def test_identity_balanced_constants(prec, e4i):
         assert rel_err(lhs, rhs) < mpf(10) ** -9
 
 
+def one_block(k, j, r, point, m, norm_bound, precision):
+    """The block (k, j, r, m) from a table of its own."""
+    return block_table(point, {(k, j, r, m)}, norm_bound, precision)[k, j, r, m]
+
+
 # m = 0 blocks: v0^-j sum*_b cos(k theta_b) N^(j-k/2) = Re[R^j E_w(tau0)] / (omega (w)_j)
 CLOSED_FORM_CASES = [
     (POINT_I, 12, 4),
@@ -637,7 +642,7 @@ def test_block_closed_form_within_tail(prec, point, k, j):
     values = []
     for bound in (1000, 5000):
         partial = f_series_coeff(k, j, 0, point, 0, bound, prec)
-        exact = elliptic_block_coeff(k, j, 0, point, 0, bound, prec)
+        exact = one_block(k, j, 0, point, 0, bound, prec)
         assert exact.tail_bound == 0 and exact.norm_bound == bound
         assert exact.value.imag == 0 and exact.value.real > 0
         with workprec(prec):
@@ -650,8 +655,8 @@ def test_block_closed_form_within_tail(prec, point, k, j):
 def test_block_closed_form_reference_values(prec):
     # (12, 4) converges like N^-2: the lattice sum at B = 5000 is still off
     # by about 1.3e-7 at i, while the closed form is exact
-    at_i = elliptic_block_coeff(12, 4, 0, POINT_I, 0, 5000, prec).value
-    at_rho = elliptic_block_coeff(12, 4, 0, POINT_RHO, 0, 5000, prec).value
+    at_i = one_block(12, 4, 0, POINT_I, 0, 5000, prec).value
+    at_rho = one_block(12, 4, 0, POINT_RHO, 0, 5000, prec).value
     assert abs(at_i - mpf("0.795022876848296")) < 1e-14
     assert abs(at_rho - mpf("1.90197500587207")) < 1e-14
     lattice = f_series_coeff(12, 4, 0, POINT_I, 0, 5000, prec).value
@@ -675,26 +680,34 @@ def test_block_closed_form_full_precision(point, k, j):
     # values under test are read at the ambient precision, so each must
     # carry its own working bits
     with workprec(432):
-        want = elliptic_block_coeff(k, j, 0, point, 0, 2000, 400).value
+        want = one_block(k, j, 0, point, 0, 2000, 400).value
     for precision in (64, 128):
-        got = elliptic_block_coeff(k, j, 0, point, 0, 2000, precision).value
+        got = one_block(k, j, 0, point, 0, 2000, precision).value
         assert rel_err(got, want) <= mpf(2) ** -precision, precision
 
 
 @pytest.mark.parametrize("point,k,j", LOW_PRECISION_CASES, ids=str)
-def test_block_closed_form_from_shared_table(point, k, j):
-    # blocks of one weight w = k - 2j read one table of E_w derivatives,
-    # taken at the family's largest j and its working bits; each block stays
+def test_block_closed_form_from_shared_table(point, k, j, monkeypatch):
+    # blocks of one weight w = k - 2j read one list of E_w derivatives,
+    # taken at the table's largest j and its working bits; each block stays
     # within 2^-P of the closed form from a table of its own
+    calls = []
+    inner = engine.eisenstein_derivatives
+
+    def counting(weight, tau, depth, bits):
+        calls.append((weight, depth))
+        return inner(weight, tau, depth, bits)
+
+    monkeypatch.setattr(engine, "eisenstein_derivatives", counting)
     step = 4 if point is POINT_I else 6
-    family = ((0, k, j), (0, k + step, j + step // 2))
+    top_key, key = (k + step, j + step // 2, 0, 0), (k, j, 0, 0)
     for precision in (64, 128, 256):
-        misses = engine._eisenstein_table.cache_info().misses
-        top = elliptic_block_coeff(k + step, j + step // 2, 0, point, 0, 2000, precision, blocks=family)
-        got = elliptic_block_coeff(k, j, 0, point, 0, 2000, precision, blocks=family)
-        assert engine._eisenstein_table.cache_info().misses <= misses + 1
+        calls.clear()
+        table = block_table(point, {key, top_key}, 2000, precision)
+        assert calls == [(k - 2 * j, j + step // 2)]
+        top, got = table[top_key], table[key]
         assert top.tail_bound == got.tail_bound == 0
-        own = elliptic_block_coeff(k, j, 0, point, 0, 2000, precision).value
+        own = one_block(k, j, 0, point, 0, 2000, precision).value
         assert rel_err(got.value, own) <= mpf(2) ** -precision, precision
 
 
@@ -704,7 +717,7 @@ def test_block_lattice_sum_at_large_bound(prec, point):
     # at B = 2e5 must itself reach the closed form far inside the loose
     # tail bound (about 0.01); it lands within 7e-11 at i and 2.4e-10 at rho
     partial = f_series_coeff(12, 4, 0, point, 0, 200_000, prec)
-    exact = elliptic_block_coeff(12, 4, 0, point, 0, 200_000, prec)
+    exact = one_block(12, 4, 0, point, 0, 200_000, prec)
     assert rel_err(partial.value, exact.value) < mpf(10) ** -9
     assert partial.tail_bound > mpf(10) ** -3
 
@@ -713,7 +726,7 @@ def test_block_lattice_sum_at_large_bound(prec, point):
 def test_block_off_class_is_exact_zero(prec, point, k, j):
     # 4 does not divide k at i, 6 does not at rho: the unit orbit cancels
     for bound in (1000, 5000):
-        for fn in (f_series_coeff, elliptic_block_coeff):
+        for fn in (f_series_coeff, one_block):
             out = fn(k, j, 0, point, 0, bound, prec)
             assert out.value == 0 and out.tail_bound == 0
     out = f_series_coeff(k, j, 1, point, 3, 1000, prec)
@@ -724,9 +737,20 @@ def test_block_off_class_is_exact_zero(prec, point, k, j):
 
 
 @pytest.mark.parametrize("point", [POINT_I, POINT_RHO], ids=str)
-def test_admissible_terms_lie_on_the_kernel_class(point):
-    # block_families sums every term it is given: BasisRepresentation admits
-    # only (k + n) % omega == 0, so w = 2k + 2n is never off the class
+def test_admissible_terms_lie_on_the_kernel_class(point, monkeypatch):
+    # a pole's table sums every block of every term it is given:
+    # BasisRepresentation admits only (k + n) % omega == 0, so w = 2k + 2n is
+    # never off the class.  The blocks are recorded, not summed: each reads
+    # 0, and the family is the one it hands on to the ideal_sums pass
+    families = set()
+    zero = TruncatedSum(mpc(0), mpf(0), 100)
+
+    def recording(k, j, r, point, m, norm_bound, precision, blocks=None):
+        families.add((point, blocks))
+        return zero
+
+    monkeypatch.setattr(engine, "f_series_coeff", recording)
+    monkeypatch.setattr(engine, "eisenstein_derivatives", lambda weight, tau, depth, bits: [mpc(0)] * (depth + 1))
     admitted = 0
     for k in range(2, 201):
         for n in range(41):
@@ -738,7 +762,9 @@ def test_admissible_terms_lie_on_the_kernel_class(point):
             w = 2 * k + 2 * n
             assert not point.vanishes(w), (k, n)
             family = ((0, w, n),) + tuple((1, w, j) for j in range(n + 1))
-            assert engine.block_families([rep], (0, 1)) == {point: family}
+            families.clear()
+            assert list(engine.block_tables([rep], (0, 1), 100, 64)) == [point]
+            assert families == {(point, family)}
     assert admitted > 2000
 
 
@@ -752,10 +778,10 @@ def test_block_closed_form_check_raises(prec, monkeypatch):
 
     monkeypatch.setattr(engine, "f_series_coeff", skewed)
     with pytest.raises(ClosedFormMismatch, match="k=12, j=4"):
-        elliptic_block_coeff(12, 4, 0, POINT_I, 0, 1000, prec)
+        one_block(12, 4, 0, POINT_I, 0, 1000, prec)
     assert issubclass(ClosedFormMismatch, ArithmeticError)
     # away from m = 0, r = 0 the partial sum is passed through unchecked
-    out = elliptic_block_coeff(12, 4, 0, POINT_I, 2, 1000, prec)
+    out = one_block(12, 4, 0, POINT_I, 2, 1000, prec)
     assert out.value == honest.value + 2 * honest.tail_bound + 1
     assert calls == [(12, 4, 0, 0), (12, 4, 0, 2)]
 
@@ -783,8 +809,8 @@ def test_identity_balanced_constants_from_closed_form(prec, e4i):
     # blocks (32, 3) and (28, 1), both with w = 26; their closed forms give
     # the balanced 243/91 constants exactly, and the 9/182 left side's limit
     with workprec(prec):
-        cos32 = elliptic_block_coeff(32, 3, 0, POINT_I, 0, 100, prec).value.real
-        cos28 = elliptic_block_coeff(28, 1, 0, POINT_I, 0, 100, prec).value.real
+        cos32 = one_block(32, 3, 0, POINT_I, 0, 100, prec).value.real
+        cos28 = one_block(28, 1, 0, POINT_I, 0, 100, prec).value.real
         four_pi_sq_e4 = 4 * mp.pi**2 * e4i
         rhs = 27 * mp.pi**3 * e4i**8 / 91
         assert rel_err(243 * cos32 - four_pi_sq_e4 * cos28, rhs) < mpf(10) ** -60

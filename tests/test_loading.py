@@ -62,7 +62,7 @@ REEXPORTS = {
         "ClosedFormMismatch",
         "TruncatedSum",
         "assemble_coefficient",
-        "elliptic_block_coeff",
+        "block_table",
         "f_series_coeff",
         "general_coeff_sum",
         "identity_check_m0",

@@ -153,13 +153,13 @@ def test_simple_route_validity_window(prec):
 
 def test_simple_route_refuses_a_generic_pole(prec):
     # ideal sums exist only at i and rho: a simple pole elsewhere has no
-    # simple route and no ideal-sum family
+    # simple route and no block table
     rep = BasisRepresentation(6, (BasisTerm(generic_point(mpc(0.3, 1.1)), 0, mpc(1)),))
     message = "simple-pole route needs poles at i or rho"
     assert quasi.simple_route_error(rep, 0) == message
     with pytest.raises(ValueError, match=message):
         simple_pole_quasi_coeff(rep, 0, 0, 800, prec)
-    assert engine.block_families([rep], (0, 1)) == {}
+    assert engine.block_tables([rep], (0, 1), 800, prec) == {}
 
 
 def test_general_route_aux_structure(prec):
@@ -361,3 +361,39 @@ def test_aux_reps_are_built_on_first_read(prec):
     assert at_once.aux_reps == qe.aux_reps
     want = at_once.coefficient_of_power(2, 1, 400)
     assert (got.value, got.tail_bound) == (want.value, want.tail_bound)
+
+
+def test_coefficients_read_one_table_per_pole(prec, monkeypatch):
+    # E2^2/E10^2 takes the recursion, with double poles at i and rho: one
+    # coefficients call builds one table per pole from one ideal-sum pass,
+    # and its m = 0 blocks of one weight read one list of E_w derivatives.
+    # Every lattice entry of a shared table has the bits of a table of its own
+    tables, derivatives = [], []
+    table_of, derivatives_of = engine.block_table, engine.eisenstein_derivatives
+
+    def recording(point, keys, norm_bound, precision):
+        tables.append((point, table_of(point, keys, norm_bound, precision)))
+        return tables[-1][1]
+
+    def counting(weight, tau, depth, bits):
+        derivatives.append(("i" if tau.real == 0 else "rho", weight))
+        return derivatives_of(weight, tau, depth, bits)
+
+    monkeypatch.setattr(engine, "block_table", recording)
+    monkeypatch.setattr(engine, "eisenstein_derivatives", counting)
+    engine.f_series_coeff.cache_clear()
+    engine.ideal_sums.cache_clear()
+    coefficients("E2^2 * (1/E10^2)", range(3), norm_bound=300, precision=prec)
+    assert engine.ideal_sums.cache_info().misses == 2
+    assert sorted(point.tag for point, _ in tables) == ["i", "rho"]
+    closed = [(point.tag, k - 2 * j) for point, table in tables for k, j, r, m in table if m == r == 0]
+    assert len(closed) > len(set(closed))  # some weight has blocks at two j
+    assert sorted(derivatives) == sorted(set(closed))
+    checked = 0
+    for point, table in tables:
+        for key, block in table.items():
+            if key[3]:
+                own = table_of(point, {key}, 300, prec)[key]
+                assert (own.value, own.tail_bound) == (block.value, block.tail_bound), (point, key)
+                checked += 1
+    assert checked > 20
