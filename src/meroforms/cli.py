@@ -55,7 +55,7 @@ MAX_NORM_BOUND = 10**6
 # a high power widens the divisor, and a product with a divided factor packs
 # coefficients thousands of bits wide.  On a 2-core x86-64 VM, in a fresh
 # process that loads no mpmath, `oracle --form "E2^4 * (1/E6^4)" --order N`
-# takes 0.16-0.19 s and 17 MB at N = 600 and 2.9-3.7 s and 22 MB at 2000,
+# takes 0.19-0.32 s and 16.4 MB at N = 600 and 2.9-3.7 s and 22 MB at 2000,
 # and the same oracle_coeffs call 9.6-11.8 s and 27 MB at 3000; in-process
 # the oracle takes 0.09-0.10 s at order 600, 3.1-3.7 s at 2000 and 13 s at
 # 3000.  At order 2000, `1/E6^64` takes 23 s and 25 MB, and `D(1/E6)^2`
@@ -70,9 +70,9 @@ MAX_DEPTH = 200
 
 # Run time grows faster than linearly in the precision.  On a 2-core
 # x86-64 VM, in a fresh process at 4096 bits, `verify --form "1/E10"
-# --m 0..3 --tol 1e-8` takes 4.1-6.5 s, `constants --depth 200` 4.2-5.2 s
-# and `constants --depth 3` 0.10-0.11 s; at 1024 bits the first two take
-# 0.38 s and 1.3-1.4 s.  Every ideal's term is still summed at the full
+# --m 0..3 --tol 1e-8` takes 3.8-6.0 s, `constants --depth 200` 5.3-7.3 s
+# and `constants --depth 3` 0.13-0.17 s; at 1024 bits the first two take
+# 0.44-0.48 s and 1.5-2.8 s.  Every ideal's term is still summed at the full
 # precision, so the lattice pass bounds the cap.
 MAX_PRECISION = 4096
 

@@ -33,10 +33,9 @@ derivatives straight from the q-series (``eisenstein_derivatives``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import ceil, factorial, log2
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
@@ -49,8 +48,7 @@ GUARD_BITS = 32
 DEFAULT_PRECISION = 256
 
 
-@dataclass(frozen=True)
-class EllipticPoint:
+class EllipticPoint(NamedTuple):
     """A point of the upper half-plane with its PSL_2(Z) stabilizer order.
 
     ``tag`` is one of "i", "rho", "generic"; ``omega`` is 2, 3, or 1.
@@ -59,7 +57,7 @@ class EllipticPoint:
 
     tag: str
     omega: int
-    generic_tau: Optional[mpc] = field(default=None, compare=True)
+    generic_tau: Optional[mpc] = None
 
     def tau(self, precision: int = DEFAULT_PRECISION) -> mpc:
         with workprec(precision + GUARD_BITS):
@@ -205,8 +203,7 @@ def cauchy(x: list, y: list, r: int):
     return sum(x[s] * y[r - s] for s in range(r + 1))
 
 
-@dataclass(frozen=True)
-class DerivativeJet:
+class DerivativeJet(NamedTuple):
     """Jets of E_w at a point: ``table[w][r]`` is the Taylor coefficient
     d^r/dz^r E_w(tau0) / r! for 0 <= r <= depth."""
 

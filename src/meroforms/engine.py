@@ -35,9 +35,9 @@ coprime-pair sum of (cz+d)^-w is 2 E_w, and each ideal accounts for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, perm
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
@@ -64,8 +64,7 @@ class ClosedFormMismatch(ArithmeticError):
     than its own tail bound plus 2^-(precision/2)."""
 
 
-@dataclass(frozen=True)
-class TruncatedSum:
+class TruncatedSum(NamedTuple):
     """Partial sum with a rigorous bound on the omitted tail."""
 
     value: mpc
@@ -73,15 +72,13 @@ class TruncatedSum:
     norm_bound: int
 
 
-@dataclass(frozen=True)
-class RaisingTerm:
+class RaisingTerm(NamedTuple):
     j: int
     coefficient: int  # (2k+n-1)!/(2k+n-1-j)! * C(n, j)
     derivative_order: int  # = n - j, also the exponent of (-2i)
 
 
-@dataclass(frozen=True)
-class RaisingExpansion:
+class RaisingExpansion(NamedTuple):
     k: int
     n: int
     terms: tuple[RaisingTerm, ...]

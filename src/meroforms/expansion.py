@@ -20,8 +20,8 @@ solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -48,7 +48,6 @@ class ExpansionError(ArithmeticError):
     pass
 
 
-@dataclass
 class LaurentSeries:
     """Coefficients of (z - tau0)^n for n = lowest_order .. lowest_order+len-1.
 
@@ -56,10 +55,10 @@ class LaurentSeries:
     window are unknown (truncated).
     """
 
-    point: EllipticPoint
-    lowest_order: int
-    coeffs: list
-    precision: int
+    __slots__ = ("point", "lowest_order", "coeffs", "precision")
+
+    def __init__(self, point: EllipticPoint, lowest_order: int, coeffs: list, precision: int):
+        self.point, self.lowest_order, self.coeffs, self.precision = point, lowest_order, coeffs, precision
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -241,8 +240,7 @@ def laurent_at(
     return series
 
 
-@dataclass
-class PrincipalPart:
+class PrincipalPart(NamedTuple):
     """Negative-order Laurent data at a point.
 
     ``coeffs[n]`` (n >= 1) is the coefficient of (z - tau0)^-n.  No order

@@ -59,12 +59,15 @@ so with P the phase numerator above
 No angle is ever formed.  Ideal sums take Z_b = e^(i pi P/N) e^(2 pi v0/N)
 (v0 = Im mu) from the rows of ``phasor_row``, fixed-point ints from the
 table kernel ``fixed_phasor``, so that a term of weight k, index m and
-norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).  One pass over the rows,
-in any order, ``sum_rows``, fills a whole family of (m, k, j) blocks:
-2 Re g^k exactly as the Lucas sequence V of the trace and norm of g, all
-that an m = 0 term reads and, with V_(k+1), all that an m >= 1 term folds in,
-Z_b^m stepped in fixed point, every term floored to a fixed number of
-fractional bits and added w times as Python ints, so that no order of the
+norm power N^(j-k/2) is Re[g^k Z_b^m] / N^(k-j).  The kernel's two
+tables, e^(i pi h/64) and e^(i pi h/4096), are the integer powers of one
+``mpf_cos_sin_pi`` seed each (``_cis_tables``): two such calls per width.
+One pass over the rows, in any order, ``sum_rows``, fills a whole family
+of (m, k, j) blocks: 2 Re g^k exactly as the Lucas sequence V of the
+trace and norm of g, all that an m = 0 term reads and, with V_(k+1), all
+that an m >= 1 term folds in, Z_b^m stepped in fixed point, every term
+floored to a fixed number of fractional bits and added as Python ints,
+those of the w = 2 rows apart and doubled once, so that no order of the
 rows changes a total.  ``ideal_sums`` makes that pass over the ideals of
 norm <= B, a mirror's term taken as its representative's, at
 ``sum_width`` bits and rounds each total once: with some m >= 1 over the
@@ -266,32 +269,45 @@ def twice_real(e: int, p: Pair) -> int:
 @lru_cache(maxsize=16)
 def _cis_tables(bits: int) -> tuple:
     """e^(i pi h/64) (h < 128) and e^(i pi h/4096) (h < 64) as (cos, sin),
-    then pi and 2/sqrt(3), each floored to ``bits`` bits from bits + 8."""
-    cis = [mpf_cos_sin_pi(from_man_exp(h, -log), bits + 8) for log, top in ((6, 128), (12, 64)) for h in range(top)]
-    cis = tuple((to_fixed(cos, bits), to_fixed(sin, bits)) for cos, sin in cis)
-    return cis[:128], cis[128:], pi_fixed(bits), isqrt((4 << 2 * bits) // 3)
+    then pi and 2/sqrt(3), each floored to ``bits`` bits.  A table is the
+    powers of its one ``mpf_cos_sin_pi`` seed e^(i pi/2^log), each the last
+    times the seed, floored at bits + 16 bits.  With u = 2^-(bits+16), the
+    seed is within 2 sqrt(2) u of exact and a product's two floors add
+    sqrt(2) u, so power h is within 4.25 h u < 2^10 u; after the last floor
+    each component is within 2^-bits (1 + 2^-6) of its exact value."""
+    wide, tables = bits + 16, []
+    for log, top in ((6, 128), (12, 64)):
+        seed = tuple(to_fixed(v, wide) for v in mpf_cos_sin_pi(from_man_exp(1, -log), wide))
+        table = [(1 << wide, 0)]
+        while len(table) < top:
+            table.append(ring_mul(0, table[-1], seed, wide))  # a complex product, as at i
+        tables.append(tuple((x >> 16, y >> 16) for x, y in table))
+    return *tables, pi_fixed(bits), isqrt((4 << 2 * bits) // 3)
 
 
 def fixed_phasor(field: Field, num: int, den: int, width: int, growth: mpf | None = None) -> Pair:
     """growth * e^(i pi num/den) in mu-coordinates (growth defaults to 1),
     each floored to ``width`` fractional bits from an integer kernel at
-    width + 24 bits: num/den mod 2 is h/4096 plus an exact r < 1/4096,
-    e^(i pi h/4096) a product of two ``_cis_tables`` entries, sin(pi r) a
-    Taylor series and cos(pi r) an isqrt.  Each component is within
-    (1 + growth)(width + 24) 2^-(width+24) of the exact one before the
-    last floor, so within 2^-width (1 + (1 + growth)(width + 24) 2^-24)."""
+    bits = width + 24: num/den mod 2 is h/4096 plus an exact r < 1/4096,
+    e^(i pi h/4096) a product of two ``_cis_tables`` entries (each within
+    2^-bits (1 + 2^-6)), sin(pi r) a Taylor series and cos(pi r) an isqrt.
+    Each Taylor term is at least 20 bits below the last, so there are
+    fewer than bits/20, and each multiplies by (pi r)^2 cut to the term's
+    own length, which adds less than one unit of 2^-bits to the term's two
+    floors.  Each component is within (1 + growth)(width + 24) 2^-(width+24)
+    of the exact one before the last floor, so within
+    2^-width (1 + (1 + growth)(width + 24) 2^-24)."""
     bits = width + 24
     coarse, fine, pi, root = _cis_tables(bits)
     h, rest = divmod((num % (2 * den)) << 12, den)
     term = sin = pi * rest // (den << 12)  # pi r
     square, n = sin * sin >> bits, 2
-    while term:  # sin(pi r) = sum of (-1)^i (pi r)^(2i+1)/(2i+1)!
-        term = (term * square >> bits) // (n * (n + 1))
+    while term:  # sin(pi r) = sum of (-1)^i (pi r)^(2i+1)/(2i+1)!, square cut to each term's length
+        cut = bits - term.bit_length()
+        term = (term * (square >> cut) >> bits - cut) // (n * (n + 1))
         sin, n = sin - term if n & 2 else sin + term, n + 2
     cos = isqrt((1 << 2 * bits) - sin * sin)
-    (cx, sx), (cf, sf) = coarse[h >> 6], fine[h & 63]
-    cx, sx = (cx * cf - sx * sf) >> bits, (cx * sf + sx * cf) >> bits
-    cos, sin = (cx * cos - sx * sin) >> bits, (cx * sin + sx * cos) >> bits
+    cos, sin = ring_mul(0, ring_mul(0, coarse[h >> 6], fine[h & 63], bits), (cos, sin), bits)  # complex products
     if growth is not None:
         scale = to_fixed(growth._mpf_, bits)
         cos, sin = cos * scale >> bits, sin * scale >> bits
@@ -427,12 +443,13 @@ def _check_blocks(blocks) -> None:
 
 def sum_rows(e: int, rows, blocks, width: int) -> dict:
     """(m, k, j) -> sum of w times the floored term Re[g^k Z^m] / N^(k-j)
-    over ``rows`` with generator g = x + y mu, for every (m, k, j) in
-    ``blocks`` (m >= 0, even k >= 2, 0 <= j <= k, refused otherwise), each
-    a fixed-point int with ``width`` fractional bits.  An m = 0-only family
-    reads rows (N, x, y, w), any other rows (N, x, y, w, Z) with the phasor
-    Z a pair at ``width`` bits.  ``rows`` is any iterable, in any order:
-    every term is an exact integer, so no order changes a total.
+    over ``rows`` with generator g = x + y mu and multiplicity w = 1 or 2,
+    for every (m, k, j) in ``blocks`` (m >= 0, even k >= 2, 0 <= j <= k,
+    refused otherwise), each a fixed-point int with ``width`` fractional
+    bits.  An m = 0-only family reads rows (N, x, y, w), any other rows
+    (N, x, y, w, Z) with the phasor Z a pair at ``width`` bits.  ``rows``
+    is any iterable, in any order: every term is an exact integer, so no
+    order changes a total.
 
     Only the Lucas sequence V_n = g^n + conj(g)^n = 2 Re g^n is carried:
     with t = 2x + e y and N the trace and norm of g, V_2n = V_n^2 - 2 N^n,
@@ -456,7 +473,9 @@ def sum_rows(e: int, rows, blocks, width: int) -> dict:
     its largest j, then by N^(j'-j) down to each smaller j.  As
     floor(floor(x/a)/b) = floor(x/(ab)) for positive integers a, b, every
     term is the one its block would get alone with the same Z^m, the same
-    at m = 0 in either kind of family, and every job adds it w times.
+    at m = 0 in either kind of family.  Each job adds it to the total of
+    the row's w, and each block's totals T2 and T1 are combined once, as
+    2 T2 + T1.
 
     ``ideal_sums`` passes a representative with w = 2 for its mirror, whose
     term is taken as the representative's: for even k,
@@ -488,12 +507,13 @@ def sum_rows(e: int, rows, blocks, width: int) -> dict:
     ladder, tail = [bit == "1" for bit in bin(ks[0] >> low)[3:]], [False] * low
     if low and ladder:
         tail.insert(0, ladder.pop())
-    totals, shift, row_norm = [0] * len(order), width - 1, None
+    # the terms of w = 2 and of w = 1 rows in two totals, combined once
+    twos, ones, shift, row_norm = [0] * len(order), [0] * len(order), width - 1, None
     if not plan[-1][0]:  # m = 0 alone: no phasor, and each block floored once
         # the first block inline, then per block its unit steps from the
         # previous block's k, its power of N and its slot
         more = [(range(b[1] - a[1]), b[1] - b[2], slot) for slot, (a, b) in enumerate(zip(order, order[1:]), 1)]
-        exponent, total = order[0][1] - order[0][2], 0
+        exponent = order[0][1] - order[0][2]
         for norm, x, y, w in rows:
             t = 2 * x + e * y
             v, v1, nn = t, t * t - 2 * norm, norm
@@ -507,15 +527,16 @@ def sum_rows(e: int, rows, blocks, width: int) -> dict:
                     v, nn = v * v1 - t * nn, nn * nn * norm
                 else:
                     v, nn = v * v - 2 * nn, nn * nn
-            total += w * ((v << shift) // norm**exponent)
+            totals = twos if w == 2 else ones
+            totals[0] += (v << shift) // norm**exponent
             for unit_steps, power, slot in more:
                 for _ in unit_steps:
                     v, v1 = v1, t * v1 - norm * v
-                totals[slot] += w * ((v << shift) // norm**power)
-        totals[0] = total
-        return dict(zip(order, totals))
+                totals[slot] += (v << shift) // norm**power
+        return {block: 2 * two + one for block, two, one in zip(order, twos, ones)}
     steps = tuple(range(k - last) for last, k in zip([ks[0], *ks], ks))  # unit steps to each k
     for norm, x, y, w, z in rows:
+        totals = twos if w == 2 else ones
         if norm != row_norm:
             row_norm, powers = norm, tuple(map(pow, repeat(norm), positions))
         t = 2 * x + e * y
@@ -544,8 +565,8 @@ def sum_rows(e: int, rows, blocks, width: int) -> dict:
                 q = (a * wx + b * wy) >> 1
                 for position, slot in links:
                     q //= powers[position]
-                    totals[slot] += w * q
-    return dict(zip(order, totals))
+                    totals[slot] += q
+    return {block: 2 * two + one for block, two, one in zip(order, twos, ones)}
 
 
 @lru_cache(maxsize=1024)

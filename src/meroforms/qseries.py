@@ -16,7 +16,6 @@ that admits only the grammar of forms.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -267,9 +266,25 @@ GENERATOR_WEIGHTS = {"E2": 2, "E4": 4, "E6": 6, "E10": 10}
 MAX_POLE_ORDER = 40
 
 
-@dataclass(frozen=True)
 class FormExpression:
-    """Base class for expression-tree nodes; use the subclasses below."""
+    """Base class for expression-tree nodes; use the subclasses below.  A
+    node's fields are its ``__slots__``, and two nodes are equal when they
+    are of one class with equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     @property
     def weight(self) -> int:
@@ -288,7 +303,7 @@ class FormExpression:
         """This node and every node below it, depth first; a node's
         children are its FormExpression fields, alone or in a tuple."""
         yield self
-        for value in vars(self).values():
+        for value in self._fields():
             for child in value if isinstance(value, tuple) else (value,):
                 if isinstance(child, FormExpression):
                     yield from child.nodes()
@@ -303,13 +318,13 @@ class FormExpression:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Generator(FormExpression):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.name not in GENERATOR_WEIGHTS:
-            raise ValueError(f"unknown generator {self.name!r}")
+    def __init__(self, name: str):
+        if name not in GENERATOR_WEIGHTS:
+            raise ValueError(f"unknown generator {name!r}")
+        self.name = name
 
     @property
     def weight(self) -> int:
@@ -322,9 +337,11 @@ class Generator(FormExpression):
         return self.name
 
 
-@dataclass(frozen=True)
 class Constant(FormExpression):
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
     @property
     def weight(self) -> int:
@@ -337,9 +354,11 @@ class Constant(FormExpression):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class Product(FormExpression):
-    factors: tuple[FormExpression, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[FormExpression, ...]):
+        self.factors = factors
 
     @property
     def weight(self) -> int:
@@ -354,14 +373,13 @@ class Product(FormExpression):
         return " * ".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
 class Power(FormExpression):
-    base: FormExpression
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.exponent < 2:
-            raise ValueError(f"Power exponent must be >= 2, got {self.exponent}")
+    def __init__(self, base: FormExpression, exponent: int):
+        if exponent < 2:
+            raise ValueError(f"Power exponent must be >= 2, got {exponent}")
+        self.base, self.exponent = base, exponent
 
     @property
     def weight(self) -> int:
@@ -375,9 +393,11 @@ class Power(FormExpression):
         return f"{base}^{self.exponent}"
 
 
-@dataclass(frozen=True)
 class Reciprocal(FormExpression):
-    operand: FormExpression
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: FormExpression):
+        self.operand = operand
 
     @property
     def weight(self) -> int:
@@ -393,11 +413,13 @@ class Reciprocal(FormExpression):
         return f"1/({self.operand})"
 
 
-@dataclass(frozen=True)
 class Dee(FormExpression):
     """D = (1/2 pi i) d/dz, acting on q-series as q d/dq."""
 
-    operand: FormExpression
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: FormExpression):
+        self.operand = operand
 
     @property
     def weight(self) -> int:

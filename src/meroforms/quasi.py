@@ -25,7 +25,6 @@ cross-checked, and ``QuasiExpansion.coefficient`` picks one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
@@ -97,21 +96,20 @@ def simple_pole_quasi_coeff(
         )
 
 
-@dataclass(frozen=True)
 class QuasiExpansion:
     """Coefficient machine for E_2^n f from its pole data.
 
     ``laurents`` maps each pole to the Laurent series of f there, to order
     n + 6; ``f_rep`` is the raised-basis representation of f itself, solved
     from their principal parts.  ``aux_reps`` is built from them the first
-    time it is read, which only the auxiliary-form recursion does.
+    time it is read, which only the auxiliary-form recursion does, and kept
+    in the instance ``__dict__``.
     """
 
-    k: int
-    n: int
-    f_rep: BasisRepresentation
-    laurents: dict
-    precision: int
+    __slots__ = ("k", "n", "f_rep", "laurents", "precision", "__dict__")
+
+    def __init__(self, k: int, n: int, f_rep: BasisRepresentation, laurents: dict, precision: int):
+        self.k, self.n, self.f_rep, self.laurents, self.precision = k, n, f_rep, laurents, precision
 
     @cached_property
     def aux_reps(self) -> dict:

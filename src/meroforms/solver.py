@@ -16,8 +16,8 @@ ones, which makes the solve self-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -41,26 +41,28 @@ def epsilon_tilde(weight: int, point: EllipticPoint, precision: int = DEFAULT_PR
         return mpc(0, point.omega) / (2 * mp.pi)
 
 
-@dataclass(frozen=True)
-class BasisTerm:
+class BasisTerm(NamedTuple):
     point: EllipticPoint
     n: int
     a: mpc
 
 
-@dataclass(frozen=True)
 class BasisRepresentation:
     """f = sum a R^n[H_{2k}] at the given points (source weight 2-2k)."""
 
-    k: int
-    terms: tuple[BasisTerm, ...]
+    __slots__ = ("k", "terms")
 
-    def __post_init__(self):
-        for t in self.terms:
-            if t.point.vanishes(2 * (self.k + t.n)):
-                raise ValueError(
-                    f"inadmissible term: k+n = {self.k + t.n} not 0 mod {t.point.omega} at {t.point}"
-                )
+    def __init__(self, k: int, terms: tuple[BasisTerm, ...]):
+        for t in terms:
+            if t.point.vanishes(2 * (k + t.n)):
+                raise ValueError(f"inadmissible term: k+n = {k + t.n} not 0 mod {t.point.omega} at {t.point}")
+        self.k, self.terms = k, terms
+
+    def __eq__(self, other):
+        return (self.k, self.terms) == (other.k, other.terms) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.terms))
 
 
 def basis_principal_part(

@@ -519,12 +519,28 @@ def test_phasor_row_evaluates_no_mirror(monkeypatch, point, bound):
     monkeypatch.setattr(lattice, "fixed_phasor", lambda *args: phasors_made.append(args) or phasor(*args))
     monkeypatch.setattr(lattice, "mpf_cos_sin_pi", lambda *args: cis_made.append(args) or cis(*args))
     lattice._cis_tables.__wrapped__(bits)
-    assert len(cis_made) == 192  # the table build: 128 + 64 entries
+    assert len(cis_made) == 2  # the table build: one seed per table
     lattice._cis_tables(bits)  # built and cached, if no earlier test did
     cis_made.clear()
     rows = phasor_row.__wrapped__(point, bound, 64)
     assert len(phasors_made) == len(rows) == len(ideal_sum_data(field, bound)) // 2 + 1
     assert cis_made == []
+
+
+@pytest.mark.parametrize("width", [96, 288, 1056, 4128])
+def test_cis_tables_within_their_stated_bound(width):
+    # every entry of the tables that fixed_phasor reads at this width, built
+    # from one seed per table, is within 2^-bits (1 + 2^-6) of cospi/sinpi
+    # at twice the bits, the docstring's bound
+    bits = width + 24
+    coarse, fine, _, _ = lattice._cis_tables(bits)
+    assert (len(coarse), len(fine)) == (128, 64)
+    with workprec(2 * bits):
+        for table, den in ((coarse, 64), (fine, 4096)):
+            for h, entry in enumerate(table):
+                exact = mpmath.cospi(mpf(h) / den), mpmath.sinpi(mpf(h) / den)
+                for component, value in zip(entry, exact):
+                    assert abs(component - value * 2**bits) < 1 + mpf(2) ** -6, (h, den)
 
 
 def _mpmath_phasor(field, num, den, width, growth=None):

@@ -14,6 +14,9 @@ WITHOUT_MPMATH = "import sys; sys.modules['mpmath'] = None; from meroforms.cli i
 
 # the same with the csv module unimportable
 WITHOUT_CSV = WITHOUT_MPMATH.replace("'mpmath'", "'csv'")
+
+# the same with the dataclasses module unimportable
+WITHOUT_DATACLASSES = WITHOUT_MPMATH.replace("'mpmath'", "'dataclasses'")
 VERIFY = ("verify", "--form", "1/E10", "--m", "0..1", "--tol", "1e-8", "--norm-bound", "100")
 
 # runs the command line of its arguments, then prints a line of JSON: its
@@ -119,6 +122,17 @@ def test_only_csv_output_loads_csv():
         assert (blocked.returncode, blocked.stdout, blocked.stderr) == (0, plain.stdout, b"")
     blocked = fresh_python("-c", WITHOUT_CSV, "coeffs", *VERIFY[1:5], "--norm-bound", "100", "--output", "csv")
     assert blocked.returncode != 0 and b"csv" in blocked.stderr
+
+
+def test_no_command_loads_dataclasses():
+    # the records are NamedTuples and plain classes, so no command imports
+    # dataclasses (nor inspect and the modules it pulls in): blocking it
+    # changes no byte of the oracle or of a verify run
+    for command in (ORACLE, VERIFY):
+        plain = fresh_python("-m", "meroforms", *command)
+        blocked = fresh_python("-c", WITHOUT_DATACLASSES, *command)
+        assert plain.returncode == 0 and plain.stdout.startswith(b"{")
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (0, plain.stdout, b"")
 
 
 def test_reexports_resolve_to_their_layers():
